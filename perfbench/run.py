@@ -37,7 +37,7 @@ PACKAGE = SRC / "herbrandkit"
 TRACE_DIR = Path(__file__).resolve().parent / "traces"
 
 # setup is timed in the serving process and in this many fresh interpreters
-SETUP_PROCESSES = 8
+SETUP_PROCESSES = 16
 SETUP_CODE = (
     "import sys, time\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -53,8 +53,6 @@ def parse_args(argv=None):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--max-requests", type=int, default=None,
-                   help="stop after this many requests (for the self-check)")
     return p.parse_args(argv)
 
 
@@ -164,7 +162,6 @@ def main(argv=None) -> int:
               f"choose from {', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
-    limit = args.max_requests or sys.maxsize
 
     # One request outside the measurement, so that first-call costs of the
     # process do not land on the first timed request; its answer is checked.
@@ -181,7 +178,8 @@ def main(argv=None) -> int:
     if args.trace:
         from tracing import Tracer
         plain = Outcome()
-        sent = serve(workload, args.seed, "a", args.seconds / 2, limit, plain)
+        sent = serve(workload, args.seed, "a", args.seconds / 2, sys.maxsize,
+                     plain)
         tracer = Tracer()
         tracer.install()
         traced = Outcome()
@@ -199,7 +197,7 @@ def main(argv=None) -> int:
         failed = warm.failed + plain.failed + traced.failed
     else:
         run = Outcome(workload.rss_requests)
-        sent = serve(workload, args.seed, "a", args.seconds, limit, run)
+        sent = serve(workload, args.seed, "a", args.seconds, sys.maxsize, run)
         rss_requests = min(sent, workload.rss_requests)
         lat = run.latencies
         p = workload.tail_percentile

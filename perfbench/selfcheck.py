@@ -5,9 +5,11 @@ Run from the repository root:
     python3 perfbench/selfcheck.py
 
 For each workload, declared in BENCHMARK.json or not, it runs ``run.py``
-with two measured requests, untraced and traced, and checks that the last line is the result document, that it
-names every metric BENCHMARK.json declares for that mode with the declared
-unit, and that no request failed (fail_ratio 0).  Exits 1 on any mismatch.
+with ``--seconds 0``: one measured request untraced, and one plain plus one
+traced request with ``--trace 1``.  It checks that the last line is the
+result document, that it names every metric BENCHMARK.json declares for
+that mode with the declared unit, and that no request failed (fail_ratio 0).
+Exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 def check(workload: str, trace: int, declared: list[dict]) -> list[str]:
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-           "--seed", "1", "--seconds", "1", "--trace", str(trace),
-           "--max-requests", "2"]
+           "--seed", "1", "--seconds", "0", "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT,
                           timeout=170)
     if proc.returncode != 0:

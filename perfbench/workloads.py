@@ -249,20 +249,6 @@ def orders_request(seed: int, index: int, prefix: str) -> Request:
 # ---------------------------------------------------------------------------
 # upperbound: the public calls of the upper-bound demonstration
 
-UPPER_BOUND_TEXT = (
-    "((forall x. forall y. exists m. (x < m & y < m)) & "
-    "(forall c. forall b. forall a. ((a < b & b < c) -> a < c))) -> "
-    "(forall u. forall v. forall w. exists z. (u < z & v < z & w < z))")
-
-UPPER_BOUND_SELECTION = (
-    "(or (not (and (forall x (sk_v sk_u)"
-    " (forall y (sk_w) _)"
-    " (forall y (sk_m(sk_v,sk_w)) _))"
-    " (forall c (sk_m(sk_u,sk_m(sk_v,sk_w)))"
-    " (forall b (sk_m(sk_v,sk_w))"
-    " (forall a (sk_v sk_w) _)))))"
-    " (exists z (sk_m(sk_u,sk_m(sk_v,sk_w))) _))")
-
 UPPER_BOUND_ORDER = 4
 
 
@@ -301,12 +287,13 @@ def selection_order_bound(selection: str) -> int:
     return 1 + total
 
 
-UPPER_BOUND_EXPECTED_ORDER_BOUND = selection_order_bound(UPPER_BOUND_SELECTION)
+UPPER_BOUND_EXPECTED_ORDER_BOUND = selection_order_bound(
+    construct.UPPER_BOUND_SELECTION)
 
 
 def upperbound_request(seed: int, index: int, prefix: str) -> Request:
-    text = rename_upper_bound(UPPER_BOUND_TEXT, prefix)
-    sel_text = rename_upper_bound(UPPER_BOUND_SELECTION, prefix)
+    text = rename_upper_bound(construct.UPPER_BOUND_TEXT, prefix)
+    sel_text = rename_upper_bound(construct.UPPER_BOUND_SELECTION, prefix)
 
     def run():
         a = syntax.parse_formula(text)
