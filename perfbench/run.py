@@ -11,10 +11,11 @@ verdict would.  Every answer is checked against what the benchmark expects
 counts as a failed request and never stops the run.
 
 With ``--trace 0`` the last line of standard output holds the end-to-end
-metrics; with ``--trace 1`` it holds the per-layer metrics of a traced run
-(see tracing.py), measured after an untraced run of the same requests that
+metrics, whose times are scaled to a nominal machine speed (see speed.py);
+with ``--trace 1`` it holds the per-layer metrics of a traced run (see
+tracing.py), measured after an untraced run of the same requests that
 gives the tracing overhead.  Earlier lines give the metrics in readable
-form and the run's metadata.
+form and the run's metadata, with the unscaled times.
 """
 
 from __future__ import annotations
@@ -31,20 +32,27 @@ import time
 import traceback
 from pathlib import Path
 
+import speed
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "herbrandkit"
-TRACE_DIR = Path(__file__).resolve().parent / "traces"
+HERE = Path(__file__).resolve().parent
+TRACE_DIR = HERE / "traces"
 
 # setup is timed in the serving process and in this many fresh interpreters
 SETUP_PROCESSES = 16
 SETUP_CODE = (
     "import sys, time\n"
-    "sys.path.insert(0, sys.argv[1])\n"
+    "sys.path[:0] = sys.argv[1:3]\n"
     "t0 = time.perf_counter()\n"
     "import herbrandkit.cli\n"
     "herbrandkit.cli.build_parser()\n"
-    "print(time.perf_counter() - t0)\n")
+    "t = time.perf_counter() - t0\n"
+    "import speed\n"
+    "print(t, speed.reference_s())\n")
+# a run times the reference loop of speed.py once per this many seconds
+REFERENCE_EVERY_S = 0.5
 
 
 def parse_args(argv=None):
@@ -56,20 +64,22 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
-def measure_setup() -> list[float]:
-    """Seconds to import herbrandkit and build the CLI parser: first in this
-    process, which then serves the workload, then in fresh interpreters."""
+def measure_setup() -> list[tuple[float, float]]:
+    """Seconds to import herbrandkit and build the CLI parser, each with the
+    reference loop's time just after it: first in this process, which then
+    serves the workload, then in fresh interpreters."""
     t0 = time.perf_counter()
     sys.path.insert(0, str(SRC))
     import herbrandkit.cli
     herbrandkit.cli.build_parser()
-    times = [time.perf_counter() - t0]
+    samples = [(time.perf_counter() - t0, speed.reference_s())]
     for _ in range(SETUP_PROCESSES):
-        out = subprocess.run([sys.executable, "-c", SETUP_CODE, str(SRC)],
-                             capture_output=True, text=True, timeout=60,
-                             check=True)
-        times.append(float(out.stdout))
-    return times
+        out = subprocess.run(
+            [sys.executable, "-c", SETUP_CODE, str(SRC), str(HERE)],
+            capture_output=True, text=True, timeout=60, check=True)
+        t, ref = out.stdout.split()
+        samples.append((float(t), float(ref)))
+    return samples
 
 
 def percentile(values: list[float], p: float) -> float:
@@ -91,6 +101,15 @@ class Outcome:
         self.last_end = None
         self.rss_requests = rss_requests
         self.rss_mb = None
+        self.reference: list[float] = []
+        # reference loop time between the first start and the last end
+        self.paused = 0.0
+
+    def time_reference(self) -> None:
+        ref = speed.reference_s()
+        self.reference.append(ref)
+        if self.first_start is not None:
+            self.paused += ref
 
     def record(self, start: float, end: float, ok: bool) -> None:
         if self.first_start is None:
@@ -105,9 +124,17 @@ class Outcome:
 def serve(workload, seed, prefix, seconds, limit, outcome, call=None):
     """Closed loop: send request 0, 1, ... each after the previous returns,
     until ``seconds`` have passed or ``limit`` requests were sent."""
-    deadline = time.perf_counter() + seconds
+    next_reference = time.perf_counter()
+    deadline = next_reference + seconds
     index = 0
     while index < limit and (index == 0 or time.perf_counter() < deadline):
+        # one reference sample per REFERENCE_EVERY_S of the run, so that a
+        # workload of long requests is sampled as often as one of short ones
+        now = time.perf_counter()
+        if now >= next_reference:
+            for _ in range(1 + int((now - next_reference) / REFERENCE_EVERY_S)):
+                outcome.time_reference()
+            next_reference = now + REFERENCE_EVERY_S
         req = workload.make(seed, index, f"{prefix}{index}_")
         start = time.perf_counter()
         ok = True
@@ -201,21 +228,35 @@ def main(argv=None) -> int:
         rss_requests = min(sent, workload.rss_requests)
         lat = run.latencies
         p = workload.tail_percentile
+        tail = percentile(lat, p)
+        busy = run.last_end - run.first_start - run.paused
+        raw = {
+            "latency_p50_s": statistics.median(lat),
+            "latency_tail_s": tail,
+            "throughput_rps": len(lat) / busy,
+            "setup_s": statistics.median(t for t, _ in setup),
+        }
+        # scaled to the nominal speed of the reference loop (see speed.py)
+        scale = speed.NOMINAL_S / speed.typical_s(run.reference)
         metrics = {
-            "latency_p50_s": (statistics.median(lat), "s"),
-            "latency_tail_s": (percentile(lat, p), "s"),
-            "throughput_rps": (len(lat) / (run.last_end - run.first_start), "1/s"),
-            "setup_s": (statistics.median(setup), "s"),
+            "latency_p50_s": (raw["latency_p50_s"] * scale, "s"),
+            "latency_tail_s": (raw["latency_tail_s"] * scale, "s"),
+            "throughput_rps": (raw["throughput_rps"] / scale, "1/s"),
+            "setup_s": (statistics.median(
+                t * speed.NOMINAL_S / ref for t, ref in setup), "s"),
             "peak_rss_mb": (run.rss_mb or peak_rss_mb(), "MB"),
         }
-        beyond = sum(1 for x in lat if x > metrics["latency_tail_s"][0])
+        beyond = sum(1 for x in lat if x > tail)
+        meta["speed_scale"] = scale
+        meta["reference_samples_s"] = [round(r, 5) for r in run.reference]
+        meta["unscaled"] = raw
         meta["requests"] = sent
         meta["tail"] = f"p{p:g} of {sent} requests, {beyond} beyond it"
         meta["peak_rss_after_requests"] = rss_requests
         attempted = 1 + sent
         failed = warm.failed + run.failed
 
-    meta["setup_samples_s"] = [round(s, 6) for s in setup]
+    meta["setup_samples_s"] = [[round(t, 6), round(ref, 6)] for t, ref in setup]
     print("meta " + json.dumps(meta, sort_keys=True))
     print(f"{workload.name}: {attempted} requests attempted, {failed} failed, "
           f"fail_ratio {failed / attempted:g}")

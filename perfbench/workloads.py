@@ -157,8 +157,9 @@ def _models(text, valid):
     return ["models", "--size", "2", text], ("models", valid)
 
 
-def _orders_slot(slot: int, rng: random.Random, nm):
-    """(argv tail, expectation) for one of the sixteen request kinds."""
+def _orders_slot(slot: int, block: int, rng: random.Random, nm):
+    """(argv tail, expectation) for one of the sixteen request kinds, in
+    the ``block``-th block of sixteen requests."""
     k = rng.randint(1, 6)
     star = rng.random() < 0.5
     if slot == 0:
@@ -184,7 +185,9 @@ def _orders_slot(slot: int, rng: random.Random, nm):
         return _min_order(upper2_text(nm), 3, star)
     if slot == 10:
         return _models(upper2_text(nm), True)
-    n = rng.randint(3, 6)
+    # The transitivity kinds cycle through 3-6 constants block by block, so
+    # that every run holds the same share of the slowest requests.
+    n = 3 + block % 4
     if slot in (11, 12):
         # Five or more constants give 25+ atoms: the clausal route.
         return _min_order(transitivity_case(rng, nm, n, True), 2, star)
@@ -194,7 +197,7 @@ def _orders_slot(slot: int, rng: random.Random, nm):
         # Three or four constants only: a non-entailed query over five or
         # more makes the solver search for seconds, which is what the
         # countermodel workload measures.
-        text = transitivity_case(rng, nm, rng.randint(3, 4), False)
+        text = transitivity_case(rng, nm, 3 + block % 2, False)
         return _min_order(text, None, star, n_max=3)
     return _models(transitivity_case(rng, nm, n, False), False)
 
@@ -237,7 +240,8 @@ def check_cli(code: int, out: str, expectation) -> None:
 def orders_request(seed: int, index: int, prefix: str) -> Request:
     rng = request_rng(seed, index)
     slot = stratified_slot(seed, index, ORDERS_SLOTS)
-    argv, expectation = _orders_slot(slot, rng, namer(prefix))
+    argv, expectation = _orders_slot(slot, index // ORDERS_SLOTS, rng,
+                                     namer(prefix))
 
     def run():
         code, out = run_cli(argv)
