@@ -475,11 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(100000)
     args = build_parser().parse_args(argv)
     try:
         code, doc, raw = args.run(args)
-    except FormulaError as e:
+    except (FormulaError, RecursionError) as e:
+        # input nested deeper than the recursive walkers reach is one that
+        # could not be checked, not a negative verdict
         if args.format == "json":
             print(json.dumps({"error": type(e).__name__, "message": str(e)},
                              indent=2, sort_keys=True))

@@ -58,9 +58,8 @@ from .kernel import (
 )
 from .skolem import (
     SkolemRegistry,
-    canonical_key,
+    deltapp_scope,
     deltapp_skolemize,
-    nameify_term,
     outer_skolemize,
 )
 from .syntax import (
@@ -79,11 +78,14 @@ from .syntax import (
     Term,
     Var,
     all_names,
+    children,
     classify_quantifier,
     collect_signature,
     free_gamma_vars,
     fresh_name,
+    is_gamma,
     is_quantifier_free,
+    nameify_term,
     parse_formula,
     parse_term,
     print_formula,
@@ -236,15 +238,54 @@ class _CopyState:
         return name
 
 
-def _is_gamma(kind: str, sign: int) -> bool:
-    return (kind == "exists") == (sign > 0)
-
-
 def _chain_offset(j: int, k: int) -> tuple[int, ...]:
     """Position of copy j inside a left-nested chain of k copies."""
     if k == 1:
         return ()
     return (0,) * (k - 1 - j) + ((1,) if j > 0 else ())
+
+
+def _match_selection(f: Formula, sel: Selection,
+                     var: str | None = None) -> tuple[Selection, ...]:
+    """The selections for the children of f, after checking that sel fits
+    f's shape; a leaf passes leaves down to a negation or a junction.  A
+    quantifier is taken to be gamma (a delta-quantifier hands its selection
+    on to its body, so callers do not ask): sel must name its kind and the
+    binder var (by default its own) and choose pairwise distinct witness
+    terms, and the result holds one branch per witness."""
+    match f:
+        case Atom(p, _):
+            if not isinstance(sel, SelLeaf):
+                raise ConstructError(
+                    f"selection shape mismatch: choices given for the atom {p}")
+            return ()
+        case Not():
+            if isinstance(sel, SelLeaf):
+                return (LEAF,)
+            if isinstance(sel, SelNot):
+                return (sel.sub,)
+            raise ConstructError("selection shape mismatch under a negation")
+        case And() | Or():
+            if isinstance(sel, SelLeaf):
+                return (LEAF, LEAF)
+            if isinstance(sel, SelAnd if isinstance(f, And) else SelOr):
+                return (sel.left, sel.right)
+            raise ConstructError("selection shape mismatch at a junction")
+    kind = "forall" if isinstance(f, Forall) else "exists"
+    v = f.var
+    if isinstance(sel, SelLeaf):
+        raise ConstructError(
+            f"the selection chooses no witness terms for {kind} {v}")
+    if (not isinstance(sel, SelQuant) or sel.kind != kind
+            or sel.var != (v if var is None else var)):
+        raise ConstructError(f"selection shape mismatch at {kind} {v}")
+    if len(set(sel.terms)) != len(sel.terms):
+        raise ConstructError(
+            f"the witness terms chosen for {v} must be pairwise distinct")
+    if len(sel.branches) != len(sel.terms):
+        raise ConstructError(
+            f"need one selection branch per witness term for {v}")
+    return sel.branches
 
 
 def _copy_pass(f: Formula, sel: Selection, sign: int, path: tuple[int, ...],
@@ -254,49 +295,24 @@ def _copy_pass(f: Formula, sel: Selection, sign: int, path: tuple[int, ...],
     spelled as their Skolem terms on the way down."""
     match f:
         case Atom(p, args):
-            if not isinstance(sel, SelLeaf):
-                raise ConstructError(
-                    f"selection shape mismatch: choices given for the atom {p}")
+            _match_selection(f, sel)
             return Atom(p, tuple(substitute_term(t, env) for t in args))
         case Not(s):
-            if isinstance(sel, SelLeaf):
-                inner = LEAF
-            elif isinstance(sel, SelNot):
-                inner = sel.sub
-            else:
-                raise ConstructError("selection shape mismatch under a negation")
+            (inner,) = _match_selection(f, sel)
             return Not(_copy_pass(s, inner, -sign, path + (0,), env, gammas, st))
         case And(l, r) | Or(l, r):
-            junction = And if isinstance(f, And) else Or
-            want = SelAnd if isinstance(f, And) else SelOr
-            if isinstance(sel, SelLeaf):
-                sl, sr = LEAF, LEAF
-            elif isinstance(sel, want):
-                sl, sr = sel.left, sel.right
-            else:
-                raise ConstructError("selection shape mismatch at a junction")
-            return junction(
+            sl, sr = _match_selection(f, sel)
+            return type(f)(
                 _copy_pass(l, sl, sign, path + (0,), env, gammas, st),
                 _copy_pass(r, sr, sign, path + (1,), env, gammas, st))
         case Forall(v, b) | Exists(v, b):
             kind = "forall" if isinstance(f, Forall) else "exists"
             make = Forall if isinstance(f, Forall) else Exists
-            if _is_gamma(kind, sign):
-                if isinstance(sel, SelLeaf):
-                    raise ConstructError(
-                        f"the selection chooses no witness terms for {kind} {v}")
-                if not isinstance(sel, SelQuant) or sel.kind != kind or sel.var != v:
-                    raise ConstructError(
-                        f"selection shape mismatch at {kind} {v}")
-                if len(set(sel.terms)) != len(sel.terms):
-                    raise ConstructError(
-                        f"the witness terms chosen for {v} must be pairwise distinct")
-                if len(sel.branches) != len(sel.terms):
-                    raise ConstructError(
-                        f"need one selection branch per witness term for {v}")
+            if is_gamma(kind, sign):
+                branches = _match_selection(f, sel)
                 k = len(sel.terms)
                 nodes = []
-                for j, (t, br) in enumerate(zip(sel.terms, sel.branches)):
+                for j, (t, br) in enumerate(zip(sel.terms, branches)):
                     name = st.claim(v, first=j == 0)
                     copy_path = path + _chain_offset(j, k)
                     body = _copy_pass(b, br, sign, copy_path + (0,),
@@ -340,7 +356,7 @@ def _full_selection(a_r: Formula, terms: tuple[Term, ...]) -> Selection:
             case Forall(v, b) | Exists(v, b):
                 kind = "forall" if isinstance(g, Forall) else "exists"
                 sub = walk(b, sign)
-                if _is_gamma(kind, sign):
+                if is_gamma(kind, sign):
                     return SelQuant(kind, v, tuple(terms),
                                     tuple(sub for _ in terms))
                 return sub
@@ -457,44 +473,26 @@ def _match_plan(f: Formula, sel: Selection) -> dict[str, Term]:
             rights.append(cur.right)
             cur = cur.left
         copies = [cur] + rights[::-1]
-        branches = s.branches if len(s.branches) == k else tuple(s.branches[0] for _ in range(k))
-        for copy, t, br in zip(copies, s.terms, branches):
+        for j, (copy, t) in enumerate(zip(copies, s.terms)):
             if not isinstance(copy, Quant):
                 raise ConstructError(f"copy of {s.var} is not a quantifier")
-            kind = "forall" if isinstance(copy, Forall) else "exists"
-            if kind != s.kind:
-                raise ConstructError(f"copy of {s.var} has the wrong quantifier kind")
+            # copies carry variants of the selection's binder name
+            br = _match_selection(copy, s, var=s.var)[j]
             plan[copy.var] = nameify_term(t)
             walk(copy.body, br, sign)
 
     def walk(g: Formula, s: Selection, sign: int):
+        if isinstance(g, Quant):
+            kind = "forall" if isinstance(g, Forall) else "exists"
+            if not is_gamma(kind, sign):
+                walk(g.body, s, sign)
+                return
         if isinstance(s, SelQuant):
-            if isinstance(g, Quant):
-                kind = "forall" if isinstance(g, Forall) else "exists"
-                if not _is_gamma(kind, sign):
-                    walk(g.body, s, sign)
-                    return
             chain(g, s, sign)
             return
-        match g:
-            case Atom():
-                return
-            case Not(sub):
-                walk(sub, s.sub if isinstance(s, SelNot) else LEAF, -sign)
-            case And(l, r):
-                sl, sr = (s.left, s.right) if isinstance(s, SelAnd) else (LEAF, LEAF)
-                walk(l, sl, sign)
-                walk(r, sr, sign)
-            case Or(l, r):
-                sl, sr = (s.left, s.right) if isinstance(s, SelOr) else (LEAF, LEAF)
-                walk(l, sl, sign)
-                walk(r, sr, sign)
-            case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(g, Forall) else "exists"
-                if _is_gamma(kind, sign):
-                    raise ConstructError(
-                        f"the selection chooses no witness terms for {kind} {v}")
-                walk(b, s, sign)
+        flip = -1 if isinstance(g, Not) else 1
+        for child, sub in zip(children(g), _match_selection(g, s)):
+            walk(child, sub, flip * sign)
 
     walk(f, sel, 1)
     return plan
@@ -612,17 +610,10 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
         ch = champ(pre.skolemized, n, budget=budget)
         sel_tree = _full_selection(a_r, ch.terms)
     avoid = set(collect_signature(a_r).functions)
-    used = set(all_names(a_r))
-    claimed: set[str] = set()
+    claim = _CopyState(used=set(all_names(a_r)), sym_map={}, named=False).claim
     source: dict[str, str] = {}  # copy binder -> binder it is a variant of
     sigma: dict[str, Term] = {}
     down: list[RuleStep] = []    # recorded top-down, replayed in reverse
-
-    def claim(v: str, first: bool) -> str:
-        name = v if first and v not in claimed else fresh_name(v, used)
-        used.add(name)
-        claimed.add(name)
-        return name
 
     def alpha_copy(g: Formula, ren: dict[str, Term]) -> Formula:
         match g:
@@ -644,57 +635,27 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
     def strip(g: Formula, s: Selection, sign: int,
               path: tuple[int, ...]) -> Formula:
         match g:
-            case Atom(p, _):
-                if not isinstance(s, SelLeaf):
-                    raise ConstructError(
-                        f"selection shape mismatch: choices given for the "
-                        f"atom {p}")
+            case Atom():
+                _match_selection(g, s)
                 return g
             case Not(sub):
-                if isinstance(s, SelLeaf):
-                    inner = LEAF
-                elif isinstance(s, SelNot):
-                    inner = s.sub
-                else:
-                    raise ConstructError(
-                        "selection shape mismatch under a negation")
+                (inner,) = _match_selection(g, s)
                 return Not(strip(sub, inner, -sign, path + (0,)))
             case And(l, r) | Or(l, r):
-                junction = And if isinstance(g, And) else Or
-                want = SelAnd if isinstance(g, And) else SelOr
-                if isinstance(s, SelLeaf):
-                    sl, sr = LEAF, LEAF
-                elif isinstance(s, want):
-                    sl, sr = s.left, s.right
-                else:
-                    raise ConstructError(
-                        "selection shape mismatch at a junction")
-                return junction(strip(l, sl, sign, path + (0,)),
-                                strip(r, sr, sign, path + (1,)))
+                sl, sr = _match_selection(g, s)
+                return type(g)(strip(l, sl, sign, path + (0,)),
+                               strip(r, sr, sign, path + (1,)))
             case Forall(v, bd) | Exists(v, bd):
                 kind = "forall" if isinstance(g, Forall) else "exists"
                 src = source.get(v, v)
-                if not _is_gamma(kind, sign):
-                    gs = free_gamma_vars(g)
-                    key = canonical_key(g, [GammaVar(x) for x in gs])
-                    sym = registry.bind(key, src, len(gs), avoid)
+                if not is_gamma(kind, sign):
+                    listed, key = deltapp_scope(g)
+                    sym = registry.bind(key, src, len(listed), avoid)
                     down.append(RuleStep(DELTAPP, path=path, quant=kind,
                                          var=v, scope=bd))
-                    repl = App(sym, True, tuple(GammaVar(x) for x in gs))
+                    repl = App(sym, True, listed)
                     return strip(substitute(bd, {v: repl}), s, sign, path)
-                if isinstance(s, SelLeaf):
-                    raise ConstructError(
-                        f"the selection chooses no witness terms for {kind} {v}")
-                if not isinstance(s, SelQuant) or s.kind != kind or s.var != src:
-                    raise ConstructError(
-                        f"selection shape mismatch at {kind} {v}")
-                if len(set(s.terms)) != len(s.terms):
-                    raise ConstructError(
-                        f"the witness terms chosen for {v} must be pairwise "
-                        f"distinct")
-                if len(s.branches) != len(s.terms):
-                    raise ConstructError(
-                        f"need one selection branch per witness term for {v}")
+                branches = _match_selection(g, s, var=src)
                 k = len(s.terms)
                 claim(v, first=True)
                 copies = [g] + [alpha_copy(g, {}) for _ in range(k - 1)]
@@ -703,7 +664,7 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
                                          keep="left"))
                 parts = []
                 for j, (copy, t, br) in enumerate(zip(copies, s.terms,
-                                                      s.branches)):
+                                                      branches)):
                     cpath = path + _chain_offset(j, k)
                     down.append(RuleStep(RESTRICTED_GAMMA, path=cpath,
                                          quant=kind, var=copy.var,

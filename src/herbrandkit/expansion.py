@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     And, App, Atom, DOT, Exists, Forall, Formula, FormulaError, GammaVar,
@@ -50,9 +51,9 @@ class ChampFini:
     def __len__(self) -> int:
         return len(self.terms)
 
-    @property
-    def _set(self):
-        return set(self.terms)
+    @cached_property
+    def _set(self) -> frozenset[Term]:
+        return frozenset(self.terms)
 
 
 def _term_nodes(t: Term) -> int:

@@ -21,12 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .skolem import SkolemRegistry, canonical_key, nameify_term
+from .skolem import SkolemRegistry, deltapp_scope
 from .syntax import (
     And, App, Atom, CaptureError, Exists, Forall, Formula, FormulaError,
     GammaVar, Not, Or, PathError, Quant, Term, Var,
     all_names, alpha_equal, bound_names, classify_quantifier, collect_signature,
-    free_gamma_vars, free_names, fresh_name, is_quantifier_free, parse_formula,
+    free_names, fresh_name, is_quantifier_free, nameify_term, parse_formula,
     parse_term, polarity_at, print_formula, print_term, promote_skolem_apps,
     replace_at, subformula_at, substitute, term_free_names, var_for_name,
 )
@@ -329,17 +329,16 @@ def _deltapp(f, step, registry: SkolemRegistry):
         raise StepError("bad-step", "delta++ needs the quantifier scope")
     h = step.scope
     wrapped = _wrap(step, h)
-    gs = free_gamma_vars(wrapped)
-    key = canonical_key(wrapped, [GammaVar(g) for g in gs])
+    listed, key = deltapp_scope(wrapped)
     prev = _subformula(f, step.path)
     known = registry.lookup(key)
     if known is not None:
         sym, arity = known
-        if arity != len(gs):
+        if arity != len(listed):
             raise StepError("registry-mismatch",
-                            f"registry has {sym}/{arity}, scope lists {len(gs)} "
-                            f"instantiation variables")
-        repl = App(sym, True, tuple(GammaVar(g) for g in gs))
+                            f"registry has {sym}/{arity}, scope lists "
+                            f"{len(listed)} instantiation variables")
+        repl = App(sym, True, listed)
         inst = substitute(h, {step.var: repl})
         if prev != inst:
             raise StepError("delta-term-mismatch",
@@ -348,21 +347,21 @@ def _deltapp(f, step, registry: SkolemRegistry):
     else:
         t = _solve_instance(h, step.var, prev)
         if t is None:
-            sym = registry.bind(key, step.var, len(gs),
+            sym = registry.bind(key, step.var, len(listed),
                                 avoid=set(collect_signature(f).functions))
         else:
-            want_args = tuple(GammaVar(g) for g in gs)
-            if not (isinstance(t, App) and t.skolem and t.args == want_args):
+            if not (isinstance(t, App) and t.skolem and t.args == listed):
                 raise StepError(
                     "delta-term-mismatch",
                     f"the premise replaces {step.var} by {print_term(t)}, not a "
                     f"Skolem application of exactly the scope's instantiation "
-                    f"variables ({', '.join('?' + g for g in gs) or 'none'})")
+                    f"variables "
+                    f"({', '.join(map(print_term, listed)) or 'none'})")
             sym = t.sym
             if sym in registry.symbols():
                 raise StepError("registry-mismatch",
                                 f"{sym} is already bound to a different scope")
-            registry.record(key, sym, len(gs))
+            registry.record(key, sym, len(listed))
     result = replace_at(f, step.path, wrapped)
     kind = _check_quant_class(result, step.path, "delta", False, "delta")
     if kind != step.quant:

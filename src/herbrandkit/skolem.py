@@ -1,18 +1,20 @@
-"""Skolemization: the outer form, the delta++ form with its symbol registry,
-and the Skolem-name view in which bound delta-variables are renamed to the
-print of their Skolem term.
+"""Skolemization: the outer form and the delta++ form with its symbol
+registry, two conventions for the Skolem term that replaces a
+delta-quantifier over one polarity walk.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .syntax import (
     And, App, Atom, Exists, Forall, Formula, FormulaError, GammaVar, Not, Or,
-    Quant, SkolemNamedVar, Term, Var, collect_signature, free_names,
-    is_rectified, print_term, substitute, term_var_name,
+    SkolemNamedVar, Term, Var, collect_signature, first_occurrences,
+    free_names, is_gamma, is_rectified, substitute, term_var_name,
 )
+from .syntax import nameify_term  # noqa: F401  (re-exported, public here)
 
 
 class SkolemError(FormulaError):
@@ -22,7 +24,7 @@ class SkolemError(FormulaError):
 # ---------------------------------------------------------------------------
 # canonical scope keys
 
-def canonical_key(scope: Formula, listed: list[Term]) -> str:
+def canonical_key(scope: Formula, listed: Sequence[Term]) -> str:
     """Canonical print of a quantified scope for the delta-function registry.
 
     Bound variables are numbered b0, b1, ... in preorder binding order and
@@ -89,12 +91,7 @@ class SkolemRegistry:
                 raise SkolemError(
                     f"registry arity clash for {sym}: {known_arity} vs {arity}")
             return sym
-        taken = self.symbols() | set(avoid)
-        sym = f"sk_{base}"
-        i = 2
-        while sym in taken:
-            sym = f"sk_{base}_{i}"
-            i += 1
+        sym = _fresh_symbol(base, self.symbols() | set(avoid))
         self.entries[h] = (sym, arity)
         return sym
 
@@ -130,45 +127,11 @@ class SkolemRegistry:
 
 
 # ---------------------------------------------------------------------------
-# traversal shared by the three skolemizing operations
-
-def _gamma_is(kind: str, sign: int) -> bool:
-    return (kind == "exists") == (sign > 0)
-
-
-def _occurrence_order(scope: Formula, candidates: set[str]) -> list[str]:
-    """Candidate variable names in order of first occurrence in the scope
-    (preorder, left to right through atom arguments)."""
-    out: list[str] = []
-
-    def walk_term(t):
-        match t:
-            case Var() | GammaVar() | SkolemNamedVar():
-                nm = term_var_name(t)
-                if nm in candidates and nm not in out:
-                    out.append(nm)
-            case App(_, _, args):
-                for a in args:
-                    walk_term(a)
-
-    def walk(g):
-        match g:
-            case Atom(_, args):
-                for a in args:
-                    walk_term(a)
-            case Not(s):
-                walk(s)
-            case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
-            case Forall(_, b) | Exists(_, b):
-                walk(b)
-
-    walk(scope)
-    return out
-
+# the delta rules and the polarity walk they share
 
 def _fresh_symbol(base: str, taken: set[str]) -> str:
+    """sk_<base>, or sk_<base>_<i> for the least i >= 2 that is free; the
+    chosen symbol is added to taken."""
     sym = f"sk_{base}"
     i = 2
     while sym in taken:
@@ -178,72 +141,63 @@ def _fresh_symbol(base: str, taken: set[str]) -> str:
     return sym
 
 
+def deltapp_scope(scope: Formula, gammas: Sequence[str] = ()
+                  ) -> tuple[tuple[Term, ...], str]:
+    """The delta++ rule for the delta-quantifier scope: the variables its
+    Skolem term is applied to, and the canonical key the registry files it
+    under.  Listed are the free instantiation variables of the scope and the
+    names among gammas (enclosing gamma-variables) that occur free in it, in
+    order of first occurrence."""
+    free = free_names(scope)
+    listed = tuple(GammaVar(nm[1:]) if nm.startswith("?") else Var(nm)
+                   for nm in first_occurrences(scope)
+                   if nm in free and (nm.startswith("?") or nm in gammas))
+    return listed, canonical_key(scope, listed)
+
+
+def _skolemize(f: Formula, what: str, delta_term) -> Formula:
+    """Remove every delta-quantifier of f, outermost first, replacing its
+    variable by delta_term(quantifier, enclosing gamma-variables in nesting
+    order, names to avoid).  Gamma-quantifiers stay."""
+    if not is_rectified(f):
+        raise SkolemError(f"{what} requires a rectified formula")
+    sig = collect_signature(f)
+    taken = set(sig.functions) | set(sig.free_vars)
+
+    def walk(g, gammas, sign):
+        match g:
+            case Atom():
+                return g
+            case Not(s):
+                return Not(walk(s, gammas, -sign))
+            case And(l, r):
+                return And(walk(l, gammas, sign), walk(r, gammas, sign))
+            case Or(l, r):
+                return Or(walk(l, gammas, sign), walk(r, gammas, sign))
+            case Forall(v, b) | Exists(v, b):
+                kind = "forall" if isinstance(g, Forall) else "exists"
+                if is_gamma(kind, sign):
+                    return type(g)(v, walk(b, gammas + [v], sign))
+                t = delta_term(g, gammas, taken)
+                return walk(substitute(b, {v: t}), gammas, sign)
+
+    return walk(f, [], 1)
+
+
 def outer_skolemize(f: Formula, record: dict[str, str] | None = None) -> Formula:
     """Remove every delta-quantifier, replacing its variable by a fresh
     Skolem function applied to the variables of all enclosing
     gamma-quantifiers, in nesting order.  Gamma-quantifiers stay.
 
     When record is given it is filled with binder name -> chosen symbol."""
-    if not is_rectified(f):
-        raise SkolemError("outer Skolemization requires a rectified formula")
-    sig = collect_signature(f)
-    taken = set(sig.functions) | set(sig.free_vars)
 
-    def walk(g, gammas, sign):
-        match g:
-            case Atom():
-                return g
-            case Not(s):
-                return Not(walk(s, gammas, -sign))
-            case And(l, r):
-                return And(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Or(l, r):
-                return Or(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(g, Forall) else "exists"
-                if _gamma_is(kind, sign):
-                    make = Forall if kind == "forall" else Exists
-                    return make(v, walk(b, gammas + [v], sign))
-                sym = _fresh_symbol(v, taken)
-                if record is not None:
-                    record[v] = sym
-                t = App(sym, True, tuple(Var(x) for x in gammas))
-                return walk(substitute(b, {v: t}), gammas, sign)
+    def delta_term(q, gammas, taken):
+        sym = _fresh_symbol(q.var, taken)
+        if record is not None:
+            record[q.var] = sym
+        return App(sym, True, tuple(Var(x) for x in gammas))
 
-    return walk(f, [], 1)
-
-
-def skolem_name_view(f: Formula) -> Formula:
-    """Rename every bound delta-variable to the print of its outer Skolem
-    term; the quantifier itself stays.  Occurrences become Skolem-named
-    variables, opaque to substitution."""
-    if not is_rectified(f):
-        raise SkolemError("the Skolem-name view requires a rectified formula")
-    sig = collect_signature(f)
-    taken = set(sig.functions) | set(sig.free_vars)
-
-    def walk(g, gammas, sign):
-        match g:
-            case Atom():
-                return g
-            case Not(s):
-                return Not(walk(s, gammas, -sign))
-            case And(l, r):
-                return And(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Or(l, r):
-                return Or(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(g, Forall) else "exists"
-                make = Forall if kind == "forall" else Exists
-                if _gamma_is(kind, sign):
-                    return make(v, walk(b, gammas + [v], sign))
-                sym = _fresh_symbol(v, taken)
-                enc = App(sym, True, tuple(Var(x) for x in gammas))
-                name = print_term(enc)
-                body = substitute(b, {v: SkolemNamedVar(enc)})
-                return make(name, walk(body, gammas, sign))
-
-    return walk(f, [], 1)
+    return _skolemize(f, "outer Skolemization", delta_term)
 
 
 def deltapp_skolemize(f: Formula, registry: SkolemRegistry) -> Formula:
@@ -252,49 +206,9 @@ def deltapp_skolemize(f: Formula, registry: SkolemRegistry) -> Formula:
     the quantifier's scope, in order of first occurrence.  The registry
     reuses the same symbol for scopes equal up to bound renaming and
     bijective renaming of the argument variables."""
-    if not is_rectified(f):
-        raise SkolemError("delta++ Skolemization requires a rectified formula")
-    sig = collect_signature(f)
-    avoid = set(sig.functions) | set(sig.free_vars)
 
-    def var_term(nm: str) -> Term:
-        return GammaVar(nm[1:]) if nm.startswith("?") else Var(nm)
+    def delta_term(q, gammas, taken):
+        listed, key = deltapp_scope(q, gammas)
+        return App(registry.bind(key, q.var, len(listed), taken), True, listed)
 
-    def walk(g, gammas, sign):
-        match g:
-            case Atom():
-                return g
-            case Not(s):
-                return Not(walk(s, gammas, -sign))
-            case And(l, r):
-                return And(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Or(l, r):
-                return Or(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(g, Forall) else "exists"
-                make = Forall if kind == "forall" else Exists
-                if _gamma_is(kind, sign):
-                    return make(v, walk(b, gammas + [v], sign))
-                scope_free = free_names(g)
-                cands = (set(gammas) & scope_free) | {
-                    nm for nm in scope_free if nm.startswith("?")}
-                listed = [var_term(nm) for nm in _occurrence_order(g, cands)]
-                key = canonical_key(g, listed)
-                sym = registry.bind(key, v, len(listed), avoid)
-                t = App(sym, True, tuple(listed))
-                return walk(substitute(b, {v: t}), gammas, sign)
-
-    return walk(f, [], 1)
-
-
-def nameify_term(t: Term) -> Term:
-    """Maximal Skolem-headed subterms become Skolem-named variables."""
-    match t:
-        case App(_, True, _):
-            return SkolemNamedVar(t)
-        case App(sym, sk, args):
-            if not args:
-                return t
-            return App(sym, sk, tuple(nameify_term(a) for a in args))
-        case _:
-            return t
+    return _skolemize(f, "delta++ Skolemization", delta_term)

@@ -155,13 +155,6 @@ def term_height(t: Term, herbrand: bool = False) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def term_subterms(t: Term):
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from term_subterms(a)
-
-
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -325,21 +318,23 @@ def quantifier_positions(f: Formula) -> list[tuple[tuple[int, ...], str, str]]:
     return out
 
 
+def is_gamma(kind: str, sign: int) -> bool:
+    """Whether a quantifier of this kind ('forall' | 'exists') at a position
+    of this polarity (+1 | -1) is gamma: an exists under even negations or a
+    forall under odd negations.  Every other quantifier is delta."""
+    return (kind == "exists") == (sign > 0)
+
+
 def classify_quantifier(f: Formula, path: tuple[int, ...]) -> tuple[str, str, bool]:
     """(kind, 'gamma'|'delta', accessible) for the quantifier at path.
 
-    A quantifier is gamma when it is an exists under even negations or a
-    forall under odd negations; delta otherwise.  It is accessible when no
+    The class is the one is_gamma gives.  A quantifier is accessible when no
     quantifier stands strictly above it."""
     q = subformula_at(f, path)
     if not isinstance(q, Quant):
         raise PathError(f"no quantifier at path {'.'.join(map(str, path)) or '.'}")
     kind = "forall" if isinstance(q, Forall) else "exists"
-    sign = polarity_at(f, path)
-    if (kind == "exists") == (sign > 0):
-        klass = "gamma"
-    else:
-        klass = "delta"
+    klass = "gamma" if is_gamma(kind, polarity_at(f, path)) else "delta"
     accessible = True
     cur = f
     for step in path:
@@ -386,17 +381,16 @@ def free_names(f: Formula) -> set[str]:
     return walk(f, frozenset())
 
 
-def free_gamma_vars(f: Formula) -> list[str]:
-    """Free instantiation variables in order of first occurrence (preorder,
-    left to right through atom arguments).  Names are returned bare, without
-    the ? prefix."""
-    seen: list[str] = []
+def first_occurrences(f: Formula) -> list[str]:
+    """Names of the variable occurrences in f, bound and free alike, each
+    once in order of first occurrence (preorder, left to right through atom
+    arguments).  A Skolem-named variable counts as a single opaque name."""
+    seen: dict[str, None] = {}
 
     def walk_term(t):
         match t:
-            case GammaVar(name):
-                if name not in seen:
-                    seen.append(name)
+            case Var() | GammaVar() | SkolemNamedVar():
+                seen.setdefault(term_var_name(t))
             case App(_, _, args):
                 for a in args:
                     walk_term(a)
@@ -415,7 +409,13 @@ def free_gamma_vars(f: Formula) -> list[str]:
                 walk(b)
 
     walk(f)
-    return seen
+    return list(seen)
+
+
+def free_gamma_vars(f: Formula) -> list[str]:
+    """Free instantiation variables in order of first occurrence.  Names are
+    returned bare, without the ? prefix."""
+    return [nm[1:] for nm in first_occurrences(f) if nm.startswith("?")]
 
 
 def bound_names(f: Formula) -> set[str]:
@@ -650,26 +650,28 @@ def ac_flatten_equal(f: Formula, g: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # name view helpers
 
+def nameify_term(t: Term) -> Term:
+    """Maximal Skolem-headed subterms become Skolem-named variables."""
+    match t:
+        case App(_, True, _):
+            return SkolemNamedVar(t)
+        case App(sym, sk, args):
+            if not args:
+                return t
+            return App(sym, sk, tuple(nameify_term(a) for a in args))
+        case _:
+            return t
+
+
 def promote_skolem_apps(f: Formula) -> Formula:
     """Turn every maximal Skolem-headed application into a Skolem-named
     variable.  Used when reading formulas of a derivation that works in the
     Skolem-name view, where such terms stand for variables."""
 
-    def conv(t):
-        match t:
-            case App(_, True, _):
-                return SkolemNamedVar(t)
-            case App(sym, sk, args):
-                if not args:
-                    return t
-                return App(sym, sk, tuple(conv(a) for a in args))
-            case _:
-                return t
-
     def walk(g):
         match g:
             case Atom(p, args):
-                return Atom(p, tuple(conv(a) for a in args))
+                return Atom(p, tuple(nameify_term(a) for a in args))
             case Not(s):
                 return Not(walk(s))
             case And(l, r):
@@ -682,30 +684,6 @@ def promote_skolem_apps(f: Formula) -> Formula:
                 return Exists(v, walk(b))
 
     return walk(f)
-
-
-def unname(x):
-    """Replace every Skolem-named variable by its encoded term (terms and
-    formulas)."""
-    match x:
-        case SkolemNamedVar(encoded):
-            return unname(encoded)
-        case Var() | GammaVar():
-            return x
-        case App(sym, sk, args):
-            return App(sym, sk, tuple(unname(a) for a in args))
-        case Atom(p, args):
-            return Atom(p, tuple(unname(a) for a in args))
-        case Not(s):
-            return Not(unname(s))
-        case And(l, r):
-            return And(unname(l), unname(r))
-        case Or(l, r):
-            return Or(unname(l), unname(r))
-        case Forall(v, b):
-            return Forall(v, unname(b))
-        case Exists(v, b):
-            return Exists(v, unname(b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import herbrandkit
 from herbrandkit.cli import main
+from herbrandkit.construct import UPPER_BOUND_TEXT
 
 from conftest import DRINKER_TEXT
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -41,6 +49,21 @@ def test_parse_reads_file(capsys, tmp_path):
     f.write_text("~p | q\n")
     code, out, _ = run(capsys, "parse", "--file", str(f))
     assert code == 0 and out.strip() == "~p | q"
+
+
+def test_deep_nesting_exits_2_with_json_error():
+    """Input nested past the recursion limit could not be checked: exit 2
+    with the JSON error document, not a crash and not the negative exit 1."""
+    src = str(Path(herbrandkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "herbrandkit", "--format", "json", "parse", "-"],
+        input="~" * 20_000 + "p", capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "RecursionError" and doc["message"]
 
 
 def test_parse_error_exits_2(capsys):
@@ -243,3 +266,31 @@ def test_json_output_is_sorted_and_stable(capsys):
     _, doc1, _ = run_json(capsys, "classify", DRINKER_TEXT)
     _, doc2, _ = run_json(capsys, "classify", DRINKER_TEXT)
     assert doc1 == doc2
+
+
+# ---------------------------------------------------------------------------
+# golden output: the README examples and the upper-bound scripts, byte for
+# byte as tests/data/golden holds them
+
+GOLDEN = {
+    "taut": ["taut", "p(c) | ~p(c)"],
+    "skolemize_drinker": ["skolemize", DRINKER_TEXT],
+    "min_order": ["min-order", DRINKER_TEXT],
+    "min_order_star": ["min-order", "--star", DRINKER_TEXT],
+    "check_c": ["check-c", "--order", "3", DRINKER_TEXT],
+    "derive_drinker": ["derive", "--order", "3", DRINKER_TEXT],
+    "skolemize_upper": ["skolemize", UPPER_BOUND_TEXT],
+    "skolemize_upper_deltapp": ["skolemize", "--mode", "deltapp",
+                                UPPER_BOUND_TEXT],
+    "derive_upper": ["derive", "--order", "4", "--selection",
+                     str(DATA / "upper_bound.sel"), UPPER_BOUND_TEXT],
+    "derive_upper_fv": ["derive", "--fv", "--order", "4", "--selection",
+                        str(DATA / "upper_bound.sel"), UPPER_BOUND_TEXT],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN[name])
+    assert code == 0
+    assert out == (DATA / "golden" / f"{name}.txt").read_text()

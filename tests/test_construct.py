@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,14 @@ from herbrandkit.construct import (
     procedure1_order,
     property_c,
 )
+from herbrandkit import construct
 from herbrandkit.expansion import (
+    LEAF,
     BudgetError,
+    SelAnd,
+    SelNot,
+    SelOr,
+    SelQuant,
     build_sub_expansion,
     champ,
     parse_selection,
@@ -36,6 +43,7 @@ from herbrandkit.syntax import (
     is_quantifier_free,
     parse_formula,
     print_formula,
+    parse_term,
     print_term,
     rectify,
     substitute,
@@ -371,3 +379,49 @@ def test_selection_constant_is_well_formed():
     sel = parse_selection(UPPER_BOUND_SELECTION)
     names = {print_term(t) for t in selection_terms(sel)}
     assert "sk_m(sk_u,sk_m(sk_v,sk_w))" in names
+
+
+# ---------------------------------------------------------------------------
+# selection shape checks of both constructions
+
+DOT, SKB = parse_term("@dot"), parse_term("sk_b(@dot)")
+
+
+def _at_a(body):
+    return SelQuant("exists", "a", (DOT,), (body,))
+
+
+# Malformed selections for the drinker formula, whose skeleton is
+# exists a. (~(exists b. p(b)) | p(a)), with the message each one draws.
+BAD_SELECTIONS = {
+    "choices at an atom": (_at_a(SelOr(SelNot(LEAF), SelNot(LEAF))),
+                           "choices given for the atom p"),
+    "wrong node under a negation": (_at_a(SelOr(SelAnd(LEAF, LEAF), LEAF)),
+                                    "mismatch under a negation"),
+    "wrong node at a junction": (_at_a(SelAnd(LEAF, LEAF)),
+                                 "mismatch at a junction"),
+    "no witness terms": (LEAF, "chooses no witness terms for exists a"),
+    "wrong quantifier kind": (SelQuant("forall", "a", (DOT,), (LEAF,)),
+                              "mismatch at exists a"),
+    "wrong variable": (SelQuant("exists", "z", (DOT,), (LEAF,)),
+                       "mismatch at exists a"),
+    "duplicate witnesses": (SelQuant("exists", "a", (DOT, SKB, DOT),
+                                     (LEAF, LEAF, LEAF)),
+                            "for a must be pairwise distinct"),
+    "missing branch": (SelQuant("exists", "a", (DOT, SKB), (LEAF,)),
+                       "one selection branch per witness term for a"),
+}
+
+
+@pytest.mark.parametrize("build", [construct_derivation,
+                                   construct_fv_derivation])
+@pytest.mark.parametrize("case", sorted(BAD_SELECTIONS))
+def test_malformed_selection_is_refused(monkeypatch, drinker, build, case):
+    # property_c refuses most of these shapes on the Skolemized form before
+    # a construction starts; passing it lets each reach the construction's
+    # own check
+    monkeypatch.setattr(construct, "property_c",
+                        lambda *args, **kwargs: SimpleNamespace(holds=True))
+    sel, message = BAD_SELECTIONS[case]
+    with pytest.raises(ConstructError, match=message):
+        build(drinker, 3, sel)
