@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .construct import (
-    DOCUMENTED_DOMAIN_SIZE,
     construct_derivation,
     construct_fv_derivation,
     demo_false_lemma,
@@ -47,7 +46,6 @@ from .skolem import SkolemRegistry, deltapp_skolemize, outer_skolemize
 from .syntax import (
     FormulaError,
     classify_quantifier,
-    collect_signature,
     formula_size,
     parse_formula,
     parse_term,

@@ -29,7 +29,6 @@ from .expansion import (
     DEFAULT_BUDGET,
     LEAF,
     BudgetError,
-    ChampFini,
     SelAnd,
     SelLeaf,
     SelNot,
@@ -90,8 +89,11 @@ from .syntax import (
     parse_term,
     print_formula,
     print_term,
+    quant_kind,
     quantifier_positions,
+    rebuild,
     rectify,
+    rename_binder,
     replace_at,
     subformula_at,
     substitute,
@@ -271,7 +273,7 @@ def _match_selection(f: Formula, sel: Selection,
             if isinstance(sel, SelAnd if isinstance(f, And) else SelOr):
                 return (sel.left, sel.right)
             raise ConstructError("selection shape mismatch at a junction")
-    kind = "forall" if isinstance(f, Forall) else "exists"
+    kind = quant_kind(f)
     v = f.var
     if isinstance(sel, SelLeaf):
         raise ConstructError(
@@ -306,9 +308,7 @@ def _copy_pass(f: Formula, sel: Selection, sign: int, path: tuple[int, ...],
                 _copy_pass(l, sl, sign, path + (0,), env, gammas, st),
                 _copy_pass(r, sr, sign, path + (1,), env, gammas, st))
         case Forall(v, b) | Exists(v, b):
-            kind = "forall" if isinstance(f, Forall) else "exists"
-            make = Forall if isinstance(f, Forall) else Exists
-            if is_gamma(kind, sign):
+            if is_gamma(quant_kind(f), sign):
                 branches = _match_selection(f, sel)
                 k = len(sel.terms)
                 nodes = []
@@ -318,7 +318,7 @@ def _copy_pass(f: Formula, sel: Selection, sign: int, path: tuple[int, ...],
                     body = _copy_pass(b, br, sign, copy_path + (0,),
                                       env | {v: Var(name)}, gammas + [name], st)
                     st.plan[name] = nameify_term(t) if st.named else t
-                    nodes.append(make(name, body))
+                    nodes.append(rebuild(f, body, var=name))
                 if k > 1:
                     st.copies.append((path, k))
                 junction = And if sign < 0 else Or
@@ -331,11 +331,11 @@ def _copy_pass(f: Formula, sel: Selection, sign: int, path: tuple[int, ...],
                 st.original[name] = v
                 body = _copy_pass(b, sel, sign, path + (0,),
                                   env | {v: SkolemNamedVar(enc)}, gammas, st)
-                return make(name, body)
+                return rebuild(f, body, var=name)
             name = st.claim(v, first=True)
             body = _copy_pass(b, sel, sign, path + (0,),
                               env | {v: Var(name)}, gammas, st)
-            return make(name, body)
+            return rebuild(f, body, var=name)
     raise ConstructError("unreachable formula shape")
 
 
@@ -354,7 +354,7 @@ def _full_selection(a_r: Formula, terms: tuple[Term, ...]) -> Selection:
             case Or(l, r):
                 return SelOr(walk(l, sign), walk(r, sign))
             case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(g, Forall) else "exists"
+                kind = quant_kind(g)
                 sub = walk(b, sign)
                 if is_gamma(kind, sign):
                     return SelQuant(kind, v, tuple(terms),
@@ -429,11 +429,8 @@ def _execute_stages(q: Formula, plan: dict[str, Term], n: int):
                     new_name = print_term(substitute_term(parse_term(rvar), {var: t}))
                     dpath = path + (0,) + rel
                     steps.append(RuleStep(RENAME, path=dpath, var=new_name, new=rvar))
-                    dnode = subformula_at(cur, dpath)
-                    dmake = Forall if isinstance(dnode, Forall) else Exists
-                    cur = replace_at(cur, dpath, dmake(
-                        new_name,
-                        substitute(dnode.body, {rvar: var_for_name(new_name)})))
+                    cur = replace_at(cur, dpath, rename_binder(
+                        subformula_at(cur, dpath), new_name))
                 node = subformula_at(cur, path)
                 entries.append(PlanEntry(i, "gamma", kind, var, path, t))
                 steps.append(RuleStep(GAMMA_QUANT, path=path, quant=kind,
@@ -483,8 +480,7 @@ def _match_plan(f: Formula, sel: Selection) -> dict[str, Term]:
 
     def walk(g: Formula, s: Selection, sign: int):
         if isinstance(g, Quant):
-            kind = "forall" if isinstance(g, Forall) else "exists"
-            if not is_gamma(kind, sign):
+            if not is_gamma(quant_kind(g), sign):
                 walk(g.body, s, sign)
                 return
         if isinstance(s, SelQuant):
@@ -533,10 +529,7 @@ def _final_renames(merged: Formula, original: dict[str, str]):
              if _encoded_binder(var) is not None]
     cur = merged
     for s in steps:
-        node = subformula_at(cur, s.path)
-        make = Forall if isinstance(node, Forall) else Exists
-        cur = replace_at(cur, s.path,
-                         make(s.new, substitute(node.body, {s.var: var_for_name(s.new)})))
+        cur = replace_at(cur, s.path, rename_binder(subformula_at(cur, s.path), s.new))
     return cur, steps
 
 
@@ -616,21 +609,13 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
     down: list[RuleStep] = []    # recorded top-down, replayed in reverse
 
     def alpha_copy(g: Formula, ren: dict[str, Term]) -> Formula:
-        match g:
-            case Atom(p, args):
-                return Atom(p, tuple(substitute_term(t, ren) for t in args))
-            case Not(sub):
-                return Not(alpha_copy(sub, ren))
-            case And(l, r):
-                return And(alpha_copy(l, ren), alpha_copy(r, ren))
-            case Or(l, r):
-                return Or(alpha_copy(l, ren), alpha_copy(r, ren))
-            case Forall(v, bd) | Exists(v, bd):
-                make = Forall if isinstance(g, Forall) else Exists
-                name = claim(v, first=False)
-                source[name] = source.get(v, v)
-                return make(name, alpha_copy(bd, ren | {v: Var(name)}))
-        raise ConstructError("unreachable formula shape")
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(substitute_term(t, ren) for t in g.args))
+        if not isinstance(g, Quant):
+            return rebuild(g, *[alpha_copy(c, ren) for c in children(g)])
+        name = claim(g.var, first=False)
+        source[name] = source.get(g.var, g.var)
+        return rebuild(g, alpha_copy(g.body, ren | {g.var: Var(name)}), var=name)
 
     def strip(g: Formula, s: Selection, sign: int,
               path: tuple[int, ...]) -> Formula:
@@ -646,7 +631,7 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
                 return type(g)(strip(l, sl, sign, path + (0,)),
                                strip(r, sr, sign, path + (1,)))
             case Forall(v, bd) | Exists(v, bd):
-                kind = "forall" if isinstance(g, Forall) else "exists"
+                kind = quant_kind(g)
                 src = source.get(v, v)
                 if not is_gamma(kind, sign):
                     listed, key = deltapp_scope(g)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .syntax import (
     And, App, Atom, DOT, Exists, Forall, Formula, FormulaError, GammaVar,
-    Not, Or, Quant, Term, Var, all_names, bound_names, collect_signature,
-    fresh_name, is_quantifier_free, parse_term, print_term, substitute,
-    term_free_names, term_height, var_for_name,
+    Not, Or, Quant, Term, Var, all_names, bound_names, children,
+    collect_signature, fresh_name, is_quantifier_free, parse_term, print_term,
+    quant_kind, rebuild, rename_binder, substitute, term_free_names,
+    term_height, var_for_name,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -84,33 +85,44 @@ def champ(f: Formula, order: int, herbrand: bool = False,
     funcs = [(name, arity, sk) for name, (arity, sk) in sorted(sig.functions.items())
              if arity >= 1]
 
-    seen: set[Term] = set()
+    # Each round applies every function symbol to the terms found so far.
+    # A tuple of arguments that were all known before the last round was
+    # already tried then, so only tuples holding a fresh term are built, and
+    # a candidate's height comes from its arguments' recorded heights.
+    height: dict[Term, int] = {}
     nodes = 0
     for t in base:
-        if term_height(t, herbrand) < order and t not in seen:
-            seen.add(t)
+        h = term_height(t, herbrand)
+        if h < order and t not in height:
+            height[t] = h
             nodes += _term_nodes(t)
-    while True:
-        current = sorted(seen, key=lambda t: term_order_key(t, herbrand))
-        added = False
+    fresh = set(height)
+    while fresh:
+        current = sorted(height, key=lambda t: term_order_key(t, herbrand))
+        heights = [height[t] for t in current]
+        is_fresh = [t in fresh for t in current]
+        fresh = set()
         for name, arity, sk in funcs:
             if len(current) ** arity > budget:
                 raise BudgetError(
                     f"champ enumeration over {len(current)} terms with {name}/{arity} "
                     f"exceeds the size guard of {budget}")
-            for args in itertools.product(current, repeat=arity):
-                t = App(name, sk, args)
-                if t in seen or term_height(t, herbrand) >= order:
+            for idx in itertools.product(range(len(current)), repeat=arity):
+                if not any(is_fresh[i] for i in idx):
                     continue
-                seen.add(t)
-                added = True
+                h = 1 + max(heights[i] for i in idx)
+                if h >= order:
+                    continue
+                t = App(name, sk, tuple(current[i] for i in idx))
+                if t in height:
+                    continue
+                height[t] = h
+                fresh.add(t)
                 nodes += _term_nodes(t)
                 if nodes > budget:
                     raise BudgetError(
                         f"champ enumeration exceeds the size guard of {budget} nodes")
-        if not added:
-            break
-    terms = tuple(sorted(seen, key=lambda t: term_order_key(t, herbrand)))
+    terms = tuple(sorted(height, key=lambda t: term_order_key(t, herbrand)))
     return ChampFini(order, herbrand, terms)
 
 
@@ -153,23 +165,11 @@ def _rename_away(f: Formula, avoid: set[str]) -> Formula:
     used = all_names(f) | avoid
 
     def walk(g):
-        match g:
-            case Forall(v, b) | Exists(v, b):
-                make = Forall if isinstance(g, Forall) else Exists
-                if v in avoid:
-                    v2 = fresh_name(v, used)
-                    used.add(v2)
-                    b = substitute(b, {v: var_for_name(v2)})
-                    return make(v2, walk(b))
-                return make(v, walk(b))
-            case Not(s):
-                return Not(walk(s))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Atom():
-                return g
+        if isinstance(g, Quant) and g.var in avoid:
+            v2 = fresh_name(g.var, used)
+            used.add(v2)
+            g = rename_binder(g, v2)
+        return rebuild(g, *map(walk, children(g)))
 
     return walk(f)
 
@@ -198,23 +198,11 @@ def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
     f = _rename_away(f, avoid)
 
     def walk(g):
-        match g:
-            case Atom():
-                return g
-            case Not(s):
-                return Not(walk(s))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Forall(v, b) | Exists(v, b):
-                combine = And if isinstance(g, Forall) else Or
-                body = walk(b)
-                acc = None
-                for t in terms:
-                    inst = substitute(body, {v: t})
-                    acc = inst if acc is None else combine(acc, inst)
-                return acc
+        if not isinstance(g, Quant):
+            return rebuild(g, *map(walk, children(g)))
+        body = walk(g.body)
+        return reduce(And if isinstance(g, Forall) else Or,
+                      [substitute(body, {g.var: t}) for t in terms])
 
     return walk(f)
 
@@ -431,16 +419,20 @@ def build_sub_expansion(f: Formula, sel: Selection,
                 return Or(walk(l, sl), walk(r, sr))
             case (Forall(v, b), SelQuant(skind, sv, terms, branches)) | \
                  (Exists(v, b), SelQuant(skind, sv, terms, branches)):
-                fkind = "forall" if isinstance(g, Forall) else "exists"
+                fkind = quant_kind(g)
                 if sv != v or skind != fkind:
                     raise SelectionError(
                         f"selection names quantifier {skind} {sv!r} where the "
                         f"formula binds {fkind} {v!r}")
-                combine = And if isinstance(g, Forall) else Or
-                acc = None
-                for t, br in zip(terms, branches):
-                    inst = substitute(walk(b, br), {v: t})
-                    acc = inst if acc is None else combine(acc, inst)
+                if not terms:
+                    raise SelectionError(f"empty term list at quantifier {sv}")
+                if len(branches) != len(terms):
+                    raise SelectionError(
+                        f"quantifier {sv} lists {len(terms)} terms but "
+                        f"{len(branches)} sub-selections")
+                acc = reduce(And if isinstance(g, Forall) else Or,
+                             [substitute(walk(b, br), {v: t})
+                              for t, br in zip(terms, branches)])
                 count[0] += len(terms) - 1
                 if count[0] > budget:
                     raise BudgetError(

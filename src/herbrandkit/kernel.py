@@ -27,8 +27,9 @@ from .syntax import (
     GammaVar, Not, Or, PathError, Quant, Term, Var,
     all_names, alpha_equal, bound_names, classify_quantifier, collect_signature,
     free_names, fresh_name, is_quantifier_free, nameify_term, parse_formula,
-    parse_term, polarity_at, print_formula, print_term, promote_skolem_apps,
-    replace_at, subformula_at, substitute, term_free_names, var_for_name,
+    parse_term, path_nodes, polarity_at, print_formula, print_term,
+    promote_skolem_apps, rename_binder, replace_at, subformula_at, substitute,
+    term_free_names, var_for_name,
 )
 from .taut import is_tautology
 
@@ -172,27 +173,6 @@ def apply_passage(f: Formula, path: tuple[int, ...], eq: int,
 # ---------------------------------------------------------------------------
 # step checking
 
-def _binders_above(f: Formula, path: tuple[int, ...]) -> set[str]:
-    out = set()
-    cur = f
-    for step in path:
-        if isinstance(cur, Quant):
-            out.add(cur.var)
-        cur = _child(cur, step)
-    return out
-
-
-def _child(f: Formula, i: int) -> Formula:
-    match f:
-        case Not(s) if i == 0:
-            return s
-        case And(l, r) | Or(l, r):
-            return (l, r)[i]
-        case Forall(_, b) | Exists(_, b) if i == 0:
-            return b
-    raise StepError("bad-path", f"no child {i} at {type(f).__name__}")
-
-
 def _wrap(step: RuleStep, scope: Formula) -> Formula:
     if step.quant not in ("forall", "exists"):
         raise StepError("bad-step", f"missing or bad quantifier kind {step.quant!r}")
@@ -268,7 +248,8 @@ def _delta_minus(f, step, root_only):
     h = _subformula(f, step.path)
     wrapped = _wrap(step, h)
     result = replace_at(f, step.path, wrapped)
-    if step.var in _binders_above(f, step.path):
+    if any(isinstance(g, Quant) and g.var == step.var
+           for g in path_nodes(f, step.path)[:-1]):
         raise StepError("context-capture",
                         f"{step.var} is bound by an enclosing quantifier")
     hole = replace_at(f, step.path, Atom("valid", ()))
@@ -418,7 +399,7 @@ def _rename(f, step):
     if step.new is None:
         raise StepError("bad-step", "rename needs a new name")
     try:
-        new_var = var_for_name(step.new)
+        var_for_name(step.new)
     except FormulaError as e:
         raise StepError("bad-binder-name", str(e))
     if step.new != step.var:
@@ -428,9 +409,7 @@ def _rename(f, step):
         if step.new in bound_names(node.body):
             raise StepError("rename-collision",
                             f"{step.new} is bound inside the scope")
-    make = Forall if isinstance(node, Forall) else Exists
-    renamed = make(step.new, substitute(node.body, {step.var: new_var}))
-    return replace_at(f, step.path, renamed)
+    return replace_at(f, step.path, rename_binder(node, step.new))
 
 
 def check_step(f: Formula, step: RuleStep,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     And, App, Atom, Exists, Forall, Formula, FormulaError, GammaVar, Not, Or,
-    SkolemNamedVar, Term, Var, collect_signature, print_term, term_var_name,
+    SkolemNamedVar, Term, Var, collect_signature, term_var_name,
 )
 
 DEFAULT_BUDGET = 1_000_000

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from .syntax import (
     And, App, Atom, Exists, Forall, Formula, FormulaError, GammaVar, Not, Or,
     SkolemNamedVar, Term, Var, collect_signature, first_occurrences,
-    free_names, is_gamma, is_rectified, substitute, term_var_name,
+    free_names, is_gamma, is_rectified, quant_kind, rebuild, substitute,
+    term_var_name,
 )
 from .syntax import nameify_term  # noqa: F401  (re-exported, public here)
 
@@ -55,10 +56,9 @@ def canonical_key(scope: Formula, listed: Sequence[Term]) -> str:
             case Or(l, r):
                 return "(or " + pf(l, env) + " " + pf(r, env) + ")"
             case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(f, Forall) else "exists"
                 bn = f"b{counter[0]}"
                 counter[0] += 1
-                return f"({kind} {bn} " + pf(b, {**env, v: bn}) + ")"
+                return f"({quant_kind(f)} {bn} " + pf(b, {**env, v: bn}) + ")"
 
     return pf(scope, {})
 
@@ -175,9 +175,8 @@ def _skolemize(f: Formula, what: str, delta_term) -> Formula:
             case Or(l, r):
                 return Or(walk(l, gammas, sign), walk(r, gammas, sign))
             case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(g, Forall) else "exists"
-                if is_gamma(kind, sign):
-                    return type(g)(v, walk(b, gammas + [v], sign))
+                if is_gamma(quant_kind(g), sign):
+                    return rebuild(g, walk(b, gammas + [v], sign))
                 t = delta_term(g, gammas, taken)
                 return walk(substitute(b, {v: t}), gammas, sign)
 

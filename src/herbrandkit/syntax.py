@@ -227,95 +227,107 @@ def print_formula(f: Formula) -> str:
     return _print_formula(f, 0)
 
 
-def formula_size(f: Formula) -> int:
-    match f:
-        case Atom():
-            return 1
-        case Not(sub):
-            return 1 + formula_size(sub)
-        case And(l, r) | Or(l, r):
-            return 1 + formula_size(l) + formula_size(r)
-        case Forall(_, b) | Exists(_, b):
-            return 1 + formula_size(b)
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Atom():
-            return ()
-        case Not(sub):
-            return (sub,)
-        case And(l, r) | Or(l, r):
-            return (l, r)
-        case Forall(_, b) | Exists(_, b):
-            return (b,)
+    # tests the type directly, not by a match: every walk calls this per node
+    t = type(f)
+    if t is And or t is Or:
+        return (f.left, f.right)
+    if t is Not:
+        return (f.sub,)
+    return () if t is Atom else (f.body,)
+
+
+# ---------------------------------------------------------------------------
+# the traversal core: every structural walker below is built on these
+
+def quant_kind(q: Formula) -> str:
+    """'forall' or 'exists', for a quantifier node."""
+    return "forall" if isinstance(q, Forall) else "exists"
+
+
+def rebuild(g: Formula, *kids: Formula, var: str | None = None) -> Formula:
+    """g's connective over new children.  A quantifier keeps its binder
+    unless var names a new one; an atom is returned as it is."""
+    if isinstance(g, Quant):
+        return type(g)(g.var if var is None else var, *kids)
+    return type(g)(*kids) if kids else g
+
+
+def rename_binder(q: Formula, new: str) -> Formula:
+    """The quantifier q binding new in place of its variable.  The caller
+    makes sure new is not captured in the body."""
+    return type(q)(new, substitute(q.body, {q.var: var_for_name(new)}))
+
+
+def subformulas(f: Formula, paths: bool = True):
+    """(path, node) for every node of f in preorder, from an explicit stack,
+    so that no walk over a deep formula depends on the recursion limit.
+    A path costs its length to build, so with paths=False it is None."""
+    stack: list[tuple[tuple[int, ...] | None, Formula]] = [(() if paths else None, f)]
+    while stack:
+        path, g = stack.pop()
+        yield path, g
+        kids = children(g)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,) if paths else None, kids[i]))
+
+
+def path_nodes(f: Formula, path: tuple[int, ...]) -> list[Formula]:
+    """The nodes from the root down to the position path names, both ends
+    included.  A step outside 0..len(children)-1 raises PathError."""
+    nodes = [f]
+    for i, step in enumerate(path):
+        kids = children(nodes[-1])
+        if not 0 <= step < len(kids):
+            raise PathError(f"path {'.'.join(map(str, path))} leaves the formula at position {i}")
+        nodes.append(kids[step])
+    return nodes
+
+
+def map_atoms(f: Formula, fn, stop: str | None = None) -> Formula:
+    """f with fn applied to every argument term of every atom.  The scope of
+    a quantifier binding stop is left as it is."""
+
+    def walk(g):
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(fn(a) for a in g.args))
+        if isinstance(g, Quant) and g.var == stop:
+            return g
+        return rebuild(g, *map(walk, children(g)))
+
+    return walk(f)
+
+
+# ---------------------------------------------------------------------------
+# positions
+
+def formula_size(f: Formula) -> int:
+    return sum(1 for _ in subformulas(f, paths=False))
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    cur = f
-    for i, step in enumerate(path):
-        kids = children(cur)
-        if step >= len(kids):
-            raise PathError(f"path {'.'.join(map(str, path))} leaves the formula at position {i}")
-        cur = kids[step]
-    return cur
+    return path_nodes(f, path)[-1]
 
 
 def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
-    if not path:
-        return new
-    step, rest = path[0], path[1:]
-    match f:
-        case Not(sub) if step == 0:
-            return Not(replace_at(sub, rest, new))
-        case And(l, r):
-            if step == 0:
-                return And(replace_at(l, rest, new), r)
-            if step == 1:
-                return And(l, replace_at(r, rest, new))
-        case Or(l, r):
-            if step == 0:
-                return Or(replace_at(l, rest, new), r)
-            if step == 1:
-                return Or(l, replace_at(r, rest, new))
-        case Forall(v, b) if step == 0:
-            return Forall(v, replace_at(b, rest, new))
-        case Exists(v, b) if step == 0:
-            return Exists(v, replace_at(b, rest, new))
-    raise PathError(f"path step {step} does not exist at {type(f).__name__}")
+    nodes = path_nodes(f, path)
+    for g, step in zip(reversed(nodes[:-1]), reversed(path)):
+        kids = list(children(g))
+        kids[step] = new
+        new = rebuild(g, *kids)
+    return new
 
 
 def polarity_at(f: Formula, path: tuple[int, ...]) -> int:
     """+1 if the position is under an even number of negations, -1 otherwise."""
-    sign = 1
-    cur = f
-    for step in path:
-        if isinstance(cur, Not):
-            sign = -sign
-        cur = children(cur)[step]
-    return sign
+    negations = sum(isinstance(g, Not) for g in path_nodes(f, path)[:-1])
+    return -1 if negations % 2 else 1
 
 
 def quantifier_positions(f: Formula) -> list[tuple[tuple[int, ...], str, str]]:
     """Preorder list of (path, 'forall'|'exists', binder name)."""
-    out = []
-
-    def walk(g, path):
-        match g:
-            case Forall(v, b):
-                out.append((path, "forall", v))
-                walk(b, path + (0,))
-            case Exists(v, b):
-                out.append((path, "exists", v))
-                walk(b, path + (0,))
-            case Not(s):
-                walk(s, path + (0,))
-            case And(l, r) | Or(l, r):
-                walk(l, path + (0,))
-                walk(r, path + (1,))
-
-    walk(f, ())
-    return out
+    return [(path, quant_kind(g), g.var) for path, g in subformulas(f)
+            if isinstance(g, Quant)]
 
 
 def is_gamma(kind: str, sign: int) -> bool:
@@ -330,31 +342,17 @@ def classify_quantifier(f: Formula, path: tuple[int, ...]) -> tuple[str, str, bo
 
     The class is the one is_gamma gives.  A quantifier is accessible when no
     quantifier stands strictly above it."""
-    q = subformula_at(f, path)
-    if not isinstance(q, Quant):
+    nodes = path_nodes(f, path)
+    if not isinstance(nodes[-1], Quant):
         raise PathError(f"no quantifier at path {'.'.join(map(str, path)) or '.'}")
-    kind = "forall" if isinstance(q, Forall) else "exists"
+    kind = quant_kind(nodes[-1])
     klass = "gamma" if is_gamma(kind, polarity_at(f, path)) else "delta"
-    accessible = True
-    cur = f
-    for step in path:
-        if isinstance(cur, Quant):
-            accessible = False
-            break
-        cur = children(cur)[step]
+    accessible = not any(isinstance(g, Quant) for g in nodes[:-1])
     return kind, klass, accessible
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    match f:
-        case Atom():
-            return True
-        case Not(s):
-            return is_quantifier_free(s)
-        case And(l, r) | Or(l, r):
-            return is_quantifier_free(l) and is_quantifier_free(r)
-        case Forall() | Exists():
-            return False
+    return not any(isinstance(g, Quant) for _, g in subformulas(f, paths=False))
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +393,10 @@ def first_occurrences(f: Formula) -> list[str]:
                 for a in args:
                     walk_term(a)
 
-    def walk(g):
-        match g:
-            case Atom(_, args):
-                for a in args:
-                    walk_term(a)
-            case Not(s):
-                walk(s)
-            case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
-            case Forall(_, b) | Exists(_, b):
-                walk(b)
-
-    walk(f)
+    for _, g in subformulas(f, paths=False):
+        if isinstance(g, Atom):
+            for a in g.args:
+                walk_term(a)
     return list(seen)
 
 
@@ -460,19 +448,12 @@ def substitute(f: Formula, mapping: dict[str, Term], strict: bool = False) -> Fo
         match g:
             case Atom(p, args):
                 return Atom(p, tuple(substitute_term(a, mp) for a in args))
-            case Not(s):
-                return Not(walk(s, mp))
-            case And(l, r):
-                return And(walk(l, mp), walk(r, mp))
-            case Or(l, r):
-                return Or(walk(l, mp), walk(r, mp))
             case Forall(v, b) | Exists(v, b):
                 inner = {k: t for k, t in mp.items() if k != v}
                 live = {k for k in inner if k in free_names(b) - {v}}
                 inner = {k: inner[k] for k in live}
-                make = Forall if isinstance(g, Forall) else Exists
                 if not inner:
-                    return make(v, b)
+                    return g
                 incoming = set()
                 for t in inner.values():
                     incoming |= term_free_names(t)
@@ -480,11 +461,9 @@ def substitute(f: Formula, mapping: dict[str, Term], strict: bool = False) -> Fo
                     if strict:
                         raise CaptureError(
                             f"substitution would capture {v} bound at {print_formula(g)[:60]}")
-                    used = all_names(b) | incoming | set(inner)
-                    v2 = fresh_name(v, used)
-                    b = walk(b, {v: var_for_name(v2)})
-                    return make(v2, walk(b, inner))
-                return make(v, walk(b, inner))
+                    g = rename_binder(g, fresh_name(v, all_names(b) | incoming | set(inner)))
+                return rebuild(g, walk(g.body, inner))
+        return rebuild(g, *[walk(c, mp) for c in children(g)])
 
     mapping = {k: t for k, t in mapping.items()}
     return walk(f, mapping)
@@ -506,12 +485,6 @@ def rectify(f: Formula) -> Formula:
         match g:
             case Atom(p, args):
                 return Atom(p, tuple(substitute_term(a, env) for a in args))
-            case Not(s):
-                return Not(walk(s, env))
-            case And(l, r):
-                return And(walk(l, env), walk(r, env))
-            case Or(l, r):
-                return Or(walk(l, env), walk(r, env))
             case Forall(v, b) | Exists(v, b):
                 if v not in free_names(b):
                     return walk(b, env)
@@ -522,8 +495,8 @@ def rectify(f: Formula) -> Formula:
                     env2[v] = var_for_name(v2)
                 else:
                     env2.pop(v, None)
-                make = Forall if isinstance(g, Forall) else Exists
-                return make(v2, walk(b, env2))
+                return rebuild(g, walk(b, env2), var=v2)
+        return rebuild(g, *[walk(c, env) for c in children(g)])
 
     return walk(f, {})
 
@@ -641,8 +614,7 @@ def ac_flatten_equal(f: Formula, g: Formula) -> bool:
             case Atom():
                 return ("atom", print_formula(h))
             case Forall(v, b) | Exists(v, b):
-                kind = "forall" if isinstance(h, Forall) else "exists"
-                return (kind, v, norm(b))
+                return (quant_kind(h), v, norm(b))
 
     return norm(f) == norm(g)
 
@@ -667,23 +639,7 @@ def promote_skolem_apps(f: Formula) -> Formula:
     """Turn every maximal Skolem-headed application into a Skolem-named
     variable.  Used when reading formulas of a derivation that works in the
     Skolem-name view, where such terms stand for variables."""
-
-    def walk(g):
-        match g:
-            case Atom(p, args):
-                return Atom(p, tuple(nameify_term(a) for a in args))
-            case Not(s):
-                return Not(walk(s))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Forall(v, b):
-                return Forall(v, walk(b))
-            case Exists(v, b):
-                return Exists(v, walk(b))
-
-    return walk(f)
+    return map_atoms(f, nameify_term)
 
 
 # ---------------------------------------------------------------------------
@@ -831,22 +787,7 @@ def _bind_named(body: Formula, name: str, var: Term) -> Formula:
             return App(t.sym, t.skolem, tuple(conv(a) for a in t.args))
         return t
 
-    def walk(g):
-        match g:
-            case Atom(p, args):
-                return Atom(p, tuple(conv(a) for a in args))
-            case Not(s):
-                return Not(walk(s))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Forall(v, b):
-                return Forall(v, b if v == name else walk(b))
-            case Exists(v, b):
-                return Exists(v, b if v == name else walk(b))
-
-    return walk(body)
+    return map_atoms(body, conv, stop=name)
 
 
 def _parse_unary(ts: _Tokens) -> Formula:
@@ -939,22 +880,12 @@ def _check_arities(f: Formula):
             case SkolemNamedVar(encoded):
                 walk_term(encoded)
 
-    def walk(g):
-        match g:
-            case Atom(p, args):
-                if p != "<":
-                    seen(preds, funcs, p, len(args), "predicate")
-                for a in args:
-                    walk_term(a)
-            case Not(s):
-                walk(s)
-            case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
-            case Forall(_, b) | Exists(_, b):
-                walk(b)
-
-    walk(f)
+    for _, g in subformulas(f, paths=False):
+        if isinstance(g, Atom):
+            if g.pred != "<":
+                seen(preds, funcs, g.pred, len(g.args), "predicate")
+            for a in g.args:
+                walk_term(a)
 
 
 def parse_formula(text: str) -> Formula:

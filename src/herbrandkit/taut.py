@@ -10,8 +10,8 @@ form with unit propagation and backtracking.
 from __future__ import annotations
 
 from .syntax import (
-    And, Atom, Formula, FormulaError, Not, Or, is_quantifier_free,
-    print_formula,
+    And, Atom, Formula, FormulaError, Not, Or, Quant, print_formula,
+    subformulas,
 )
 
 TABLE_LIMIT = 20
@@ -22,27 +22,15 @@ class TautError(FormulaError):
 
 
 def atom_list(f: Formula) -> list[str]:
-    """Distinct atom prints in order of first occurrence."""
-    out: list[str] = []
-    seen = set()
-
-    def walk(g):
-        match g:
-            case Atom():
-                s = print_formula(g)
-                if s not in seen:
-                    seen.add(s)
-                    out.append(s)
-            case Not(s):
-                walk(s)
-            case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
-            case _:
-                raise TautError("tautology checking needs a quantifier-free formula")
-
-    walk(f)
-    return out
+    """Distinct atom prints in order of first occurrence.  Raises TautError
+    at a quantifier, so one pass both checks and collects."""
+    seen: dict[str, None] = {}
+    for _, g in subformulas(f, paths=False):
+        if isinstance(g, Atom):
+            seen.setdefault(print_formula(g))
+        elif isinstance(g, Quant):
+            raise TautError("tautology checking needs a quantifier-free formula")
+    return list(seen)
 
 
 def _table_tautology(f: Formula, atoms: list[str]) -> bool:
@@ -207,8 +195,6 @@ def _dpll(clauses: list[list[int]], nvars: int) -> bool:
 
 
 def is_tautology(f: Formula) -> bool:
-    if not is_quantifier_free(f):
-        raise TautError("tautology checking needs a quantifier-free formula")
     atoms = atom_list(f)
     if len(atoms) <= TABLE_LIMIT:
         return _table_tautology(f, atoms)

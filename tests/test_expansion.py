@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from herbrandkit.construct import property_c
 from herbrandkit.expansion import (
     LEAF,
     BudgetError,
@@ -11,6 +12,7 @@ from herbrandkit.expansion import (
     SelNot,
     SelOr,
     SelQuant,
+    SelectionError,
     build_sub_expansion,
     champ,
     expand,
@@ -177,6 +179,17 @@ def test_selection_comments_and_underscore_leaf():
 def test_selection_rejects_empty_term_lists():
     with pytest.raises(ExpansionError):
         parse_selection("(exists a () _)")
+
+
+def test_built_selection_with_empty_term_list_is_refused(drinker):
+    sel = SelQuant("exists", "a", (), ())
+    with pytest.raises(SelectionError, match="empty term list at quantifier a"):
+        build_sub_expansion(outer_skolemize(drinker), sel)
+    with pytest.raises(SelectionError, match="empty term list at quantifier a"):
+        property_c(drinker, 3, sel=sel)
+    short = SelQuant("exists", "a", (DOT, parse_term("sk_b(@dot)")), (LEAF,))
+    with pytest.raises(SelectionError, match="lists 2 terms but 1 sub-selections"):
+        build_sub_expansion(outer_skolemize(drinker), short)
 
 
 def test_selection_within_champ(upper_bound_selection, upper_bound):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from herbrandkit.cli import main
 from herbrandkit.kernel import (
     DELTA_MINUS,
     DELTAPP,
@@ -457,6 +458,16 @@ def test_script_errors():
     with pytest.raises(ScriptError):
         parse_script("mode: heijenoort\nstart: p\n"
                      "step: gamma-quant path=. q=exists var={a}\nend: p\n")
+
+
+def test_negative_path_step_is_rejected_as_bad_path(capsys, tmp_path):
+    script = tmp_path / "negative.txt"
+    script.write_text("mode: heijenoort\n"
+                      "start: (p(c) | p(c)) | (p(c) | p(c))\n"
+                      "step: simp path=-1 keep=left\n"
+                      "end: p(c) | p(c)\n")
+    assert main(["check-proof", str(script)]) == 1
+    assert "rejected at step 0: bad-path" in capsys.readouterr().out
 
 
 def test_script_mutation_round_trip_through_checker(showcase_derivation):

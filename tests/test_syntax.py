@@ -38,10 +38,12 @@ from herbrandkit.syntax import (
     rectify,
     replace_at,
     subformula_at,
+    subformulas,
     substitute,
     term_height,
     variant_equal_gamma,
 )
+from herbrandkit.taut import atom_list
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -198,7 +200,30 @@ def test_paths_and_replacement():
     with pytest.raises(PathError):
         subformula_at(f, (2,))
     with pytest.raises(PathError):
+        subformula_at(f, (-1,))
+    with pytest.raises(PathError):
         subformula_at(f, (0, 0, 0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas())
+def test_subformulas_is_the_preorder_of_paths(f):
+    walked = list(subformulas(f))
+    for path, node in walked:
+        assert subformula_at(f, path) == node
+        assert replace_at(f, path, node) == f
+    paths = [path for path, _ in walked]
+    assert paths == sorted(paths)
+    assert len(walked) == formula_size(f)
+    assert list(subformulas(f, paths=False)) == [(None, g) for _, g in walked]
+
+
+def test_walkers_do_not_depend_on_the_recursion_limit():
+    f = parse_formula(" | ".join(f"p{i}" for i in range(5000)))
+    assert formula_size(f) == 9999
+    assert is_quantifier_free(f)
+    assert quantifier_positions(f) == []
+    assert len(atom_list(f)) == 5000
 
 
 def test_polarity_counts_negations():
