@@ -23,14 +23,13 @@ The pipeline from a first-order formula to a checkable derivation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 
 from .expansion import (
     DEFAULT_BUDGET,
     LEAF,
     BudgetError,
     SelAnd,
-    SelLeaf,
     SelNot,
     SelOr,
     SelQuant,
@@ -40,6 +39,7 @@ from .expansion import (
     expand,
     expansion_leaf_count,
     expansion_node_count,
+    match_selection,
     parse_selection,
     selection_within,
 )
@@ -225,7 +225,6 @@ def min_order(a: Formula, star: bool = False, n_max: int = 8,
 class _CopyState:
     used: set[str]               # every name to steer clear of, grows with claims
     sym_map: dict[str, str]
-    named: bool
     claimed: set[str] = field(default_factory=set)   # binder names already placed
     plan: dict[str, Term] = field(default_factory=dict)
     original: dict[str, str] = field(default_factory=dict)
@@ -247,96 +246,65 @@ def _chain_offset(j: int, k: int) -> tuple[int, ...]:
     return (0,) * (k - 1 - j) + ((1,) if j > 0 else ())
 
 
-def _match_selection(f: Formula, sel: Selection,
-                     var: str | None = None) -> tuple[Selection, ...]:
-    """The selections for the children of f, after checking that sel fits
-    f's shape; a leaf passes leaves down to a negation or a junction.  A
-    quantifier is taken to be gamma (a delta-quantifier hands its selection
-    on to its body, so callers do not ask): sel must name its kind and the
-    binder var (by default its own) and choose pairwise distinct witness
-    terms, and the result holds one branch per witness."""
-    match f:
-        case Atom(p, _):
-            if not isinstance(sel, SelLeaf):
-                raise ConstructError(
-                    f"selection shape mismatch: choices given for the atom {p}")
-            return ()
-        case Not():
-            if isinstance(sel, SelLeaf):
-                return (LEAF,)
-            if isinstance(sel, SelNot):
-                return (sel.sub,)
-            raise ConstructError("selection shape mismatch under a negation")
-        case And() | Or():
-            if isinstance(sel, SelLeaf):
-                return (LEAF, LEAF)
-            if isinstance(sel, SelAnd if isinstance(f, And) else SelOr):
-                return (sel.left, sel.right)
-            raise ConstructError("selection shape mismatch at a junction")
-    kind = quant_kind(f)
-    v = f.var
-    if isinstance(sel, SelLeaf):
-        raise ConstructError(
-            f"the selection chooses no witness terms for {kind} {v}")
-    if (not isinstance(sel, SelQuant) or sel.kind != kind
-            or sel.var != (v if var is None else var)):
-        raise ConstructError(f"selection shape mismatch at {kind} {v}")
+def _distinct_witnesses(sel: SelQuant, v: str) -> None:
+    """A construction places one copy of v per witness, so a repeated
+    witness would make two copies the same instance."""
     if len(set(sel.terms)) != len(sel.terms):
         raise ConstructError(
             f"the witness terms chosen for {v} must be pairwise distinct")
-    if len(sel.branches) != len(sel.terms):
-        raise ConstructError(
-            f"need one selection branch per witness term for {v}")
-    return sel.branches
 
 
-def _copy_pass(f: Formula, sel: Selection, sign: int, path: tuple[int, ...],
-               env: dict[str, Term], gammas: list[str], st: _CopyState) -> Formula:
-    """Rebuild f with one copy of every quantifier whose selection lists a
-    witness per copy; in named mode the removed-quantifier variables are
-    spelled as their Skolem terms on the way down."""
-    match f:
-        case Atom(p, args):
-            _match_selection(f, sel)
-            return Atom(p, tuple(substitute_term(t, env) for t in args))
-        case Not(s):
-            (inner,) = _match_selection(f, sel)
-            return Not(_copy_pass(s, inner, -sign, path + (0,), env, gammas, st))
-        case And(l, r) | Or(l, r):
-            sl, sr = _match_selection(f, sel)
-            return type(f)(
-                _copy_pass(l, sl, sign, path + (0,), env, gammas, st),
-                _copy_pass(r, sr, sign, path + (1,), env, gammas, st))
-        case Forall(v, b) | Exists(v, b):
-            if is_gamma(quant_kind(f), sign):
-                branches = _match_selection(f, sel)
-                k = len(sel.terms)
-                nodes = []
-                for j, (t, br) in enumerate(zip(sel.terms, branches)):
-                    name = st.claim(v, first=j == 0)
-                    copy_path = path + _chain_offset(j, k)
-                    body = _copy_pass(b, br, sign, copy_path + (0,),
-                                      env | {v: Var(name)}, gammas + [name], st)
-                    st.plan[name] = nameify_term(t) if st.named else t
-                    nodes.append(rebuild(f, body, var=name))
-                if k > 1:
-                    st.copies.append((path, k))
-                junction = And if sign < 0 else Or
-                return reduce(junction, nodes)
-            if st.named:
-                sym = st.sym_map[v]
-                enc = App(sym, True, tuple(Var(g) for g in gammas))
-                name = print_term(enc)
-                st.used.add(name)
-                st.original[name] = v
-                body = _copy_pass(b, sel, sign, path + (0,),
-                                  env | {v: SkolemNamedVar(enc)}, gammas, st)
-                return rebuild(f, body, var=name)
-            name = st.claim(v, first=True)
-            body = _copy_pass(b, sel, sign, path + (0,),
-                              env | {v: Var(name)}, gammas, st)
-            return rebuild(f, body, var=name)
-    raise ConstructError("unreachable formula shape")
+def _along(g: Formula, s: Selection, sign: int, path: tuple[int, ...],
+           quant) -> Formula:
+    """Rebuild g along the selection s: negations and junctions are matched
+    against s and kept, the sign flips under a negation, and every
+    quantifier is handed to quant(g, s, sign, path), which rebuilds it."""
+    if isinstance(g, Quant):
+        return quant(g, s, sign, path)
+    flip = -1 if isinstance(g, Not) else 1
+    return rebuild(g, *(_along(c, cs, flip * sign, path + (i,), quant)
+                        for i, (c, cs) in enumerate(
+                            zip(children(g), match_selection(g, s)))))
+
+
+def _copy_pass(g: Quant, s: Selection, sign: int, path: tuple[int, ...],
+               gammas: tuple[str, ...], st: _CopyState) -> Formula:
+    """The quantifier arm of the copy pass: one copy of a removable
+    quantifier per witness its selection lists, and a removed-quantifier
+    variable spelled as its Skolem term over the enclosing copies."""
+    v, b = g.var, g.body
+    if not is_gamma(quant_kind(g), sign):
+        enc = App(st.sym_map[v], True, tuple(Var(x) for x in gammas))
+        name = print_term(enc)
+        st.used.add(name)
+        st.original[name] = v
+        body = _along(substitute(b, {v: SkolemNamedVar(enc)}), s, sign,
+                      path + (0,), partial(_copy_pass, gammas=gammas, st=st))
+        return rebuild(g, body, var=name)
+    branches = match_selection(g, s)
+    _distinct_witnesses(s, v)
+    k = len(s.terms)
+    nodes = []
+    for j, (t, br) in enumerate(zip(s.terms, branches)):
+        name = st.claim(v, first=j == 0)
+        copy_path = path + _chain_offset(j, k)
+        body = _along(substitute(b, {v: Var(name)}), br, sign, copy_path + (0,),
+                      partial(_copy_pass, gammas=gammas + (name,), st=st))
+        st.plan[name] = nameify_term(t)
+        nodes.append(rebuild(g, body, var=name))
+    if k > 1:
+        st.copies.append((path, k))
+    return reduce(And if sign < 0 else Or, nodes)
+
+
+def _named_copies(a_r: Formula, sel: Selection) -> tuple[Formula, _CopyState]:
+    """The copy pass over the rectified a_r: the duplicated named form, and
+    the state holding its witness plan, copy chains and original names."""
+    sym_map: dict[str, str] = {}
+    outer_skolemize(a_r, record=sym_map)
+    st = _CopyState(used=set(all_names(a_r)) | set(sym_map.values()),
+                    sym_map=sym_map)
+    return _along(a_r, sel, 1, (), partial(_copy_pass, gammas=(), st=st)), st
 
 
 def _full_selection(a_r: Formula, terms: tuple[Term, ...]) -> Selection:
@@ -452,54 +420,11 @@ def _execute_stages(q: Formula, plan: dict[str, Term], n: int):
     return cur, tuple(entries), steps
 
 
-def _match_plan(f: Formula, sel: Selection) -> dict[str, Term]:
-    """Read the witness plan back off an already-duplicated named form by
-    walking it alongside the selection that shaped it."""
-    plan: dict[str, Term] = {}
-
-    def chain(g: Formula, s: SelQuant, sign: int):
-        k = len(s.terms)
-        junction = And if sign < 0 else Or
-        rights = []
-        cur = g
-        for _ in range(k - 1):
-            if not isinstance(cur, junction):
-                raise ConstructError(
-                    f"expected a {k}-copy chain for {s.var}, found "
-                    f"{print_formula(cur)[:60]}")
-            rights.append(cur.right)
-            cur = cur.left
-        copies = [cur] + rights[::-1]
-        for j, (copy, t) in enumerate(zip(copies, s.terms)):
-            if not isinstance(copy, Quant):
-                raise ConstructError(f"copy of {s.var} is not a quantifier")
-            # copies carry variants of the selection's binder name
-            br = _match_selection(copy, s, var=s.var)[j]
-            plan[copy.var] = nameify_term(t)
-            walk(copy.body, br, sign)
-
-    def walk(g: Formula, s: Selection, sign: int):
-        if isinstance(g, Quant):
-            if not is_gamma(quant_kind(g), sign):
-                walk(g.body, s, sign)
-                return
-        if isinstance(s, SelQuant):
-            chain(g, s, sign)
-            return
-        flip = -1 if isinstance(g, Not) else 1
-        for child, sub in zip(children(g), _match_selection(g, s)):
-            walk(child, sub, flip * sign)
-
-    walk(f, sel, 1)
-    return plan
-
-
-def procedure1_order(f_named: Formula, sel, n: int) -> Procedure1Plan:
-    """The staged removal plan for an already-duplicated named form: which
-    quantifier falls at which stage, in removal order."""
-    sel_tree = _as_selection(sel)
-    plan = _match_plan(f_named, sel_tree)
-    _, entries, _ = _execute_stages(f_named, plan, n)
+def procedure1_order(a: Formula, sel, n: int) -> Procedure1Plan:
+    """The staged removal plan of the order-n derivation of a along the
+    selection: which quantifier falls at which stage, in removal order."""
+    q, st = _named_copies(rectify(a), _as_selection(sel))
+    _, entries, _ = _execute_stages(q, st.plan, n)
     return Procedure1Plan(n, entries)
 
 
@@ -550,14 +475,10 @@ def construct_derivation(a: Formula, n: int, sel=None,
         raise ConstructError(
             f"order {n} is not established for this formula ({pre.status}"
             f"{': ' + pre.detail if pre.detail else ''})")
-    sym_map: dict[str, str] = {}
-    f_sk = outer_skolemize(a_r, record=sym_map)
     if sel_tree is None:
-        ch = champ(f_sk, n, budget=budget)
+        ch = champ(pre.skolemized, n, budget=budget)
         sel_tree = _full_selection(a_r, ch.terms)
-    st = _CopyState(used=set(all_names(a_r)) | set(sym_map.values()),
-                    sym_map=sym_map, named=True)
-    q = _copy_pass(a_r, sel_tree, 1, (), {}, [], st)
+    q, st = _named_copies(a_r, sel_tree)
     axiom, _, removal = _execute_stages(q, st.plan, n)
     merged, merge_steps = _merge_chains(q, st.copies)
     restored, rename_steps = _final_renames(merged, st.original)
@@ -603,7 +524,7 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
         ch = champ(pre.skolemized, n, budget=budget)
         sel_tree = _full_selection(a_r, ch.terms)
     avoid = set(collect_signature(a_r).functions)
-    claim = _CopyState(used=set(all_names(a_r)), sym_map={}, named=False).claim
+    claim = _CopyState(used=set(all_names(a_r)), sym_map={}).claim
     source: dict[str, str] = {}  # copy binder -> binder it is a variant of
     sigma: dict[str, Term] = {}
     down: list[RuleStep] = []    # recorded top-down, replayed in reverse
@@ -617,53 +538,37 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
         source[name] = source.get(g.var, g.var)
         return rebuild(g, alpha_copy(g.body, ren | {g.var: Var(name)}), var=name)
 
-    def strip(g: Formula, s: Selection, sign: int,
+    def strip(g: Quant, s: Selection, sign: int,
               path: tuple[int, ...]) -> Formula:
-        match g:
-            case Atom():
-                _match_selection(g, s)
-                return g
-            case Not(sub):
-                (inner,) = _match_selection(g, s)
-                return Not(strip(sub, inner, -sign, path + (0,)))
-            case And(l, r) | Or(l, r):
-                sl, sr = _match_selection(g, s)
-                return type(g)(strip(l, sl, sign, path + (0,)),
-                               strip(r, sr, sign, path + (1,)))
-            case Forall(v, bd) | Exists(v, bd):
-                kind = quant_kind(g)
-                src = source.get(v, v)
-                if not is_gamma(kind, sign):
-                    listed, key = deltapp_scope(g)
-                    sym = registry.bind(key, src, len(listed), avoid)
-                    down.append(RuleStep(DELTAPP, path=path, quant=kind,
-                                         var=v, scope=bd))
-                    repl = App(sym, True, listed)
-                    return strip(substitute(bd, {v: repl}), s, sign, path)
-                branches = _match_selection(g, s, var=src)
-                k = len(s.terms)
-                claim(v, first=True)
-                copies = [g] + [alpha_copy(g, {}) for _ in range(k - 1)]
-                for depth in range(k - 1):
-                    down.append(RuleStep(GAMMA_SIMP, path=path + (0,) * depth,
-                                         keep="left"))
-                parts = []
-                for j, (copy, t, br) in enumerate(zip(copies, s.terms,
-                                                      branches)):
-                    cpath = path + _chain_offset(j, k)
-                    down.append(RuleStep(RESTRICTED_GAMMA, path=cpath,
-                                         quant=kind, var=copy.var,
-                                         scope=copy.body,
-                                         term=GammaVar(copy.var)))
-                    sigma["?" + copy.var] = t
-                    parts.append(strip(
-                        substitute(copy.body, {copy.var: GammaVar(copy.var)}),
-                        br, sign, cpath))
-                junction = And if sign < 0 else Or
-                return reduce(junction, parts)
-        raise ConstructError("unreachable formula shape")
+        kind = quant_kind(g)
+        v, bd = g.var, g.body
+        src = source.get(v, v)
+        if not is_gamma(kind, sign):
+            listed, key = deltapp_scope(g)
+            sym = registry.bind(key, src, len(listed), avoid)
+            down.append(RuleStep(DELTAPP, path=path, quant=kind, var=v, scope=bd))
+            repl = App(sym, True, listed)
+            return _along(substitute(bd, {v: repl}), s, sign, path, strip)
+        branches = match_selection(g, s, var=src)
+        _distinct_witnesses(s, v)
+        k = len(s.terms)
+        claim(v, first=True)
+        copies = [g] + [alpha_copy(g, {}) for _ in range(k - 1)]
+        for depth in range(k - 1):
+            down.append(RuleStep(GAMMA_SIMP, path=path + (0,) * depth, keep="left"))
+        parts = []
+        for j, (copy, t, br) in enumerate(zip(copies, s.terms, branches)):
+            cpath = path + _chain_offset(j, k)
+            down.append(RuleStep(RESTRICTED_GAMMA, path=cpath, quant=kind,
+                                 var=copy.var, scope=copy.body,
+                                 term=GammaVar(copy.var)))
+            sigma["?" + copy.var] = t
+            parts.append(_along(
+                substitute(copy.body, {copy.var: GammaVar(copy.var)}),
+                br, sign, cpath, strip))
+        return reduce(And if sign < 0 else Or, parts)
 
-    b = strip(a_r, sel_tree, 1, ())
+    b = _along(a_r, sel_tree, 1, (), strip)
     d = Derivation("free-variable", b, tuple(reversed(down)), a_r)
     report = check_derivation(d, registry)
     if not report.ok:

@@ -386,6 +386,50 @@ def selection_within(s: Selection, ch: ChampFini) -> tuple[bool, list[Term]]:
     return not offenders, offenders
 
 
+def match_selection(f: Formula, sel: Selection,
+                    var: str | None = None) -> tuple[Selection, ...]:
+    """The selections for the children of f, after checking that sel fits
+    f's shape; a leaf passes leaves down to a negation or a junction.  A
+    quantifier is taken to be gamma (a delta-quantifier hands its selection
+    on to its body, so callers do not ask): sel must name its kind and the
+    binder var (by default its own) and choose a nonempty list of witness
+    terms, and the result holds one branch per witness."""
+    match f:
+        case Atom(p, _):
+            if not isinstance(sel, SelLeaf):
+                raise SelectionError(
+                    f"selection shape mismatch: choices given for the atom {p}")
+            return ()
+        case Not():
+            if isinstance(sel, SelLeaf):
+                return (LEAF,)
+            if isinstance(sel, SelNot):
+                return (sel.sub,)
+            raise SelectionError("selection shape mismatch under a negation")
+        case And() | Or():
+            if isinstance(sel, SelLeaf):
+                return (LEAF, LEAF)
+            if isinstance(sel, SelAnd if isinstance(f, And) else SelOr):
+                return (sel.left, sel.right)
+            raise SelectionError("selection shape mismatch at a junction")
+    kind = quant_kind(f)
+    v = f.var
+    if isinstance(sel, SelLeaf):
+        raise SelectionError(
+            f"the selection chooses no witness terms for {kind} {v}")
+    if (not isinstance(sel, SelQuant) or sel.kind != kind
+            or sel.var != (v if var is None else var)):
+        raise SelectionError(f"selection shape mismatch at {kind} {v}")
+    if not sel.terms:
+        raise SelectionError(f"empty term list at quantifier {v}")
+    if len(sel.branches) != len(sel.terms):
+        raise SelectionError(
+            f"quantifier {v} lists {len(sel.terms)} terms but "
+            f"{len(sel.branches)} sub-selections: need one selection branch "
+            f"per witness term for {v}")
+    return sel.branches
+
+
 def build_sub_expansion(f: Formula, sel: Selection,
                         budget: int = DEFAULT_BUDGET) -> Formula:
     """Expand each quantifier over its per-branch chosen terms.  The
@@ -401,45 +445,20 @@ def build_sub_expansion(f: Formula, sel: Selection,
     count = [0]
 
     def walk(g, s):
-        if isinstance(s, SelLeaf):
-            if not is_quantifier_free(g):
-                raise SelectionError(
-                    "selection stops at a subformula that still has quantifiers")
+        if isinstance(s, SelLeaf) and is_quantifier_free(g):
             count[0] += 1
             return g
-        match g, s:
-            case Not(sub), SelNot(ssub):
-                count[0] += 1
-                return Not(walk(sub, ssub))
-            case And(l, r), SelAnd(sl, sr):
-                count[0] += 1
-                return And(walk(l, sl), walk(r, sr))
-            case Or(l, r), SelOr(sl, sr):
-                count[0] += 1
-                return Or(walk(l, sl), walk(r, sr))
-            case (Forall(v, b), SelQuant(skind, sv, terms, branches)) | \
-                 (Exists(v, b), SelQuant(skind, sv, terms, branches)):
-                fkind = quant_kind(g)
-                if sv != v or skind != fkind:
-                    raise SelectionError(
-                        f"selection names quantifier {skind} {sv!r} where the "
-                        f"formula binds {fkind} {v!r}")
-                if not terms:
-                    raise SelectionError(f"empty term list at quantifier {sv}")
-                if len(branches) != len(terms):
-                    raise SelectionError(
-                        f"quantifier {sv} lists {len(terms)} terms but "
-                        f"{len(branches)} sub-selections")
-                acc = reduce(And if isinstance(g, Forall) else Or,
-                             [substitute(walk(b, br), {v: t})
-                              for t, br in zip(terms, branches)])
-                count[0] += len(terms) - 1
-                if count[0] > budget:
-                    raise BudgetError(
-                        f"sub-expansion exceeds the size guard of {budget} nodes")
-                return acc
-        raise SelectionError(
-            f"selection node {type(s).__name__} does not match "
-            f"formula node {type(g).__name__}")
+        subs = match_selection(g, s)
+        if not isinstance(g, Quant):
+            count[0] += 1
+            return rebuild(g, *map(walk, children(g), subs))
+        acc = reduce(And if isinstance(g, Forall) else Or,
+                     [substitute(walk(g.body, br), {g.var: t})
+                      for t, br in zip(s.terms, subs)])
+        count[0] += len(s.terms) - 1
+        if count[0] > budget:
+            raise BudgetError(
+                f"sub-expansion exceeds the size guard of {budget} nodes")
+        return acc
 
     return walk(f, sel)

@@ -6,6 +6,7 @@ delta-quantifier over one polarity walk.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -25,13 +26,18 @@ class SkolemError(FormulaError):
 # ---------------------------------------------------------------------------
 # canonical scope keys
 
+_PLACEHOLDER = re.compile(r"[bg][0-9]+")
+
+
 def canonical_key(scope: Formula, listed: Sequence[Term]) -> str:
     """Canonical print of a quantified scope for the delta-function registry.
 
     Bound variables are numbered b0, b1, ... in preorder binding order and
     the listed argument variables are replaced positionally by g0, g1, ...,
     so the key is invariant under renaming of bound variables and under
-    bijective renaming of the listed variables."""
+    bijective renaming of the listed variables.  Any other free variable
+    prints by name, with a leading $ (which no parsed name has) when the
+    name is spelled like one of those placeholders."""
     positional = {term_var_name(t): f"g{i}" for i, t in enumerate(listed)}
     counter = [0]
 
@@ -39,7 +45,8 @@ def canonical_key(scope: Formula, listed: Sequence[Term]) -> str:
         match t:
             case Var() | GammaVar() | SkolemNamedVar():
                 nm = term_var_name(t)
-                return env.get(nm, positional.get(nm, nm))
+                free = "$" + nm if _PLACEHOLDER.fullmatch(nm) else nm
+                return env.get(nm, positional.get(nm, free))
             case App(sym, _, args):
                 if not args:
                     return sym

@@ -171,6 +171,34 @@ def test_check_c_star(capsys):
     assert code == 0
 
 
+# A free variable spelled like a registry-key placeholder (b0 for a bound
+# variable, g0 for a listed one) must not share a delta++ symbol with a
+# different scope.
+PLACEHOLDER_FREE_TEXT = ("(forall u. e(u, b0)) | (forall v. e(v, v)) | "
+                         "(exists w. ~e(w, b0) & ~e(w, w))")
+
+
+def test_free_b0_does_not_pass_the_star_check_of_an_invalid_formula(capsys):
+    code, out, _ = run(capsys, "models", "--size", "3", PLACEHOLDER_FREE_TEXT)
+    assert code == 1 and "countermodel" in out
+    code, out, _ = run(capsys, "check-c", "--star", "--order", "2",
+                       PLACEHOLDER_FREE_TEXT)
+    assert code == 1 and "status: fails" in out
+    code, out, _ = run(capsys, "min-order", "--star", "--max", "3",
+                       PLACEHOLDER_FREE_TEXT)
+    assert code == 1 and out.strip() == "none"
+    code, _, err = run(capsys, "derive", "--fv", "--order", "2",
+                       PLACEHOLDER_FREE_TEXT)
+    assert code == 2 and "not established" in err
+
+
+def test_free_g0_gets_its_own_deltapp_symbol(capsys):
+    code, out, _ = run(capsys, "skolemize", "--mode", "deltapp",
+                       "(exists g0. forall u. p(u, g0)) | (forall v. p(v, g0))")
+    assert code == 0
+    assert out.strip() == "(exists g0_1. p(sk_u(g0_1),g0_1)) | p(sk_v,g0)"
+
+
 def test_min_order(capsys):
     code, doc, _ = run_json(capsys, "min-order", DRINKER_TEXT)
     assert code == 0 and doc["min_order"] == 3

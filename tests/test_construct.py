@@ -9,8 +9,6 @@ import pytest
 from herbrandkit.construct import (
     UPPER_BOUND_SELECTION,
     ConstructError,
-    _copy_pass,
-    _CopyState,
     construct_derivation,
     construct_fv_derivation,
     demo_false_lemma,
@@ -29,6 +27,7 @@ from herbrandkit.expansion import (
     SelNot,
     SelOr,
     SelQuant,
+    SelectionError,
     build_sub_expansion,
     champ,
     parse_selection,
@@ -38,7 +37,7 @@ from herbrandkit.expansion import (
 from herbrandkit.kernel import check_derivation
 from herbrandkit.skolem import SkolemRegistry, deltapp_skolemize, outer_skolemize
 from herbrandkit.syntax import (
-    all_names,
+    FormulaError,
     free_gamma_vars,
     is_quantifier_free,
     parse_formula,
@@ -150,13 +149,7 @@ def test_order_bound_requires_the_deductive_mode(drinker):
 
 
 def test_staged_removal_plan(upper_bound, upper_bound_selection):
-    a_r = rectify(upper_bound)
-    sym_map = {}
-    outer_skolemize(a_r, record=sym_map)
-    st = _CopyState(used=set(all_names(a_r)) | set(sym_map.values()),
-                    sym_map=sym_map, named=True)
-    q = _copy_pass(a_r, upper_bound_selection, 1, (), {}, [], st)
-    plan = procedure1_order(q, upper_bound_selection, 4)
+    plan = procedure1_order(upper_bound, upper_bound_selection, 4)
     rows = [[(e.kind, e.var, print_term(e.term) if e.term else None)
              for e in plan.stage(i)] for i in range(1, 5)]
     assert rows[0] == [("delta", "sk_u", None), ("delta", "sk_v", None),
@@ -321,6 +314,37 @@ def test_procedure_safety_on_arbitrary_selections():
     assert outcomes["accepted"] > 0 and outcomes["refused"] > 0
 
 
+def test_selection_consumers_agree():
+    """Both constructions and build_sub_expansion read one selection: the
+    named construction's axiom is the sub-expansion of the outer form, and
+    the free-variable opening line under its witness substitution is the
+    sub-expansion of the delta++ form."""
+    rng = random.Random(5150)
+    named = free = 0
+    for _ in range(120):
+        a_r = random_candidate(rng)
+        terms = champ(outer_skolemize(a_r), 3).terms
+        sel = construct._full_selection(
+            a_r, tuple(rng.sample(terms, min(len(terms), rng.randint(1, 2)))))
+        try:
+            d = construct_derivation(a_r, 3, sel)
+        except FormulaError:
+            pass
+        else:
+            named += 1
+            sub = build_sub_expansion(outer_skolemize(a_r), sel)
+            assert print_formula(d.axiom) == print_formula(sub)
+        registry = SkolemRegistry()
+        try:
+            _, b, sigma = construct_fv_derivation(a_r, 3, sel, registry)
+        except FormulaError:
+            continue
+        free += 1
+        sub = build_sub_expansion(deltapp_skolemize(a_r, registry), sel)
+        assert print_formula(substitute(b, sigma)) == print_formula(sub)
+    assert (named, free) == (86, 82)
+
+
 # ---------------------------------------------------------------------------
 # bounds and demos
 
@@ -392,23 +416,27 @@ def _at_a(body):
 
 
 # Malformed selections for the drinker formula, whose skeleton is
-# exists a. (~(exists b. p(b)) | p(a)), with the message each one draws.
+# exists a. (~(exists b. p(b)) | p(a)), with the error class and the
+# message each one draws.  Shape faults are the selection matcher's;
+# repeated witnesses are refused only by the constructions.
 BAD_SELECTIONS = {
     "choices at an atom": (_at_a(SelOr(SelNot(LEAF), SelNot(LEAF))),
-                           "choices given for the atom p"),
+                           SelectionError, "choices given for the atom p"),
     "wrong node under a negation": (_at_a(SelOr(SelAnd(LEAF, LEAF), LEAF)),
-                                    "mismatch under a negation"),
+                                    SelectionError, "mismatch under a negation"),
     "wrong node at a junction": (_at_a(SelAnd(LEAF, LEAF)),
-                                 "mismatch at a junction"),
-    "no witness terms": (LEAF, "chooses no witness terms for exists a"),
+                                 SelectionError, "mismatch at a junction"),
+    "no witness terms": (LEAF, SelectionError,
+                         "chooses no witness terms for exists a"),
     "wrong quantifier kind": (SelQuant("forall", "a", (DOT,), (LEAF,)),
-                              "mismatch at exists a"),
+                              SelectionError, "mismatch at exists a"),
     "wrong variable": (SelQuant("exists", "z", (DOT,), (LEAF,)),
-                       "mismatch at exists a"),
+                       SelectionError, "mismatch at exists a"),
     "duplicate witnesses": (SelQuant("exists", "a", (DOT, SKB, DOT),
                                      (LEAF, LEAF, LEAF)),
-                            "for a must be pairwise distinct"),
+                            ConstructError, "for a must be pairwise distinct"),
     "missing branch": (SelQuant("exists", "a", (DOT, SKB), (LEAF,)),
+                       SelectionError,
                        "one selection branch per witness term for a"),
 }
 
@@ -422,6 +450,15 @@ def test_malformed_selection_is_refused(monkeypatch, drinker, build, case):
     # own check
     monkeypatch.setattr(construct, "property_c",
                         lambda *args, **kwargs: SimpleNamespace(holds=True))
-    sel, message = BAD_SELECTIONS[case]
-    with pytest.raises(ConstructError, match=message):
+    sel, error, message = BAD_SELECTIONS[case]
+    with pytest.raises(error, match=message):
         build(drinker, 3, sel)
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (_, error, _) in
+                                        BAD_SELECTIONS.items()
+                                        if error is SelectionError))
+def test_malformed_selection_reads_the_same_in_a_sub_expansion(drinker, case):
+    sel, error, message = BAD_SELECTIONS[case]
+    with pytest.raises(error, match=message):
+        build_sub_expansion(outer_skolemize(rectify(drinker)), sel)

@@ -1,17 +1,21 @@
-"""Every name a src module imports is used there.
+"""Every name a src module imports is used there, and every name it
+defines is used somewhere.
 
-No linter ships with the project, so this is an AST scan in the spirit of
-pyflakes' F401.  A re-export is marked on its import line with
-``# noqa: F401``.  The package ``__init__.py`` exists to re-export and is
-not scanned.
+No linter ships with the project, so these are AST scans: one in the
+spirit of pyflakes' F401, one in the spirit of vulture's dead-code check.
+A re-export is marked on its import line with ``# noqa: F401``.  The
+package ``__init__.py`` exists to re-export and is not scanned, but its
+imports count as uses.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "herbrandkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "herbrandkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +41,62 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# Reference checkers that the tests compare the library against.
+USED_ONLY_IN_TESTS = {"variant_equal_gamma", "ac_flatten_equal"}
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Top-level function, class and constant names a statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    """Names read in node: plain names, attributes and imported names."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def dead_definitions() -> tuple[list[str], set[str]]:
+    """Definitions no src code references outside the defining statement
+    (a recursive call is no use), and those among them that tests use."""
+    src_refs = Counter()
+    stmts = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        src_refs += referenced_names(tree)
+        if path.name != "__init__.py":
+            stmts += [(path.name, stmt) for stmt in tree.body]
+    test_refs = Counter()
+    for path in sorted(TESTS.glob("*.py")):
+        test_refs += referenced_names(ast.parse(path.read_text()))
+    dead, test_only = [], set()
+    for module, stmt in stmts:
+        own = referenced_names(stmt)
+        for name in defined_names(stmt):
+            if src_refs[name] > own[name]:
+                continue
+            if test_refs[name]:
+                test_only.add(name)
+            else:
+                dead.append(f"{module}: {name}")
+    return dead, test_only
+
+
+def test_no_dead_definitions():
+    dead, test_only = dead_definitions()
+    assert dead == []
+    assert test_only == USED_ONLY_IN_TESTS

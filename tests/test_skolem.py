@@ -92,6 +92,22 @@ def test_canonical_key_distinguishes_scopes():
     assert canonical_key(a, [Var("x")]) != canonical_key(b, [Var("x")])
 
 
+def test_canonical_key_tells_a_free_b0_from_a_bound_variable():
+    a = parse_formula("forall u. e(u, b0)")
+    b = parse_formula("forall v. e(v, v)")
+    assert canonical_key(a, []) != canonical_key(b, [])
+    # a free name not spelled like a placeholder keeps its key
+    c = parse_formula("forall u. e(u, c0)")
+    assert canonical_key(c, []) == "(forall b0 e(b0,c0))"
+
+
+def test_canonical_key_tells_a_free_g0_from_a_listed_variable():
+    a = parse_formula("forall u. p(u, g0)")
+    b = parse_formula("forall u. p(u, g0_1)")
+    assert canonical_key(a, []) != canonical_key(b, [Var("g0_1")])
+    assert canonical_key(b, [Var("g0_1")]) == "(forall b0 p(b0,g0))"
+
+
 def test_registry_bind_is_functional():
     a = parse_formula("forall z. p(x, z)")
     key = canonical_key(a, [Var("x")])
