@@ -476,15 +476,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, raw = args.run(args)
-    except (FormulaError, RecursionError) as e:
-        # input nested deeper than the recursive walkers reach is one that
-        # could not be checked, not a negative verdict
+    except Exception as e:
+        # Exit 1 means checked and negative, so every failure to check, be
+        # it bad input, unreadable files, input nested deeper than the
+        # recursive walkers reach or an internal fault, exits 2.
+        if not isinstance(e, (FormulaError, OSError, RecursionError)):
+            import traceback  # here, so that no start-up pays for it
+            traceback.print_exc()
         if args.format == "json":
             print(json.dumps({"error": type(e).__name__, "message": str(e)},
                              indent=2, sort_keys=True))
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.format == "json":

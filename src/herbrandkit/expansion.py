@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .syntax import (
     And, App, Atom, DOT, Exists, Forall, Formula, FormulaError, GammaVar,
@@ -57,18 +57,13 @@ class ChampFini:
         return frozenset(self.terms)
 
 
-def _term_nodes(t: Term) -> int:
-    if isinstance(t, App) and t.args:
-        return 1 + sum(_term_nodes(a) for a in t.args)
-    return 1
-
-
 def champ(f: Formula, order: int, herbrand: bool = False,
           budget: int = DEFAULT_BUDGET) -> ChampFini:
     """All terms of height < order over the formula's free symbols: its
     function symbols, its constants and free variables, with the fresh
     constant @dot thrown in exactly when there is no constant or free
-    variable to start from."""
+    variable to start from.  Only the signature is read, and each distinct
+    champ is built once per process and shared by every caller."""
     if order < 1:
         raise ExpansionError(f"champ order must be at least 1, got {order}")
     sig = collect_signature(f)
@@ -82,48 +77,57 @@ def champ(f: Formula, order: int, herbrand: bool = False,
         base.append(GammaVar(name))
     if sig.uses_dot or not base:
         base.append(DOT)
-    funcs = [(name, arity, sk) for name, (arity, sk) in sorted(sig.functions.items())
-             if arity >= 1]
+    funcs = tuple((name, arity, sk) for name, (arity, sk)
+                  in sorted(sig.functions.items()) if arity >= 1)
+    return _build_champ(funcs, tuple(base), order, herbrand, budget)
 
-    # Each round applies every function symbol to the terms found so far.
-    # A tuple of arguments that were all known before the last round was
-    # already tried then, so only tuples holding a fresh term are built, and
-    # a candidate's height comes from its arguments' recorded heights.
-    height: dict[Term, int] = {}
-    nodes = 0
+
+# distinct champs kept per process; a champ is immutable, so callers share it
+_CHAMP_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=_CHAMP_MEMO_SIZE)
+def _build_champ(funcs, base, order, herbrand, budget) -> ChampFini:
+    # Semi-naive passes: each applies every function symbol to the terms
+    # found so far, but builds only the tuples that hold a term the last
+    # pass found (fresh), taking the first one at position p and older
+    # terms before it.  Each such tuple gives a new, distinct term; tuples
+    # of older terms alone were built in an earlier pass.  An argument of
+    # height order-1 would give a term of height order, so the argument
+    # pools hold only terms of height order-2 or less.  Terms are kept as
+    # (term, height, nodes) and not hashed before the final sort.
+    found: list[tuple[Term, int, int]] = []
     for t in base:
         h = term_height(t, herbrand)
-        if h < order and t not in height:
-            height[t] = h
-            nodes += _term_nodes(t)
-    fresh = set(height)
-    while fresh:
-        current = sorted(height, key=lambda t: term_order_key(t, herbrand))
-        heights = [height[t] for t in current]
-        is_fresh = [t in fresh for t in current]
-        fresh = set()
+        if h < order:
+            found.append((t, h, 1))  # a base term counts as one node
+    nodes = len(found)
+    old: list[tuple[Term, int, int]] = []
+    fresh = [x for x in found if x[1] <= order - 2]
+    last = len(found)  # terms found by the last pass
+    while last:
+        known = len(found)
+        pool = old + fresh
         for name, arity, sk in funcs:
-            if len(current) ** arity > budget:
+            if known ** arity > budget:
                 raise BudgetError(
-                    f"champ enumeration over {len(current)} terms with {name}/{arity} "
+                    f"champ enumeration over {known} terms with {name}/{arity} "
                     f"exceeds the size guard of {budget}")
-            for idx in itertools.product(range(len(current)), repeat=arity):
-                if not any(is_fresh[i] for i in idx):
-                    continue
-                h = 1 + max(heights[i] for i in idx)
-                if h >= order:
-                    continue
-                t = App(name, sk, tuple(current[i] for i in idx))
-                if t in height:
-                    continue
-                height[t] = h
-                fresh.add(t)
-                nodes += _term_nodes(t)
-                if nodes > budget:
-                    raise BudgetError(
-                        f"champ enumeration exceeds the size guard of {budget} nodes")
-    terms = tuple(sorted(height, key=lambda t: term_order_key(t, herbrand)))
-    return ChampFini(order, herbrand, terms)
+            for p in range(arity):
+                for args in itertools.product(
+                        *[old] * p, fresh, *[pool] * (arity - p - 1)):
+                    ts, hs, ns = zip(*args)
+                    n = 1 + sum(ns)
+                    found.append((App(name, sk, ts), 1 + max(hs), n))
+                    nodes += n
+                    if nodes > budget:
+                        raise BudgetError(
+                            f"champ enumeration exceeds the size guard of {budget} nodes")
+        last = len(found) - known
+        old = pool
+        fresh = [x for x in found[known:] if x[1] <= order - 2]
+    found.sort(key=lambda x: (x[1], print_term(x[0])))
+    return ChampFini(order, herbrand, tuple(t for t, _, _ in found))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +184,9 @@ def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
     disjunction, every forall the conjunction, of the instances, recursively
     over the same terms.  Instances are ordered canonically."""
     if isinstance(terms, ChampFini):
-        herbrand = terms.herbrand
-        terms = terms.terms
-    terms = tuple(sorted(set(terms), key=lambda t: term_order_key(t, herbrand)))
+        terms = terms.terms  # distinct and in canonical order already
+    else:
+        terms = tuple(sorted(set(terms), key=lambda t: term_order_key(t, herbrand)))
     if not terms:
         if is_quantifier_free(f):
             return f

@@ -78,6 +78,20 @@ def test_json_error_doc(capsys):
     assert doc["error"] and doc["message"]
 
 
+@pytest.mark.parametrize("exc", [ValueError("internal fault"),
+                                 OSError("disk gone")], ids=["ValueError", "OSError"])
+def test_every_failure_to_check_exits_2_with_json_error(capsys, monkeypatch, exc):
+    """Exit 1 is a negative verdict, so an internal fault or an I/O error
+    exits 2 with the JSON error document like any other failure to check."""
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr("herbrandkit.cli._cmd_parse", fail)
+    code, out, _ = run(capsys, "--format", "json", "parse", "p")
+    assert code == 2
+    assert json.loads(out) == {"error": type(exc).__name__, "message": str(exc)}
+
+
 def test_rectify(capsys):
     code, out, _ = run(capsys, "rectify",
                        "(exists x. p(x)) | (exists x. q(x))")
