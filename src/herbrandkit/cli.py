@@ -78,7 +78,8 @@ def _read_selection(args):
     raw = args.selection
     if raw is None:
         return None
-    text = raw if raw.lstrip().startswith("(") else Path(raw).read_text()
+    inline = raw.lstrip().startswith("(") or raw.strip() == "_"
+    text = raw if inline else Path(raw).read_text()
     return parse_selection(text)
 
 

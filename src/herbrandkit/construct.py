@@ -65,8 +65,6 @@ from .syntax import (
     And,
     App,
     Atom,
-    Exists,
-    Forall,
     Formula,
     FormulaError,
     GammaVar,
@@ -80,6 +78,7 @@ from .syntax import (
     children,
     classify_quantifier,
     collect_signature,
+    fold,
     free_gamma_vars,
     fresh_name,
     is_gamma,
@@ -311,25 +310,17 @@ def _full_selection(a_r: Formula, terms: tuple[Term, ...]) -> Selection:
     """The selection that chooses every domain term at every removable
     quantifier: duplicating along it rebuilds the full expansion."""
 
-    def walk(g: Formula, sign: int) -> Selection:
-        match g:
-            case Atom():
-                return LEAF
-            case Not(s):
-                return SelNot(walk(s, -sign))
-            case And(l, r):
-                return SelAnd(walk(l, sign), walk(r, sign))
-            case Or(l, r):
-                return SelOr(walk(l, sign), walk(r, sign))
-            case Forall(v, b) | Exists(v, b):
-                kind = quant_kind(g)
-                sub = walk(b, sign)
-                if is_gamma(kind, sign):
-                    return SelQuant(kind, v, tuple(terms),
-                                    tuple(sub for _ in terms))
-                return sub
+    def up(g: Formula, kids, sign: int) -> Selection:
+        if isinstance(g, Atom):
+            return LEAF
+        if not isinstance(g, Quant):
+            return {Not: SelNot, And: SelAnd, Or: SelOr}[type(g)](*kids)
+        kind = quant_kind(g)
+        if is_gamma(kind, sign):
+            return SelQuant(kind, g.var, tuple(terms), kids * len(terms))
+        return kids[0]
 
-    return walk(a_r, 1)
+    return fold(a_r, up, lambda g, sign: -sign if isinstance(g, Not) else sign, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +520,17 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
     sigma: dict[str, Term] = {}
     down: list[RuleStep] = []    # recorded top-down, replayed in reverse
 
-    def alpha_copy(g: Formula, ren: dict[str, Term]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(substitute_term(t, ren) for t in g.args))
+    def copy_down(g: Formula, ren: dict[str, Term]) -> dict[str, Term]:
         if not isinstance(g, Quant):
-            return rebuild(g, *[alpha_copy(c, ren) for c in children(g)])
+            return ren
         name = claim(g.var, first=False)
         source[name] = source.get(g.var, g.var)
-        return rebuild(g, alpha_copy(g.body, ren | {g.var: Var(name)}), var=name)
+        return ren | {g.var: Var(name)}
+
+    def copy_up(g: Formula, kids, ren: dict[str, Term]) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(substitute_term(t, ren) for t in g.args))
+        return rebuild(g, *kids, var=ren[g.var].name if isinstance(g, Quant) else None)
 
     def strip(g: Quant, s: Selection, sign: int,
               path: tuple[int, ...]) -> Formula:
@@ -553,7 +547,7 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
         _distinct_witnesses(s, v)
         k = len(s.terms)
         claim(v, first=True)
-        copies = [g] + [alpha_copy(g, {}) for _ in range(k - 1)]
+        copies = [g] + [fold(g, copy_up, copy_down, {}) for _ in range(k - 1)]
         for depth in range(k - 1):
             down.append(RuleStep(GAMMA_SIMP, path=path + (0,) * depth, keep="left"))
         parts = []

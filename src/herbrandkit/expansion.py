@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 from .syntax import (
-    And, App, Atom, DOT, Exists, Forall, Formula, FormulaError, GammaVar,
-    Not, Or, Quant, Term, Var, all_names, bound_names, children,
-    collect_signature, fresh_name, is_quantifier_free, parse_term, print_term,
-    quant_kind, rebuild, rename_binder, substitute, term_free_names,
-    term_height, var_for_name,
+    And, App, Atom, DOT, Forall, Formula, FormulaError, GammaVar, Not, Or,
+    Quant, Swap, Term, Var, all_names, bound_names, children,
+    collect_signature, fold, fresh_name, is_quantifier_free, parse_term,
+    print_term, quant_kind, rebuild, rename_binder, substitute,
+    term_free_names, term_height, var_for_name,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -135,29 +135,29 @@ def _build_champ(funcs, base, order, herbrand, budget) -> ChampFini:
 
 def expansion_node_count(f: Formula, n_terms: int) -> int:
     """Exact node count of the expansion of f over n_terms terms."""
-    match f:
-        case Atom():
-            return 1
-        case Not(s):
-            return 1 + expansion_node_count(s, n_terms)
-        case And(l, r) | Or(l, r):
-            return 1 + expansion_node_count(l, n_terms) + expansion_node_count(r, n_terms)
-        case Forall(_, b) | Exists(_, b):
-            return n_terms * expansion_node_count(b, n_terms) + (n_terms - 1)
+
+    def up(g, kids, _):
+        if isinstance(g, Quant):
+            return n_terms * kids[0] + (n_terms - 1)
+        return 1 + sum(kids)
+
+    return fold(f, up)
 
 
 def expansion_leaf_count(f: Formula, n_terms: int) -> int:
     """Number of instances of the maximal quantifier-free subformulas in the
     expansion of f over n_terms terms, computed without building anything."""
-    match f:
-        case _ if is_quantifier_free(f):
-            return 1
-        case Not(s):
-            return expansion_leaf_count(s, n_terms)
-        case And(l, r) | Or(l, r):
-            return expansion_leaf_count(l, n_terms) + expansion_leaf_count(r, n_terms)
-        case Forall(_, b) | Exists(_, b):
-            return n_terms * expansion_leaf_count(b, n_terms)
+
+    # None stands for a quantifier-free subformula, a single leaf
+    def up(g, kids, _):
+        if isinstance(g, Quant):
+            return n_terms * (1 if kids[0] is None else kids[0])
+        if all(k is None for k in kids):
+            return None
+        return sum(1 if k is None else k for k in kids)
+
+    count = fold(f, up)
+    return 1 if count is None else count
 
 
 def _rename_away(f: Formula, avoid: set[str]) -> Formula:
@@ -168,14 +168,13 @@ def _rename_away(f: Formula, avoid: set[str]) -> Formula:
         return f
     used = all_names(f) | avoid
 
-    def walk(g):
+    def down(g, _):
         if isinstance(g, Quant) and g.var in avoid:
             v2 = fresh_name(g.var, used)
             used.add(v2)
-            g = rename_binder(g, v2)
-        return rebuild(g, *map(walk, children(g)))
+            return Swap(rename_binder(g, v2))
 
-    return walk(f)
+    return fold(f, lambda g, kids, _: rebuild(g, *kids), down)
 
 
 def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
@@ -201,14 +200,13 @@ def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
         avoid |= term_free_names(t)
     f = _rename_away(f, avoid)
 
-    def walk(g):
+    def up(g, kids, _):
         if not isinstance(g, Quant):
-            return rebuild(g, *map(walk, children(g)))
-        body = walk(g.body)
+            return rebuild(g, *kids)
         return reduce(And if isinstance(g, Forall) else Or,
-                      [substitute(body, {g.var: t}) for t in terms])
+                      [substitute(kids[0], {g.var: t}) for t in terms])
 
-    return walk(f)
+    return fold(f, up)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, App, Atom, Exists, Forall, Formula, FormulaError, GammaVar, Not, Or,
-    SkolemNamedVar, Term, Var, collect_signature, first_occurrences,
-    free_names, is_gamma, is_rectified, quant_kind, rebuild, substitute,
-    term_var_name,
+    App, Atom, Formula, FormulaError, GammaVar, Not, Quant, SkolemNamedVar,
+    Swap, Term, Var, collect_signature, first_occurrences, fold, free_names,
+    is_gamma, is_rectified, quant_kind, rebuild, substitute, term_var_name,
 )
 from .syntax import nameify_term  # noqa: F401  (re-exported, public here)
 
@@ -52,22 +51,22 @@ def canonical_key(scope: Formula, listed: Sequence[Term]) -> str:
                     return sym
                 return sym + "(" + ",".join(pt(a, env) for a in args) + ")"
 
-    def pf(f: Formula, env) -> str:
-        match f:
-            case Atom(p, args):
-                return p + "(" + ",".join(pt(a, env) for a in args) + ")"
-            case Not(s):
-                return "(not " + pf(s, env) + ")"
-            case And(l, r):
-                return "(and " + pf(l, env) + " " + pf(r, env) + ")"
-            case Or(l, r):
-                return "(or " + pf(l, env) + " " + pf(r, env) + ")"
-            case Forall(v, b) | Exists(v, b):
-                bn = f"b{counter[0]}"
-                counter[0] += 1
-                return f"({quant_kind(f)} {bn} " + pf(b, {**env, v: bn}) + ")"
+    def down(g, env):
+        if not isinstance(g, Quant):
+            return env
+        bn = f"b{counter[0]}"
+        counter[0] += 1
+        return {**env, g.var: bn}
 
-    return pf(scope, {})
+    def up(g, kids, env) -> str:
+        t = type(g)
+        if t is Atom:
+            return g.pred + "(" + ",".join(pt(a, env) for a in g.args) + ")"
+        if isinstance(g, Quant):
+            return f"({quant_kind(g)} {env[g.var]} {kids[0]})"
+        return f"({t.__name__.lower()} {' '.join(kids)})"  # not, and, or
+
+    return fold(scope, up, down, {})
 
 
 def key_hash(key: str) -> str:
@@ -171,23 +170,18 @@ def _skolemize(f: Formula, what: str, delta_term) -> Formula:
     sig = collect_signature(f)
     taken = set(sig.functions) | set(sig.free_vars)
 
-    def walk(g, gammas, sign):
-        match g:
-            case Atom():
-                return g
-            case Not(s):
-                return Not(walk(s, gammas, -sign))
-            case And(l, r):
-                return And(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Or(l, r):
-                return Or(walk(l, gammas, sign), walk(r, gammas, sign))
-            case Forall(v, b) | Exists(v, b):
-                if is_gamma(quant_kind(g), sign):
-                    return rebuild(g, walk(b, gammas + [v], sign))
-                t = delta_term(g, gammas, taken)
-                return walk(substitute(b, {v: t}), gammas, sign)
+    # the context is (enclosing gamma-variables, polarity)
+    def down(g, ctx):
+        gammas, sign = ctx
+        if isinstance(g, Not):
+            return gammas, -sign
+        if not isinstance(g, Quant):
+            return ctx
+        if is_gamma(quant_kind(g), sign):
+            return gammas + [g.var], sign
+        return Swap(substitute(g.body, {g.var: delta_term(g, gammas, taken)}))
 
-    return walk(f, [], 1)
+    return fold(f, lambda g, kids, _: rebuild(g, *kids), down, ([], 1))
 
 
 def outer_skolemize(f: Formula, record: dict[str, str] | None = None) -> Formula:

@@ -17,6 +17,10 @@ Formulas
 
 Paths are tuples of child indices: Not and quantifiers have child 0,
 And/Or have children 0 and 1.
+
+The traversal core (subformulas in preorder, path_nodes along a path, fold
+bottom-up) runs from explicit stacks, so formula walks do not depend on the
+recursion limit; the parser, term walkers and comparisons still recurse.
 """
 
 from __future__ import annotations
@@ -197,34 +201,26 @@ Formula = Atom | Not | And | Or | Forall | Exists
 Quant = (Forall, Exists)
 
 _PREC = {Or: 1, And: 2, Not: 3, Atom: 4, Forall: 0, Exists: 0}
+# the precedence each child place of a connective needs, left to right
+_NEED = {Not: (3,), And: (2, 3), Or: (1, 2)}
 
 
-@lru_cache(maxsize=None)
-def _print_formula(f: Formula, need: int) -> str:
-    match f:
-        case Atom("<", (a, b)):
-            s = f"{print_term(a)} < {print_term(b)}"
-        case Atom(pred, args):
-            s = pred if not args else pred + "(" + ",".join(print_term(a) for a in args) + ")"
-        case Not(sub):
-            s = "~" + _print_formula(sub, 3)
-        case And(l, r):
-            s = _print_formula(l, 2) + " & " + _print_formula(r, 3)
-        case Or(l, r):
-            s = _print_formula(l, 1) + " | " + _print_formula(r, 2)
-        case Forall(v, body):
-            s = f"forall {v}. " + _print_formula(body, 0)
-        case Exists(v, body):
-            s = f"exists {v}. " + _print_formula(body, 0)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    if _PREC[type(f)] < need:
-        return "(" + s + ")"
-    return s
+def _print_up(g, kids, _):
+    t = type(g)
+    if t is Atom:
+        if g.pred == "<" and len(g.args) == 2:
+            return f"{print_term(g.args[0])} < {print_term(g.args[1])}"
+        return g.pred + ("(" + ",".join(map(print_term, g.args)) + ")" if g.args else "")
+    if t is Forall or t is Exists:
+        return f"{quant_kind(g)} {g.var}. " + kids[0]
+    parts = [s if _PREC[type(c)] >= need else "(" + s + ")"
+             for c, s, need in zip(children(g), kids, _NEED[t])]
+    return "~" + parts[0] if t is Not else (" & " if t is And else " | ").join(parts)
 
 
 def print_formula(f: Formula) -> str:
-    return _print_formula(f, 0)
+    """f with the fewest parentheses its precedences allow."""
+    return fold(f, _print_up)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -272,6 +268,55 @@ def subformulas(f: Formula, paths: bool = True):
             stack.append((path + (i,) if paths else None, kids[i]))
 
 
+@dataclass(slots=True)
+class Prune:
+    """A down hook's answer that ends the descent at a node with its result."""
+    result: object
+
+
+@dataclass(slots=True)
+class Swap:
+    """A down hook's answer that folds node in place of the current one."""
+    node: Formula
+
+
+def fold(f: Formula, up, down=None, ctx=None):
+    """Fold f bottom-up from an explicit stack, so that no walk over a deep
+    formula depends on the recursion limit.
+
+    down(g, ctx), when given, runs on each node in preorder and returns the
+    context handed to each of g's children, or Prune or Swap.  up(g, kids,
+    ctx) runs in post-order with the children's results, left to right,
+    and the context down returned for g; it gives g's result."""
+    results: list = []
+    # (node, context, child count, or None while the node is yet to enter)
+    stack: list = [(f, ctx, None)]
+    out, take, push, pop = results.append, results.pop, stack.append, stack.pop
+    while stack:
+        g, c, n = pop()
+        if n is None:
+            if down is not None:
+                c2 = down(g, c)
+                if type(c2) is Prune:
+                    out(c2.result)
+                    continue
+                if type(c2) is Swap:
+                    push((c2.node, c, None))
+                    continue
+                c = c2
+            kids = children(g)
+            if not kids:
+                out(up(g, (), c))
+                continue
+            push((g, c, len(kids)))
+            for k in reversed(kids):
+                push((k, c, None))
+        else:
+            r = take()
+            out(up(g, (r,) if n == 1 else (take(), r), c))
+    return results[0]
+
+
 def path_nodes(f: Formula, path: tuple[int, ...]) -> list[Formula]:
     """The nodes from the root down to the position path names, both ends
     included.  A step outside 0..len(children)-1 raises PathError."""
@@ -288,14 +333,16 @@ def map_atoms(f: Formula, fn, stop: str | None = None) -> Formula:
     """f with fn applied to every argument term of every atom.  The scope of
     a quantifier binding stop is left as it is."""
 
-    def walk(g):
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(fn(a) for a in g.args))
+    def down(g, _):
         if isinstance(g, Quant) and g.var == stop:
-            return g
-        return rebuild(g, *map(walk, children(g)))
+            return Prune(g)
 
-    return walk(f)
+    def up(g, kids, _):
+        if type(g) is Atom:
+            return Atom(g.pred, tuple(fn(a) for a in g.args))
+        return rebuild(g, *kids)
+
+    return fold(f, up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +409,17 @@ def free_names(f: Formula) -> set[str]:
     """Free variable names of a formula (plain names, ?names, and prints of
     free Skolem-named variables)."""
 
-    def walk(g, bound):
-        match g:
-            case Atom(_, args):
-                out = set()
-                for a in args:
-                    out |= term_free_names(a)
-                return out - bound
-            case Not(s):
-                return walk(s, bound)
-            case And(l, r) | Or(l, r):
-                return walk(l, bound) | walk(r, bound)
-            case Forall(v, b) | Exists(v, b):
-                return walk(b, bound | {v})
+    def up(g, kids, _):
+        if type(g) is Atom:
+            return set().union(*map(term_free_names, g.args))
+        out = kids[0]  # each node owns the set its up returned
+        if len(kids) == 2:
+            out |= kids[1]
+        elif isinstance(g, Quant):
+            out.discard(g.var)
+        return out
 
-    return walk(f, frozenset())
+    return fold(f, up)
 
 
 def first_occurrences(f: Formula) -> list[str]:
@@ -444,29 +487,29 @@ def substitute(f: Formula, mapping: dict[str, Term], strict: bool = False) -> Fo
     Lenient mode renames a binder that would capture a variable of an
     incoming term; strict mode raises CaptureError instead."""
 
-    def walk(g, mp):
-        match g:
-            case Atom(p, args):
-                return Atom(p, tuple(substitute_term(a, mp) for a in args))
-            case Forall(v, b) | Exists(v, b):
-                inner = {k: t for k, t in mp.items() if k != v}
-                live = {k for k in inner if k in free_names(b) - {v}}
-                inner = {k: inner[k] for k in live}
-                if not inner:
-                    return g
-                incoming = set()
-                for t in inner.values():
-                    incoming |= term_free_names(t)
-                if v in incoming:
-                    if strict:
-                        raise CaptureError(
-                            f"substitution would capture {v} bound at {print_formula(g)[:60]}")
-                    g = rename_binder(g, fresh_name(v, all_names(b) | incoming | set(inner)))
-                return rebuild(g, walk(g.body, inner))
-        return rebuild(g, *[walk(c, mp) for c in children(g)])
+    def down(g, mp):
+        if not isinstance(g, Quant):
+            return mp
+        v, b = g.var, g.body
+        live = free_names(b) if mp.keys() - {v} else ()
+        inner = {k: t for k, t in mp.items() if k != v and k in live}
+        if not inner:
+            return Prune(g)
+        incoming = set().union(*map(term_free_names, inner.values()))
+        if v not in incoming:
+            return inner
+        if strict:
+            raise CaptureError(
+                f"substitution would capture {v} bound at {print_formula(g)[:60]}")
+        # the renamed binder captures nothing, so down passes it next time
+        return Swap(rename_binder(g, fresh_name(v, all_names(b) | incoming | set(inner))))
 
-    mapping = {k: t for k, t in mapping.items()}
-    return walk(f, mapping)
+    def up(g, kids, mp):
+        if type(g) is Atom:
+            return Atom(g.pred, tuple(substitute_term(a, mp) for a in g.args))
+        return rebuild(g, *kids)
+
+    return fold(f, up, down, dict(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -481,45 +524,39 @@ def rectify(f: Formula) -> Formula:
     body is deleted."""
     used = set(free_names(f))
 
-    def walk(g, env):
-        match g:
-            case Atom(p, args):
-                return Atom(p, tuple(substitute_term(a, env) for a in args))
-            case Forall(v, b) | Exists(v, b):
-                if v not in free_names(b):
-                    return walk(b, env)
-                v2 = fresh_name(v, used)
-                used.add(v2)
-                env2 = dict(env)
-                if v2 != v:
-                    env2[v] = var_for_name(v2)
-                else:
-                    env2.pop(v, None)
-                return rebuild(g, walk(b, env2), var=v2)
-        return rebuild(g, *[walk(c, env) for c in children(g)])
+    # the context is (renaming, the binder name the last quantifier got)
+    def down(g, ctx):
+        if not isinstance(g, Quant):
+            return ctx
+        v, b = g.var, g.body
+        if v not in free_names(b):
+            return Swap(b)
+        v2 = fresh_name(v, used)
+        used.add(v2)
+        env = {k: t for k, t in ctx[0].items() if k != v}
+        if v2 != v:
+            env[v] = var_for_name(v2)
+        return env, v2
 
-    return walk(f, {})
+    def up(g, kids, ctx):
+        if type(g) is Atom:
+            return Atom(g.pred, tuple(substitute_term(a, ctx[0]) for a in g.args))
+        return rebuild(g, *kids, var=ctx[1])  # a quantifier's own binder
+
+    return fold(f, up, down, ({}, None))
 
 
 def is_rectified(f: Formula) -> bool:
     seen = set()
     free = free_names(f)
 
-    def walk(g):
-        match g:
-            case Forall(v, b) | Exists(v, b):
-                if v in seen or v in free or v not in free_names(b):
-                    return False
-                seen.add(v)
-                return walk(b)
-            case Not(s):
-                return walk(s)
-            case And(l, r) | Or(l, r):
-                return walk(l) and walk(r)
-            case Atom():
-                return True
+    def down(g, _):
+        if isinstance(g, Quant):
+            if g.var in seen or g.var in free or g.var not in free_names(g.body):
+                return Prune(False)
+            seen.add(g.var)
 
-    return walk(f)
+    return fold(f, lambda g, kids, _: all(kids), down)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +596,7 @@ def _alpha_walk(f, g, envf, envg, gmap):
                     and all(term_eq(x, y) for x, y in zip(a1, a2)))
         case Not(s1), Not(s2):
             return _alpha_walk(s1, s2, envf, envg, gmap)
-        case And(l1, r1), And(l2, r2):
-            return (_alpha_walk(l1, l2, envf, envg, gmap)
-                    and _alpha_walk(r1, r2, envf, envg, gmap))
-        case Or(l1, r1), Or(l2, r2):
+        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
             return (_alpha_walk(l1, l2, envf, envg, gmap)
                     and _alpha_walk(r1, r2, envf, envg, gmap))
         case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
@@ -587,28 +621,17 @@ def ac_flatten_equal(f: Formula, g: Formula) -> bool:
 
     def norm(h):
         match h:
-            case And():
+            case And() | Or():
                 parts = []
                 stack = [h]
                 while stack:
                     x = stack.pop()
-                    if isinstance(x, And):
+                    if type(x) is type(h):
                         stack.append(x.right)
                         stack.append(x.left)
                     else:
                         parts.append(norm(x))
-                return ("and",) + tuple(sorted(parts))
-            case Or():
-                parts = []
-                stack = [h]
-                while stack:
-                    x = stack.pop()
-                    if isinstance(x, Or):
-                        stack.append(x.right)
-                        stack.append(x.left)
-                    else:
-                        parts.append(norm(x))
-                return ("or",) + tuple(sorted(parts))
+                return ("and" if isinstance(h, And) else "or",) + tuple(sorted(parts))
             case Not(s):
                 return ("not", norm(s))
             case Atom():
@@ -682,21 +705,16 @@ def collect_signature(f: Formula) -> Signature:
                 for a in args:
                     walk_term(a, bound)
 
-    def walk(g, bound):
-        match g:
-            case Atom(p, args):
-                preds[p] = len(args)
-                for a in args:
-                    walk_term(a, bound)
-            case Not(s):
-                walk(s, bound)
-            case And(l, r) | Or(l, r):
-                walk(l, bound)
-                walk(r, bound)
-            case Forall(v, b) | Exists(v, b):
-                walk(b, bound | {v})
+    def down(g, bound):
+        if isinstance(g, Quant):
+            return bound | {g.var}
+        if type(g) is Atom:
+            preds[g.pred] = len(g.args)
+            for a in g.args:
+                walk_term(a, bound)
+        return bound
 
-    walk(f, frozenset())
+    fold(f, lambda g, kids, bound: None, down, frozenset())
     return Signature(funcs, preds, fvars, gvars, dot)
 
 

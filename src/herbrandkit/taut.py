@@ -10,11 +10,13 @@ form with unit propagation and backtracking.
 from __future__ import annotations
 
 from .syntax import (
-    And, Atom, Formula, FormulaError, Not, Or, Quant, print_formula,
+    And, Atom, Formula, FormulaError, Not, Or, Quant, fold, print_formula,
     subformulas,
 )
 
 TABLE_LIMIT = 20
+
+QUANTIFIER_FREE_ONLY = "tautology checking needs a quantifier-free formula"
 
 
 class TautError(FormulaError):
@@ -29,7 +31,7 @@ def atom_list(f: Formula) -> list[str]:
         if isinstance(g, Atom):
             seen.setdefault(print_formula(g))
         elif isinstance(g, Quant):
-            raise TautError("tautology checking needs a quantifier-free formula")
+            raise TautError(QUANTIFIER_FREE_ONLY)
     return list(seen)
 
 
@@ -47,18 +49,19 @@ def _table_tautology(f: Formula, atoms: list[str]) -> bool:
         width <<= 1
     index = {a: i for i, a in enumerate(atoms)}
 
-    def ev(g) -> int:
-        match g:
-            case Atom():
-                return cols[index[print_formula(g)]]
-            case Not(s):
-                return full ^ ev(s)
-            case And(l, r):
-                return ev(l) & ev(r)
-            case Or(l, r):
-                return ev(l) | ev(r)
+    def ev(g, kids, _) -> int:
+        t = type(g)
+        if t is Atom:
+            return cols[index[print_formula(g)]]
+        if t is Not:
+            return full ^ kids[0]
+        if t is And:
+            return kids[0] & kids[1]
+        if t is Or:
+            return kids[0] | kids[1]
+        raise TautError(QUANTIFIER_FREE_ONLY)
 
-    return ev(f) == full
+    return fold(f, ev) == full
 
 
 def clausal_refutation_form(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
@@ -66,45 +69,36 @@ def clausal_refutation_form(f: Formula) -> tuple[list[list[int]], dict[str, int]
     that f is a tautology: definitional variables for every subformula of f
     plus the unit clause asserting the root false.
 
-    Returns (clauses, atom name -> variable, number of variables)."""
+    Returns (clauses, atom name -> variable, number of variables).  A
+    junction is defined once per (connective, child literals): subformulas
+    equal up to double negations and atom prints share one variable, and
+    none is hashed whole."""
     atom_var: dict[str, int] = {}
-    cache: dict[Formula, int] = {}
+    defined: dict[tuple, int] = {}
     clauses: list[list[int]] = []
-    counter = [0]
 
-    def newvar() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    def lit(g) -> int:
-        if g in cache:
-            return cache[g]
-        match g:
-            case Atom():
-                s = print_formula(g)
-                if s not in atom_var:
-                    atom_var[s] = newvar()
-                v = atom_var[s]
-            case Not(sub):
-                v = -lit(sub)
-            case And(l, r):
-                a, b = lit(l), lit(r)
-                v = newvar()
-                clauses.append([-v, a])
-                clauses.append([-v, b])
-                clauses.append([v, -a, -b])
-            case Or(l, r):
-                a, b = lit(l), lit(r)
-                v = newvar()
-                clauses.append([-v, a, b])
-                clauses.append([v, -a])
-                clauses.append([v, -b])
-        cache[g] = v
+    def lit(g, kids, _) -> int:
+        t = type(g)
+        if t is Atom:
+            return atom_var.setdefault(print_formula(g), len(atom_var) + len(defined) + 1)
+        if t is Not:
+            return -kids[0]
+        if t is not And and t is not Or:
+            raise TautError(QUANTIFIER_FREE_ONLY)
+        key = (t, *kids)
+        v = defined.get(key)
+        if v is None:
+            v = defined[key] = len(atom_var) + len(defined) + 1
+            a, b = kids
+            if t is And:
+                clauses.extend(([-v, a], [-v, b], [v, -a, -b]))
+            else:
+                clauses.extend(([-v, a, b], [v, -a], [v, -b]))
         return v
 
-    root = lit(f)
+    root = fold(f, lit)
     clauses.append([-root])
-    return clauses, atom_var, counter[0]
+    return clauses, atom_var, len(atom_var) + len(defined)
 
 
 def _dpll(clauses: list[list[int]], nvars: int) -> bool:

@@ -151,6 +151,22 @@ def test_subexpand_selection_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "~p(sk_b(@dot)) | p(@dot)"
 
 
+def test_subexpand_reads_the_leaf_selection_inline(capsys):
+    code, out, _ = run(capsys, "subexpand", "--selection", " _ ", "p | q")
+    assert code == 0 and out.strip() == "p | q"
+
+
+DEEP_DISJUNCTION = " | ".join(["p", "~p"] * 2500)
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse"], ["rectify"], ["skolemize"], ["taut"], ["taut", "--emit-cnf"],
+    ["check-c", "--order", "1"], ["min-order"]], ids=" ".join)
+def test_a_5000_way_disjunction_is_decided(capsys, argv):
+    code, _, err = run(capsys, *argv, DEEP_DISJUNCTION)
+    assert code == 0, err
+
+
 # ---------------------------------------------------------------------------
 # verdict commands and the exit-code trichotomy
 

@@ -100,3 +100,52 @@ def test_no_dead_definitions():
     dead, test_only = dead_definitions()
     assert dead == []
     assert test_only == USED_ONLY_IN_TESTS
+
+
+# The formula walkers of these modules fold from an explicit stack
+# (syntax.fold).  The walkers that stay recursive: the parsers, the term
+# walkers, the two-formula comparisons, the walks driven by a selection
+# tree with the quantifier rules they hand themselves to, and the SAT
+# search.
+FOLDED_MODULES = ("syntax.py", "taut.py", "expansion.py", "skolem.py", "construct.py")
+STILL_RECURSIVE = {
+    "syntax.py": {
+        "print_term", "term_free_names", "substitute_term", "term_height",
+        "first_occurrences.walk_term", "_alpha_walk", "_alpha_walk.term_eq",
+        "ac_flatten_equal.norm", "nameify_term", "collect_signature.walk_term",
+        "_parse_term", "_bind_named.conv", "_parse_unary",
+        "_check_arities.walk_term",
+    },
+    "taut.py": {"_dpll.solve"},
+    "expansion.py": {"parse_selection.node", "print_selection",
+                     "selection_terms", "build_sub_expansion.walk"},
+    "skolem.py": {"canonical_key.pt"},
+    "construct.py": {"_along", "_copy_pass", "construct_fv_derivation.strip"},
+}
+
+
+def self_calling_functions(path: Path) -> set[str]:
+    """Functions, nested ones named by their enclosing path, whose body
+    reads their own name: a call, or a hand-off as in map(walk, ...)."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                       and n.id == child.name for n in ast.walk(child)):
+                    out.add(name)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return out
+
+
+@pytest.mark.parametrize("module", FOLDED_MODULES)
+def test_formula_walkers_do_not_recurse(module):
+    assert self_calling_functions(SRC / module) == STILL_RECURSIVE[module]

@@ -19,7 +19,14 @@ from herbrandkit.syntax import (
     promote_skolem_apps,
     rectify,
 )
-from herbrandkit.taut import atom_list, emit_dimacs, is_tautology
+from herbrandkit.taut import (
+    TautError,
+    _table_tautology,
+    atom_list,
+    clausal_refutation_form,
+    emit_dimacs,
+    is_tautology,
+)
 
 
 def test_known_verdicts():
@@ -39,6 +46,15 @@ def test_showcase_axiom_is_a_tautology(upper_bound, upper_bound_selection):
 def test_quantified_input_is_an_error():
     with pytest.raises(FormulaError):
         is_tautology(parse_formula("forall x. p(x)"))
+
+
+@pytest.mark.parametrize("check", [
+    emit_dimacs, clausal_refutation_form,
+    lambda f: _table_tautology(f, ["q", "p(x)"])],
+    ids=["emit_dimacs", "clausal_refutation_form", "_table_tautology"])
+def test_a_quantifier_is_a_taut_error_on_every_route(check):
+    with pytest.raises(TautError, match="quantifier-free"):
+        check(parse_formula("q | forall x. p(x)"))
 
 
 def test_atom_identity_is_print_identity():
