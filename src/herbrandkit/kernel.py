@@ -9,17 +9,22 @@ Modes and their rules:
     herbrand-original nongen-gamma, nongen-delta, nongen-simp, passage, rename
     free-variable     restricted-gamma, deltapp, simp, gamma-simp, rename
 
-The generalized quantification rules work in any context; the historical
-nongen- rules only at the root, with the rules of passage for moving
-quantifiers.  delta-minus needs its variable absent from the context;
-delta++ replaces the variable by a registry Skolem term over the free
-instantiation variables of the scope and has no context condition.
+One rule table, _RULES, gives each rule its checking function and its
+proof-script fields.  The generalized quantification rules work in any
+context.  Herbrand's nongen- rules are the same rules restricted to the
+root, which the dispatcher checks before the rule runs; the rules of
+passage move quantifiers in their place.  delta-minus needs its variable
+absent from the context; delta++ replaces the variable by a registry
+Skolem term over the free instantiation variables of the scope and has no
+context condition.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .skolem import SkolemRegistry, deltapp_scope
 from .syntax import (
@@ -99,6 +104,19 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # rules of passage
 
+# equation: (the quantifier that moves, the index of its disjunct); None for
+# equations 1 and 2, where it crosses a negation and turns into its dual
+_PASSAGE = {1: (Forall, None), 2: (Exists, None), 3: (Forall, 0),
+            4: (Forall, 1), 5: (Exists, 0), 6: (Exists, 1)}
+_DUAL = {Forall: Exists, Exists: Forall}
+
+
+def _placed(side: int, a, b):
+    """The pair with a at index side and b at the other; applied to such a
+    pair it gives (a, b) back."""
+    return (a, b) if side == 0 else (b, a)
+
+
 def _passage_rewrite(sub: Formula, eq: int, direction: str, avoid: set[str]) -> Formula:
     """Rewrite one of the six quantifier-passage equivalences at the root of
     sub.  Prenex reads left to right and may rename the bound variable away
@@ -108,56 +126,28 @@ def _passage_rewrite(sub: Formula, eq: int, direction: str, avoid: set[str]) -> 
         raise StepError("passage-shape", f"no passage equation {eq}")
     if direction not in ("prenex", "antiprenex"):
         raise StepError("passage-shape", f"bad direction {direction!r}")
-    pre = direction == "prenex"
-
-    def freshen(x, a, b):
-        # rename the bound x of the moving quantifier away from b
-        if x in free_names(b):
-            x2 = fresh_name(x, avoid | all_names(a) | free_names(b))
-            return x2, substitute(a, {x: var_for_name(x2)})
-        return x, a
-
-    match eq, pre, sub:
-        case 1, True, Not(Forall(x, a)):
-            return Exists(x, Not(a))
-        case 1, False, Exists(x, Not(a)):
-            return Not(Forall(x, a))
-        case 2, True, Not(Exists(x, a)):
-            return Forall(x, Not(a))
-        case 2, False, Forall(x, Not(a)):
-            return Not(Exists(x, a))
-        case 3, True, Or(Forall(x, a), b):
-            x, a = freshen(x, a, b)
-            return Forall(x, Or(a, b))
-        case 3, False, Forall(x, Or(a, b)):
-            if x in free_names(b):
-                raise StepError("passage-free-violation",
-                                f"{x} is free in the right disjunct")
-            return Or(Forall(x, a), b)
-        case 4, True, Or(b, Forall(x, a)):
-            x, a = freshen(x, a, b)
-            return Forall(x, Or(b, a))
-        case 4, False, Forall(x, Or(b, a)):
-            if x in free_names(b):
-                raise StepError("passage-free-violation",
-                                f"{x} is free in the left disjunct")
-            return Or(b, Forall(x, a))
-        case 5, True, Or(Exists(x, a), b):
-            x, a = freshen(x, a, b)
-            return Exists(x, Or(a, b))
-        case 5, False, Exists(x, Or(a, b)):
-            if x in free_names(b):
-                raise StepError("passage-free-violation",
-                                f"{x} is free in the right disjunct")
-            return Or(Exists(x, a), b)
-        case 6, True, Or(b, Exists(x, a)):
-            x, a = freshen(x, a, b)
-            return Exists(x, Or(b, a))
-        case 6, False, Exists(x, Or(b, a)):
-            if x in free_names(b):
-                raise StepError("passage-free-violation",
-                                f"{x} is free in the left disjunct")
-            return Or(b, Exists(x, a))
+    quant, side = _PASSAGE[eq]
+    if side is None:
+        if direction == "prenex":
+            if isinstance(sub, Not) and isinstance(sub.sub, quant):
+                return _DUAL[quant](sub.sub.var, Not(sub.sub.body))
+        elif isinstance(sub, _DUAL[quant]) and isinstance(sub.body, Not):
+            return Not(quant(sub.var, sub.body.sub))
+    elif direction == "prenex":
+        if isinstance(sub, Or):
+            q, b = _placed(side, sub.left, sub.right)
+            if isinstance(q, quant):
+                x, a = q.var, q.body
+                if x in free_names(b):  # rename x away from b
+                    x2 = fresh_name(x, avoid | all_names(a) | free_names(b))
+                    x, a = x2, substitute(a, {x: var_for_name(x2)})
+                return quant(x, Or(*_placed(side, a, b)))
+    elif isinstance(sub, quant) and isinstance(sub.body, Or):
+        a, b = _placed(side, sub.body.left, sub.body.right)
+        if sub.var in free_names(b):
+            raise StepError("passage-free-violation",
+                            f"{sub.var} is free in the {('right', 'left')[side]} disjunct")
+        return Or(*_placed(side, quant(sub.var, a), b))
     raise StepError("passage-shape",
                     f"equation {eq} ({direction}) does not match "
                     f"{print_formula(sub)[:60]}")
@@ -171,7 +161,9 @@ def apply_passage(f: Formula, path: tuple[int, ...], eq: int,
 
 
 # ---------------------------------------------------------------------------
-# step checking
+# step checking: each rule takes (line, step, registry) and gives the next
+# line and the registry symbol the step bound (None but for delta++); a
+# path that names no subformula is a bad-path step
 
 def _wrap(step: RuleStep, scope: Formula) -> Formula:
     if step.quant not in ("forall", "exists"):
@@ -189,32 +181,21 @@ def _wrap(step: RuleStep, scope: Formula) -> Formula:
     return make(step.var, scope)
 
 
-def _subformula(f, path):
-    try:
-        return subformula_at(f, path)
-    except PathError as e:
-        raise StepError("bad-path", str(e))
-
-
-def _check_quant_class(result, path, want_class, accessible_required, cond_prefix):
-    kind, klass, accessible = classify_quantifier(result, path)
-    if klass != want_class:
-        raise StepError(f"not-a-{want_class}",
+def _check_class(result, path, want):
+    """The introduced quantifier is of class want; a gamma is accessible."""
+    _, klass, accessible = classify_quantifier(result, path)
+    if klass != want:
+        raise StepError(f"not-a-{want}",
                         f"the introduced quantifier is a {klass} here")
-    if accessible_required and not accessible:
-        raise StepError(f"{cond_prefix}-not-accessible",
+    if want == "gamma" and not accessible:
+        raise StepError("gamma-not-accessible",
                         "the introduced quantifier sits below another quantifier")
-    return kind
 
 
-def _gamma_quant(f, step, restricted, root_only):
-    if root_only and step.path != ():
-        raise StepError("nongen-context",
-                        "this rule applies only at the root of the formula")
+def _gamma_quant(f, step, registry, restricted=False):
     if step.scope is None or step.term is None:
         raise StepError("bad-step", "gamma quantification needs scope and term")
-    h = step.scope
-    t = step.term
+    h, t = step.scope, step.term
     if restricted and not isinstance(t, GammaVar):
         raise StepError("witness-not-gamma-var",
                         f"restricted gamma needs an instantiation variable, "
@@ -229,23 +210,18 @@ def _gamma_quant(f, step, restricted, root_only):
         inst = substitute(h, {step.var: t}, strict=True)
     except CaptureError as e:
         raise StepError("witness-capture", str(e))
-    prev = _subformula(f, step.path)
+    prev = subformula_at(f, step.path)
     if prev != inst:
         raise StepError("premise-mismatch",
                         f"the premise at the path is not the scope instance; "
                         f"expected {print_formula(inst)[:80]}")
     result = replace_at(f, step.path, wrapped)
-    kind = _check_quant_class(result, step.path, "gamma", True, "gamma")
-    if kind != step.quant:
-        raise StepError("bad-step", "quantifier kind mismatch")
-    return result
+    _check_class(result, step.path, "gamma")
+    return result, None
 
 
-def _delta_minus(f, step, root_only):
-    if root_only and step.path != ():
-        raise StepError("nongen-context",
-                        "this rule applies only at the root of the formula")
-    h = _subformula(f, step.path)
+def _delta_minus(f, step, registry):
+    h = subformula_at(f, step.path)
     wrapped = _wrap(step, h)
     result = replace_at(f, step.path, wrapped)
     if any(isinstance(g, Quant) and g.var == step.var
@@ -256,44 +232,43 @@ def _delta_minus(f, step, root_only):
     if step.var in free_names(hole):
         raise StepError("context-capture",
                         f"{step.var} occurs free in the context")
-    kind = _check_quant_class(result, step.path, "delta", False, "delta")
-    if kind != step.quant:
-        raise StepError("bad-step", "quantifier kind mismatch")
-    return result
+    _check_class(result, step.path, "delta")
+    return result, None
 
 
 def _solve_instance(scope: Formula, var: str, got: Formula):
     """Find the term t with scope{var -> t} == got; returns t, or None when
     var has no free occurrence in scope (then scope must equal got).
-    Raises premise-mismatch when no consistent t exists."""
+    Raises premise-mismatch when no consistent t exists.  No quantifier of
+    the scope binds var (_wrap refuses such a scope)."""
     found: list[Term] = []
 
-    def wt(a: Term, b: Term, shadowed: bool) -> bool:
-        if not shadowed and isinstance(a, Var) and a.name == var:
+    def wt(a: Term, b: Term) -> bool:
+        if isinstance(a, Var) and a.name == var:
             found.append(b)
             return True
         match a, b:
             case App(s1, k1, a1), App(s2, k2, a2):
                 return (s1 == s2 and k1 == k2 and len(a1) == len(a2)
-                        and all(wt(x, y, shadowed) for x, y in zip(a1, a2)))
+                        and all(wt(x, y) for x, y in zip(a1, a2)))
             case _:
                 return a == b
 
-    def wf(p: Formula, q: Formula, shadowed: bool) -> bool:
+    def wf(p: Formula, q: Formula) -> bool:
         match p, q:
             case Atom(n1, a1), Atom(n2, a2):
                 return (n1 == n2 and len(a1) == len(a2)
-                        and all(wt(x, y, shadowed) for x, y in zip(a1, a2)))
+                        and all(wt(x, y) for x, y in zip(a1, a2)))
             case Not(s1), Not(s2):
-                return wf(s1, s2, shadowed)
+                return wf(s1, s2)
             case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
-                return wf(l1, l2, shadowed) and wf(r1, r2, shadowed)
+                return wf(l1, l2) and wf(r1, r2)
             case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
-                return v1 == v2 and wf(b1, b2, shadowed or v1 == var)
+                return v1 == v2 and wf(b1, b2)
             case _:
                 return False
 
-    if not wf(scope, got, False):
+    if not wf(scope, got):
         raise StepError("premise-mismatch",
                         "the premise at the path is not an instance of the scope")
     if not found:
@@ -311,7 +286,7 @@ def _deltapp(f, step, registry: SkolemRegistry):
     h = step.scope
     wrapped = _wrap(step, h)
     listed, key = deltapp_scope(wrapped)
-    prev = _subformula(f, step.path)
+    prev = subformula_at(f, step.path)
     known = registry.lookup(key)
     if known is not None:
         sym, arity = known
@@ -344,19 +319,14 @@ def _deltapp(f, step, registry: SkolemRegistry):
                                 f"{sym} is already bound to a different scope")
             registry.record(key, sym, len(listed))
     result = replace_at(f, step.path, wrapped)
-    kind = _check_quant_class(result, step.path, "delta", False, "delta")
-    if kind != step.quant:
-        raise StepError("bad-step", "quantifier kind mismatch")
+    _check_class(result, step.path, "delta")
     return result, sym
 
 
-def _simplification(f, step, gamma, root_only):
-    if root_only and step.path != ():
-        raise StepError("nongen-context",
-                        "this rule applies only at the root of the formula")
+def _simplification(f, step, registry, gamma=False):
     if step.keep not in ("left", "right"):
         raise StepError("bad-step", f"keep must be left or right, got {step.keep!r}")
-    node = _subformula(f, step.path)
+    node = subformula_at(f, step.path)
     sign = polarity_at(f, step.path)
     match node:
         case Or(_, _):
@@ -386,11 +356,15 @@ def _simplification(f, step, gamma, root_only):
         if klass != "gamma":
             raise StepError("kept-not-gamma",
                             "the kept quantifier is not a gamma here")
-    return result
+    return result, None
 
 
-def _rename(f, step):
-    node = _subformula(f, step.path)
+def _passage(f, step, registry):
+    return apply_passage(f, step.path, step.eq, step.direction), None
+
+
+def _rename(f, step, registry):
+    node = subformula_at(f, step.path)
     if not isinstance(node, Quant):
         raise StepError("rename-target", "no quantifier at the path")
     if step.var != node.var:
@@ -409,43 +383,51 @@ def _rename(f, step):
         if step.new in bound_names(node.body):
             raise StepError("rename-collision",
                             f"{step.new} is bound inside the scope")
-    return replace_at(f, step.path, rename_binder(node, step.new))
+    return replace_at(f, step.path, rename_binder(node, step.new)), None
+
+
+class _Rule(NamedTuple):
+    check: Callable[[Formula, RuleStep, SkolemRegistry], tuple[Formula, str | None]]
+    keys: tuple[str, ...]    # its proof-script fields, in print order
+    root_only: bool = False  # Herbrand's form of a generalized rule
+
+
+_GAMMA_KEYS = ("path", "q", "var", "scope", "term")
+_SIMP_KEYS = ("path", "keep")
+_RULES = {
+    GAMMA_QUANT: _Rule(_gamma_quant, _GAMMA_KEYS),
+    RESTRICTED_GAMMA: _Rule(partial(_gamma_quant, restricted=True), _GAMMA_KEYS),
+    NONGEN_GAMMA: _Rule(_gamma_quant, _GAMMA_KEYS, root_only=True),
+    DELTA_MINUS: _Rule(_delta_minus, ("path", "q", "var")),
+    NONGEN_DELTA: _Rule(_delta_minus, ("path", "q", "var"), root_only=True),
+    DELTAPP: _Rule(_deltapp, ("path", "q", "var", "scope")),
+    SIMP: _Rule(_simplification, _SIMP_KEYS),
+    GAMMA_SIMP: _Rule(partial(_simplification, gamma=True), _SIMP_KEYS),
+    NONGEN_SIMP: _Rule(_simplification, _SIMP_KEYS, root_only=True),
+    PASSAGE: _Rule(_passage, ("path", "eq", "dir")),
+    RENAME: _Rule(_rename, ("path", "var", "new")),
+}
+
+
+def _apply(f: Formula, step: RuleStep,
+           registry: SkolemRegistry) -> tuple[Formula, str | None]:
+    rule = _RULES.get(step.tag)
+    if rule is None:
+        raise StepError("unknown-rule", f"no rule {step.tag!r}")
+    if rule.root_only and step.path != ():
+        raise StepError("nongen-context",
+                        "this rule applies only at the root of the formula")
+    try:
+        return rule.check(f, step, registry)
+    except PathError as e:
+        raise StepError("bad-path", str(e))
 
 
 def check_step(f: Formula, step: RuleStep,
                registry: SkolemRegistry | None = None) -> Formula:
     """The next derivation line, or StepError naming the violated side
     condition.  Mode gating is the caller's business."""
-    if registry is None:
-        registry = SkolemRegistry()
-    match step.tag:
-        case "gamma-quant":
-            return _gamma_quant(f, step, restricted=False, root_only=False)
-        case "restricted-gamma":
-            return _gamma_quant(f, step, restricted=True, root_only=False)
-        case "nongen-gamma":
-            return _gamma_quant(f, step, restricted=False, root_only=True)
-        case "delta-minus":
-            return _delta_minus(f, step, root_only=False)
-        case "nongen-delta":
-            return _delta_minus(f, step, root_only=True)
-        case "deltapp":
-            result, _ = _deltapp(f, step, registry)
-            return result
-        case "simp":
-            return _simplification(f, step, gamma=False, root_only=False)
-        case "gamma-simp":
-            return _simplification(f, step, gamma=True, root_only=False)
-        case "nongen-simp":
-            return _simplification(f, step, gamma=False, root_only=True)
-        case "passage":
-            sub = _subformula(f, step.path)
-            return replace_at(f, step.path,
-                              _passage_rewrite(sub, step.eq, step.direction,
-                                               all_names(f)))
-        case "rename":
-            return _rename(f, step)
-    raise StepError("unknown-rule", f"no rule {step.tag!r}")
+    return _apply(f, step, SkolemRegistry() if registry is None else registry)[0]
 
 
 def check_derivation(d: Derivation,
@@ -453,10 +435,14 @@ def check_derivation(d: Derivation,
     """Replay a derivation from its axiom and verify every side condition,
     the mode's rule gating, and the claimed end formula."""
     report = CheckReport(ok=False)
-    if d.mode not in MODES:
-        report.error, report.error_message = "unknown-mode", f"no mode {d.mode!r}"
+
+    def refuse(error, message, step_index=None):
+        report.error, report.error_message = error, message
+        report.step_index = step_index
         return report
-    allowed = MODES[d.mode]
+
+    if d.mode not in MODES:
+        return refuse("unknown-mode", f"no mode {d.mode!r}")
     if registry is None:
         registry = SkolemRegistry()
     report.axiom_quantifier_free = is_quantifier_free(d.axiom)
@@ -465,37 +451,28 @@ def check_derivation(d: Derivation,
     cur = d.axiom
     report.lines.append(cur)
     for i, step in enumerate(d.steps):
-        if step.tag not in allowed:
-            report.error = "rule-not-in-mode"
-            report.error_message = f"rule {step.tag} is not part of mode {d.mode}"
-            report.step_index = i
-            return report
+        if step.tag not in MODES[d.mode]:
+            return refuse("rule-not-in-mode",
+                          f"rule {step.tag} is not part of mode {d.mode}", i)
         try:
-            if step.tag == "deltapp":
-                cur, sym = _deltapp(cur, step, registry)
-                report.deltapp_symbols.append(sym)
-            else:
-                cur = check_step(cur, step, registry)
+            cur, sym = _apply(cur, step, registry)
         except StepError as e:
-            report.error = e.condition
-            report.error_message = str(e)
-            report.step_index = i
-            return report
+            return refuse(e.condition, str(e), i)
+        if sym is not None:
+            report.deltapp_symbols.append(sym)
         if step.tag in GAMMA_TAGS:
             report.witnesses.append(step.term)
         report.lines.append(cur)
     if cur != d.end:
-        report.error = "end-mismatch"
-        report.error_message = (f"derivation ends at {print_formula(cur)[:80]}, "
-                                f"claimed {print_formula(d.end)[:80]}")
-        return report
-    end_funcs = set(collect_signature(d.end).functions)
-    clash = sorted(set(report.deltapp_symbols) & end_funcs)
+        return refuse("end-mismatch",
+                      f"derivation ends at {print_formula(cur)[:80]}, "
+                      f"claimed {print_formula(d.end)[:80]}")
+    clash = sorted(set(report.deltapp_symbols)
+                   & set(collect_signature(d.end).functions))
     if clash:
-        report.error = "skolem-symbol-in-signature"
-        report.error_message = ("delta++ symbols already occur in the end "
-                                "formula: " + ", ".join(clash))
-        return report
+        return refuse("skolem-symbol-in-signature",
+                      "delta++ symbols already occur in the end formula: "
+                      + ", ".join(clash))
     report.ok = True
     report.final = cur
     return report
@@ -503,21 +480,6 @@ def check_derivation(d: Derivation,
 
 # ---------------------------------------------------------------------------
 # proof scripts
-
-_STEP_FIELDS = {
-    GAMMA_QUANT: ("path", "q", "var", "scope", "term"),
-    RESTRICTED_GAMMA: ("path", "q", "var", "scope", "term"),
-    NONGEN_GAMMA: ("path", "q", "var", "scope", "term"),
-    DELTA_MINUS: ("path", "q", "var"),
-    NONGEN_DELTA: ("path", "q", "var"),
-    DELTAPP: ("path", "q", "var", "scope"),
-    SIMP: ("path", "keep"),
-    GAMMA_SIMP: ("path", "keep"),
-    NONGEN_SIMP: ("path", "keep"),
-    PASSAGE: ("path", "eq", "dir"),
-    RENAME: ("path", "var", "new"),
-}
-
 
 def format_path(path: tuple[int, ...]) -> str:
     return ".".join(map(str, path)) if path else "."
@@ -532,30 +494,54 @@ def parse_path(text: str) -> tuple[int, ...]:
         raise FormulaError(f"bad path {text!r}")
 
 
+def _script_reader(parse, name_view):
+    """A reader of formulas or terms.  The heijenoort mode works in the
+    Skolem-name view, so there a Skolem-headed term names a variable."""
+    return lambda text, mode: (name_view(parse(text)) if mode == "heijenoort"
+                               else parse(text))
+
+
+_script_formula = _script_reader(parse_formula, promote_skolem_apps)
+_script_term = _script_reader(parse_term, nameify_term)
+
+
+def _script_eq(text: str, mode: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormulaError(f"bad equation number {text!r}")
+
+
+def _braced(text) -> str:
+    return f"{{{text}}}"
+
+
+def _as_text(text: str, mode: str) -> str:
+    return text
+
+
+# script key: (RuleStep attribute, printer, reader of the text in a mode);
+# a step line is read in this order
+_FIELDS = {
+    "path": ("path", format_path, lambda text, mode: parse_path(text)),
+    "q": ("quant", str, _as_text),
+    "var": ("var", _braced, _as_text),
+    "scope": ("scope", lambda f: _braced(print_formula(f)), _script_formula),
+    "term": ("term", lambda t: _braced(print_term(t)), _script_term),
+    "keep": ("keep", str, _as_text),
+    "eq": ("eq", str, _script_eq),
+    "dir": ("direction", str, _as_text),
+    "new": ("new", _braced, _as_text),
+}
+
+
 def print_script(d: Derivation) -> str:
     lines = [f"mode: {d.mode}", f"start: {print_formula(d.axiom)}"]
     for s in d.steps:
-        parts = [f"step: {s.tag}", f"path={format_path(s.path)}"]
-        for fld in _STEP_FIELDS[s.tag]:
-            match fld:
-                case "path":
-                    continue
-                case "q":
-                    parts.append(f"q={s.quant}")
-                case "var":
-                    parts.append(f"var={{{s.var}}}")
-                case "scope":
-                    parts.append(f"scope={{{print_formula(s.scope)}}}")
-                case "term":
-                    parts.append(f"term={{{print_term(s.term)}}}")
-                case "keep":
-                    parts.append(f"keep={s.keep}")
-                case "eq":
-                    parts.append(f"eq={s.eq}")
-                case "dir":
-                    parts.append(f"dir={s.direction}")
-                case "new":
-                    parts.append(f"new={{{s.new}}}")
+        parts = [f"step: {s.tag}"]
+        for key in _RULES[s.tag].keys:
+            attr, show, _ = _FIELDS[key]
+            parts.append(f"{key}={show(getattr(s, attr))}")
         lines.append(" ".join(parts))
     lines.append(f"end: {print_formula(d.end)}")
     return "\n".join(lines) + "\n"
@@ -568,24 +554,8 @@ class ScriptError(FormulaError):
     pass
 
 
-def _script_formula(text: str, mode: str) -> Formula:
-    f = parse_formula(text)
-    if mode == "heijenoort":
-        f = promote_skolem_apps(f)
-    return f
-
-
-def _script_term(text: str, mode: str) -> Term:
-    t = parse_term(text)
-    if mode == "heijenoort":
-        t = nameify_term(t)
-    return t
-
-
 def parse_script(text: str) -> Derivation:
-    mode = None
-    axiom = None
-    end = None
+    mode = axiom = end = None
     steps: list[RuleStep] = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -593,54 +563,34 @@ def parse_script(text: str) -> Derivation:
             continue
         if ":" not in line:
             raise ScriptError(f"line {ln}: expected 'key: value', got {line!r}")
-        head, rest = line.split(":", 1)
-        head = head.strip()
-        rest = rest.strip()
+        head, rest = (part.strip() for part in line.split(":", 1))
+        if head in ("start", "end", "step") and mode is None:
+            raise ScriptError(f"line {ln}: mode must come before "
+                              f"{'steps' if head == 'step' else head}")
         if head == "mode":
             if rest not in MODES:
                 raise ScriptError(f"line {ln}: unknown mode {rest!r}")
             mode = rest
         elif head == "start":
-            if mode is None:
-                raise ScriptError(f"line {ln}: mode must come before start")
             axiom = _script_formula(rest, mode)
         elif head == "end":
-            if mode is None:
-                raise ScriptError(f"line {ln}: mode must come before end")
             end = _script_formula(rest, mode)
         elif head == "step":
-            if mode is None:
-                raise ScriptError(f"line {ln}: mode must come before steps")
             tag, _, fields = rest.partition(" ")
-            if tag not in _STEP_FIELDS:
+            if tag not in _RULES:
                 raise ScriptError(f"line {ln}: unknown rule {tag!r}")
-            kv = {}
-            for m in _KV_RE.finditer(fields):
-                val = m.group(2)
-                if val.startswith("{"):
-                    val = val[1:-1]
-                kv[m.group(1)] = val
-            need = set(_STEP_FIELDS[tag])
-            missing = need - set(kv)
+            kv = {k: v[1:-1] if v.startswith("{") else v
+                  for k, v in _KV_RE.findall(fields)}
+            missing = set(_RULES[tag].keys) - set(kv)
             if missing:
                 raise ScriptError(
                     f"line {ln}: rule {tag} is missing {', '.join(sorted(missing))}")
             try:
-                step = RuleStep(
-                    tag=tag,
-                    path=parse_path(kv["path"]),
-                    quant=kv.get("q"),
-                    var=kv.get("var"),
-                    scope=_script_formula(kv["scope"], mode) if "scope" in kv else None,
-                    term=_script_term(kv["term"], mode) if "term" in kv else None,
-                    keep=kv.get("keep"),
-                    eq=int(kv["eq"]) if "eq" in kv else None,
-                    direction=kv.get("dir"),
-                    new=kv.get("new"),
-                )
+                steps.append(RuleStep(tag, **{
+                    attr: read(kv[key], mode)
+                    for key, (attr, _, read) in _FIELDS.items() if key in kv}))
             except FormulaError as e:
                 raise ScriptError(f"line {ln}: {e}")
-            steps.append(step)
         else:
             raise ScriptError(f"line {ln}: unknown directive {head!r}")
     if mode is None or axiom is None or end is None:

@@ -458,6 +458,10 @@ def all_names(f: Formula) -> set[str]:
 
 
 def fresh_name(base: str, used: set[str]) -> str:
+    # a Skolem-named binder is renamed to a plain name, since a Skolem
+    # encoding could read as a Skolem term of the formula
+    if base in used and ("(" in base or is_skolem_symbol(base)):
+        base = "v"
     if base not in used:
         return base
     i = 1
@@ -562,10 +566,8 @@ def is_rectified(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # equality up to renaming
 
-def _alpha_walk(f, g, envf, envg, gmap):
-    """Structural comparison; envf/envg map bound names to levels, gmap is
-    None for plain alpha comparison or a dict building a bijection on free
-    instantiation variables."""
+def _alpha_walk(f, g, envf, envg):
+    """Structural comparison; envf/envg map bound names to levels."""
 
     def term_eq(s, t):
         sv = isinstance(s, (Var, SkolemNamedVar))
@@ -576,14 +578,7 @@ def _alpha_walk(f, g, envf, envg, gmap):
                 return envf.get(sn) == envg.get(tn)
             return sn == tn
         if isinstance(s, GammaVar) and isinstance(t, GammaVar):
-            if gmap is None:
-                return s.name == t.name
-            if s.name in gmap:
-                return gmap[s.name] == t.name
-            if t.name in gmap.values():
-                return False
-            gmap[s.name] = t.name
-            return True
+            return s.name == t.name
         if isinstance(s, App) and isinstance(t, App):
             return (s.sym == t.sym and s.skolem == t.skolem
                     and len(s.args) == len(t.args)
@@ -595,51 +590,19 @@ def _alpha_walk(f, g, envf, envg, gmap):
             return (p1 == p2 and len(a1) == len(a2)
                     and all(term_eq(x, y) for x, y in zip(a1, a2)))
         case Not(s1), Not(s2):
-            return _alpha_walk(s1, s2, envf, envg, gmap)
+            return _alpha_walk(s1, s2, envf, envg)
         case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
-            return (_alpha_walk(l1, l2, envf, envg, gmap)
-                    and _alpha_walk(r1, r2, envf, envg, gmap))
+            return (_alpha_walk(l1, l2, envf, envg)
+                    and _alpha_walk(r1, r2, envf, envg))
         case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
             lvl = len(envf)
-            return _alpha_walk(b1, b2, {**envf, v1: lvl}, {**envg, v2: lvl}, gmap)
+            return _alpha_walk(b1, b2, {**envf, v1: lvl}, {**envg, v2: lvl})
     return False
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
     """Equal up to renaming of bound variables."""
-    return _alpha_walk(f, g, {}, {}, None)
-
-
-def variant_equal_gamma(f: Formula, g: Formula) -> bool:
-    """Equal up to renaming of bound variables plus a bijective renaming of
-    free instantiation variables."""
-    return _alpha_walk(f, g, {}, {}, {})
-
-
-def ac_flatten_equal(f: Formula, g: Formula) -> bool:
-    """Equal after flattening nested And / Or into multisets."""
-
-    def norm(h):
-        match h:
-            case And() | Or():
-                parts = []
-                stack = [h]
-                while stack:
-                    x = stack.pop()
-                    if type(x) is type(h):
-                        stack.append(x.right)
-                        stack.append(x.left)
-                    else:
-                        parts.append(norm(x))
-                return ("and" if isinstance(h, And) else "or",) + tuple(sorted(parts))
-            case Not(s):
-                return ("not", norm(s))
-            case Atom():
-                return ("atom", print_formula(h))
-            case Forall(v, b) | Exists(v, b):
-                return (quant_kind(h), v, norm(b))
-
-    return norm(f) == norm(g)
+    return _alpha_walk(f, g, {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ from herbrandkit.syntax import (
     Or,
     SkolemNamedVar,
     Var,
-    ac_flatten_equal,
     alpha_equal,
     free_gamma_vars,
     parse_formula,
@@ -77,6 +76,7 @@ from herbrandkit.syntax import (
 from herbrandkit.taut import is_tautology
 
 from conftest import TWO_DISJUNCT_TEXT, random_candidate, random_qf
+from references import ac_flatten_equal
 
 GUARD = 200_000
 

@@ -11,6 +11,7 @@ import pytest
 import herbrandkit
 from herbrandkit.cli import main
 from herbrandkit.construct import UPPER_BOUND_TEXT
+from herbrandkit.syntax import alpha_equal, parse_formula
 
 from conftest import DRINKER_TEXT
 
@@ -96,6 +97,20 @@ def test_rectify(capsys):
     code, out, _ = run(capsys, "rectify",
                        "(exists x. p(x)) | (exists x. q(x))")
     assert code == 0 and out.strip() == "(exists x. p(x)) | (exists x_1. q(x_1))"
+
+
+@pytest.mark.parametrize("text,want", [
+    ("(forall sk_a(x). p(sk_a(x))) & (forall sk_a(x). q(sk_a(x)))",
+     "(forall sk_a(x). p(sk_a(x))) & (forall v. q(v))"),
+    ("(forall sk_a. p(sk_a)) & (forall sk_a. q(sk_a, sk_a_1))",
+     "(forall sk_a. p(sk_a)) & (forall v. q(v,sk_a_1))"),
+], ids=["skolem-application", "skolem-constant"])
+def test_rectify_renames_a_skolem_named_binder(capsys, text, want):
+    """The second binder gets a plain name: sk_a(x)_1 reads as no term, and
+    sk_a_1 would capture the Skolem constant of that name."""
+    code, out, _ = run(capsys, "rectify", text)
+    assert code == 0 and out.strip() == want
+    assert alpha_equal(parse_formula(out), parse_formula(text))
 
 
 def test_classify_lists_quantifiers(capsys):
@@ -298,6 +313,23 @@ def test_check_proof_rejects_with_condition(capsys, tmp_path):
     code, out, _ = run(capsys, "check-proof", str(script))
     assert code == 1
     assert "rejected" in out and "premise-mismatch" in out
+
+
+def test_check_proof_reads_eq_as_an_integer(capsys, tmp_path):
+    """A non-integer eq= is a script error with its line number; an
+    integer outside 1-6 reaches the kernel's passage-shape check."""
+    script = tmp_path / "eq.txt"
+    text = ("mode: herbrand-original\nstart: ~(forall x. p(x))\n"
+            "step: passage path=. eq={} dir=prenex\nend: exists x. ~p(x)\n")
+    script.write_text(text.format("x"))
+    code, doc, err = run_json(capsys, "check-proof", str(script))
+    assert code == 2 and "Traceback" not in err
+    assert doc == {"error": "ScriptError",
+                   "message": "line 3: bad equation number 'x'"}
+    script.write_text(text.format("-1"))
+    code, out, _ = run(capsys, "check-proof", str(script))
+    assert code == 1
+    assert "rejected at step 0: passage-shape: no passage equation -1" in out
 
 
 def test_check_proof_json_report(capsys, tmp_path):

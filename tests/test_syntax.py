@@ -20,7 +20,6 @@ from herbrandkit.syntax import (
     ParseError,
     PathError,
     Var,
-    ac_flatten_equal,
     alpha_equal,
     classify_quantifier,
     collect_signature,
@@ -41,9 +40,10 @@ from herbrandkit.syntax import (
     subformulas,
     substitute,
     term_height,
-    variant_equal_gamma,
 )
 from herbrandkit.taut import atom_list
+
+from references import ac_flatten_equal, variant_equal_gamma
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
