@@ -581,10 +581,14 @@ def parse_script(text: str) -> Derivation:
                 raise ScriptError(f"line {ln}: unknown rule {tag!r}")
             kv = {k: v[1:-1] if v.startswith("{") else v
                   for k, v in _KV_RE.findall(fields)}
-            missing = set(_RULES[tag].keys) - set(kv)
+            keys = _RULES[tag].keys
+            missing = set(keys) - set(kv)
             if missing:
                 raise ScriptError(
                     f"line {ln}: rule {tag} is missing {', '.join(sorted(missing))}")
+            extra = next((k for k in kv if k not in keys), None)
+            if extra is not None:
+                raise ScriptError(f"line {ln}: rule {tag} takes no field {extra}")
             try:
                 steps.append(RuleStep(tag, **{
                     attr: read(kv[key], mode)

@@ -408,6 +408,13 @@ def is_quantifier_free(f: Formula) -> bool:
 def free_names(f: Formula) -> set[str]:
     """Free variable names of a formula (plain names, ?names, and prints of
     free Skolem-named variables)."""
+    return _free_and_vacuous(f)[0]
+
+
+def _free_and_vacuous(f: Formula) -> tuple[set[str], set[int]]:
+    """f's free names, and the ids of its quantifier nodes whose variable
+    does not occur free in their body, from one bottom-up fold."""
+    vacuous: set[int] = set()
 
     def up(g, kids, _):
         if type(g) is Atom:
@@ -416,10 +423,12 @@ def free_names(f: Formula) -> set[str]:
         if len(kids) == 2:
             out |= kids[1]
         elif isinstance(g, Quant):
+            if g.var not in out:
+                vacuous.add(id(g))
             out.discard(g.var)
         return out
 
-    return fold(f, up)
+    return fold(f, up), vacuous
 
 
 def first_occurrences(f: Formula) -> list[str]:
@@ -526,14 +535,14 @@ def rectify(f: Formula) -> Formula:
     binders get _1, _2, ... suffixes; names colliding with free variables are
     renamed the same way.  A quantifier whose variable does not occur in its
     body is deleted."""
-    used = set(free_names(f))
+    used, vacuous = _free_and_vacuous(f)
 
     # the context is (renaming, the binder name the last quantifier got)
     def down(g, ctx):
         if not isinstance(g, Quant):
             return ctx
         v, b = g.var, g.body
-        if v not in free_names(b):
+        if id(g) in vacuous:
             return Swap(b)
         v2 = fresh_name(v, used)
         used.add(v2)
@@ -552,11 +561,11 @@ def rectify(f: Formula) -> Formula:
 
 def is_rectified(f: Formula) -> bool:
     seen = set()
-    free = free_names(f)
+    free, vacuous = _free_and_vacuous(f)
 
     def down(g, _):
         if isinstance(g, Quant):
-            if g.var in seen or g.var in free or g.var not in free_names(g.body):
+            if g.var in seen or g.var in free or id(g) in vacuous:
                 return Prune(False)
             seen.add(g.var)
 

@@ -1,7 +1,16 @@
 """Reference checkers that the tests compare the library against: equality
 up to a renaming of free instantiation variables, and up to the grouping
-and order of junction operands."""
+and order of junction operands; and the brute-force countermodel search
+that evaluates one interpretation at a time."""
 
+import itertools
+
+from herbrandkit.oracle import (
+    DEFAULT_BUDGET,
+    Countermodel,
+    OracleBudgetError,
+    _eval_term,
+)
 from herbrandkit.syntax import (
     And,
     App,
@@ -13,6 +22,7 @@ from herbrandkit.syntax import (
     Or,
     SkolemNamedVar,
     Var,
+    collect_signature,
     print_formula,
     quant_kind,
     term_var_name,
@@ -87,3 +97,65 @@ def ac_flatten_equal(f, g):
                 return (quant_kind(h), v, norm(b))
 
     return norm(f) == norm(g)
+
+
+def _eval(f, funcs, preds, env, size) -> bool:
+    match f:
+        case Atom(p, args):
+            table = preds[p]
+            idx = 0
+            for a in args:
+                idx = idx * size + _eval_term(a, funcs, env, size)
+            return table[idx]
+        case Not(s):
+            return not _eval(s, funcs, preds, env, size)
+        case And(l, r):
+            return _eval(l, funcs, preds, env, size) and _eval(r, funcs, preds, env, size)
+        case Or(l, r):
+            return _eval(l, funcs, preds, env, size) or _eval(r, funcs, preds, env, size)
+        case Forall(v, b):
+            return all(_eval(b, funcs, preds, {**env, v: d}, size) for d in range(size))
+        case Exists(v, b):
+            return any(_eval(b, funcs, preds, {**env, v: d}, size) for d in range(size))
+
+
+def brute_force_countermodel(f, max_size=2, budget=DEFAULT_BUDGET):
+    """The first falsifying interpretation with domain size <= max_size, or
+    None, found by evaluating one interpretation after another."""
+    sig = collect_signature(f)
+    fsyms = dict(sig.functions)
+    if sig.uses_dot:
+        fsyms["@dot"] = (0, False)
+    var_names = list(sig.free_vars) + ["?" + g for g in sig.gamma_vars]
+
+    total = 0
+    for size in range(1, max_size + 1):
+        n = 1
+        for _, (arity, _) in fsyms.items():
+            n *= size ** (size ** arity)
+        for _, arity in sig.predicates.items():
+            n *= 2 ** (size ** arity)
+        n *= size ** len(var_names)
+        total += n
+    if total > budget:
+        raise OracleBudgetError(
+            f"{total} interpretations to enumerate, over the budget of {budget}")
+
+    fnames = sorted(fsyms)
+    pnames = sorted(sig.predicates)
+    for size in range(1, max_size + 1):
+        func_tables = [
+            list(itertools.product(range(size), repeat=size ** fsyms[name][0]))
+            for name in fnames]
+        pred_tables = [
+            list(itertools.product((False, True), repeat=size ** sig.predicates[name]))
+            for name in pnames]
+        for fchoice in itertools.product(*func_tables):
+            funcs = dict(zip(fnames, fchoice))
+            for pchoice in itertools.product(*pred_tables):
+                preds = dict(zip(pnames, pchoice))
+                for env_vals in itertools.product(range(size), repeat=len(var_names)):
+                    env = dict(zip(var_names, env_vals))
+                    if not _eval(f, funcs, preds, env, size):
+                        return Countermodel(size, funcs, preds, env)
+    return None

@@ -176,7 +176,8 @@ DEEP_DISJUNCTION = " | ".join(["p", "~p"] * 2500)
 
 @pytest.mark.parametrize("argv", [
     ["parse"], ["rectify"], ["skolemize"], ["taut"], ["taut", "--emit-cnf"],
-    ["check-c", "--order", "1"], ["min-order"]], ids=" ".join)
+    ["check-c", "--order", "1"], ["min-order"], ["models", "--size", "2"]],
+    ids=" ".join)
 def test_a_5000_way_disjunction_is_decided(capsys, argv):
     code, _, err = run(capsys, *argv, DEEP_DISJUNCTION)
     assert code == 0, err

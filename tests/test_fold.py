@@ -4,6 +4,7 @@ and substitution against the recursive versions they replaced."""
 
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -29,11 +30,13 @@ from herbrandkit.syntax import (
     fold,
     fresh_name,
     free_names,
+    is_rectified,
     print_formula,
     print_term,
     promote_skolem_apps,
     quantifier_positions,
     rebuild,
+    rectify,
     substitute,
     substitute_term,
     term_free_names,
@@ -264,6 +267,22 @@ def test_expansion_counts_finish_on_a_deep_chain_over_a_quantifier():
     assert free_names(f) == set()
     assert expansion_node_count(f, 3) == 5000 + 3 * 3 + 2
     assert expansion_leaf_count(f, 3) == 3
+
+
+def test_rectify_is_linear_in_the_quantifier_depth():
+    """2,000 nested forall x_i. exists y_i. (... | q(x_i)): the exists are
+    vacuous and go.  A walk that asks each quantifier's body for its free
+    names is quadratic here, about 10 s."""
+    f = kept = Atom("q", (Var("x0"),))
+    for i in range(2000):
+        body = Or(f, Atom("q", (Var(f"x{i}"),)))
+        f = Forall(f"x{i}", Exists(f"y{i}", body))
+        kept = Forall(f"x{i}", Or(kept, Atom("q", (Var(f"x{i}"),))))
+    start = time.perf_counter()
+    r = rectify(f)
+    assert is_rectified(r) and not is_rectified(f)
+    assert time.perf_counter() - start < 1.0
+    assert print_formula(r) == print_formula(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Derivation checking: rules, side conditions, scripts, passage."""
 
+from pathlib import Path
+
 import pytest
 
 from herbrandkit.cli import main
@@ -38,6 +40,8 @@ from herbrandkit.syntax import (
     parse_term,
     print_formula,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def err(f, step, registry=None):
@@ -437,6 +441,29 @@ def test_script_print_parse_round_trip(showcase_derivation):
     assert again.end == showcase_derivation.end
     assert len(again.steps) == len(showcase_derivation.steps)
     assert print_script(again) == text
+
+
+@pytest.mark.parametrize("name", ["showcase", "derive_drinker", "derive_upper",
+                                  "derive_upper_fv"])
+def test_script_round_trip_keeps_the_check_report(name, showcase_derivation):
+    """The showcase derivation and the golden scripts read back from their
+    printed scripts with the same report."""
+    d = (showcase_derivation if name == "showcase"
+         else parse_script((GOLDEN / f"{name}.txt").read_text()))
+    text = print_script(d)
+    again = parse_script(text)
+    assert print_script(again) == text
+    assert check_derivation(again) == check_derivation(d)
+
+
+@pytest.mark.parametrize("fields", ["scope={(}", "term={c} q=sideways"])
+def test_script_refuses_a_field_the_rule_does_not_take(fields):
+    text = ("mode: heijenoort\nstart: p(c) | p(c)\n"
+            f"step: simp path=. keep=left {fields}\nend: p(c)\n")
+    key = fields.split("=")[0]
+    with pytest.raises(ScriptError, match=f"^line 3: rule simp takes no field {key}$"):
+        parse_script(text)
+    assert check_derivation(parse_script(text.replace(" " + fields, ""))).ok
 
 
 def test_script_skips_blank_lines_and_comments():

@@ -1,5 +1,7 @@
 """Brute-force finite-model validity checking."""
 
+import random
+
 import pytest
 
 from herbrandkit.oracle import (
@@ -7,7 +9,19 @@ from herbrandkit.oracle import (
     find_countermodel,
     valid_up_to,
 )
-from herbrandkit.syntax import parse_formula
+from herbrandkit.skolem import SkolemRegistry, deltapp_skolemize, outer_skolemize
+from herbrandkit.syntax import (
+    App,
+    Atom,
+    Or,
+    SkolemNamedVar,
+    Var,
+    parse_formula,
+    promote_skolem_apps,
+)
+
+from conftest import DRINKER_TEXT, TWO_DISJUNCT_TEXT, random_candidate
+from references import brute_force_countermodel
 
 
 def test_propositional_validity():
@@ -78,3 +92,79 @@ def test_budget_guard():
     f = parse_formula("p(g(x, y), h(y, z)) | q(k(x, z))")
     with pytest.raises(OracleBudgetError):
         find_countermodel(f, max_size=3, budget=50)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the one-interpretation-at-a-time search
+
+def orders_texts():
+    """The formula families of the benchmark's orders workload: successor
+    chains and their twins, the drinker, the passage pair, the two-element
+    upper bound, and transitivity on 3-6 constants, entailed and not."""
+    texts = [DRINKER_TEXT, TWO_DISJUNCT_TEXT,
+             "(exists a. (~(exists b. p(b)) | q(a))) | "
+             "((exists x. p(x)) & ~(exists y. q(y)))",
+             "((forall x. forall y. exists m. (x < m & y < m)) & "
+             "(forall c. forall b. forall a. ((a < b & b < c) -> a < c))) -> "
+             "(forall u. forall v. exists z. (u < z & v < z))"]
+    for k in range(1, 7):
+        for goal in ("c", "d"):
+            texts.append("(p(c) & (forall x. (p(x) -> p(f(x))))) -> "
+                         f"p({'f(' * k}{goal}{')' * k})")
+    for n in range(3, 7):
+        facts = " & ".join(f"r(k{i},k{i + 1})" for i in range(n - 1))
+        for s, t in ((0, n - 1), (n - 1, 0)):
+            texts.append("((forall a. forall b. forall c. "
+                         f"((r(a,b) & r(b,c)) -> r(a,c))) & {facts}) -> r(k{s},k{t})")
+    return texts
+
+
+# free, instantiation and Skolem-named variables, @dot and shadowed binders
+NAMED_TEXTS = (
+    "p(x) -> p(y)",
+    "p(?x) | q(?y, x)",
+    "q(x, f(?g)) | ~q(f(x), ?g)",
+    "p(sk_b(@dot))",
+    "p(@dot) -> p(c)",
+    "forall sk_a(x). p(sk_a(x))",
+    "(exists sk_b. q(sk_b, c)) | ~q(c, c)",
+    "forall x. (p(x) & (exists x. ~p(x)))",
+    "(forall x. p(x)) | (exists x. ~q(x, x))",
+    "p(x) | (forall x. ~p(x))",
+    "forall x. exists y. (r(x,y) & ~(forall y. r(y,x)))",
+    "exists x. (p(x) | forall x. (q(x, x) & exists x. ~p(x)))",
+)
+
+
+def oracle_outcome(search, f, size, budget):
+    try:
+        cm = search(f, size, budget)
+    except OracleBudgetError as e:
+        return "budget", str(e)
+    if cm is None:
+        return None
+    return (cm.size, list(cm.functions.items()), list(cm.predicates.items()),
+            list(cm.env.items()))
+
+
+def test_oracle_agrees_with_the_brute_force_search():
+    formulas = [parse_formula(t) for t in orders_texts() + list(NAMED_TEXTS)]
+    c = App("sk_c", True, ())
+    formulas.append(Or(Atom("p", (SkolemNamedVar(App("sk_f", True, (c,))),)),
+                       Atom("q", (SkolemNamedVar(c), Var("x")))))
+    rng = random.Random(9)
+    for _ in range(150):
+        f = random_candidate(rng)
+        starred = deltapp_skolemize(f, SkolemRegistry())
+        formulas += [f, outer_skolemize(f), starred, promote_skolem_apps(starred)]
+    seen = {"budget": 0, "valid": 0, "countermodel": 0}
+    for f in formulas:
+        for size in (1, 2, 3):
+            for budget in (10_000, 100):
+                want = oracle_outcome(brute_force_countermodel, f, size, budget)
+                assert oracle_outcome(find_countermodel, f, size, budget) == want, (
+                    f, size, budget)
+                seen["valid" if want is None else
+                     "budget" if want[0] == "budget" else "countermodel"] += 1
+    assert sum(seen.values()) == len(formulas) * 6 >= 3000
+    assert min(seen.values()) > 100, seen
