@@ -65,6 +65,7 @@ from .syntax import (
     And,
     App,
     Atom,
+    Branch,
     Formula,
     FormulaError,
     GammaVar,
@@ -72,12 +73,14 @@ from .syntax import (
     Or,
     Quant,
     SkolemNamedVar,
+    Swap,
     Term,
     Var,
     all_names,
     children,
     classify_quantifier,
     collect_signature,
+    equal,
     fold,
     free_gamma_vars,
     fresh_name,
@@ -238,62 +241,71 @@ class _CopyState:
         return name
 
 
-def _chain_offset(j: int, k: int) -> tuple[int, ...]:
-    """Position of copy j inside a left-nested chain of k copies."""
-    if k == 1:
-        return ()
-    return (0,) * (k - 1 - j) + ((1,) if j > 0 else ())
+def _along(f: Formula, sel: Selection, quant, extra) -> Formula:
+    """Rebuild f along the selection sel from an explicit stack.  A node's
+    context is (selection, sign, path, extra): negations and junctions are
+    matched against their selection and kept, and a quantifier g goes to
+    quant(g, context), which answers as fold's down hook does.  A Branch it
+    answers carries the function that builds g from its kids, or None."""
+
+    def down(g, ctx):
+        if isinstance(g, Quant):
+            return quant(g, ctx)
+        s, sign, path, extra = ctx
+        sign = -sign if type(g) is Not else sign
+        return Branch(tuple((c, (cs, sign, path + (i,), extra)) for i, (c, cs)
+                            in enumerate(zip(children(g), match_selection(g, s)))), ctx)
+
+    def up(g, kids, ctx):
+        if not isinstance(g, Quant):
+            return rebuild(g, *kids)
+        return kids[0] if ctx is None else ctx(*kids)
+
+    return fold(f, up, down, (sel, 1, (), extra))
 
 
-def _distinct_witnesses(sel: SelQuant, v: str) -> None:
-    """A construction places one copy of v per witness, so a repeated
-    witness would make two copies the same instance."""
-    if len(set(sel.terms)) != len(sel.terms):
+def _chain(v: str, copies: list[Formula], ctx, extra, finish=None) -> Branch:
+    """The answer that walks the copies of the removable quantifier of v,
+    one per distinct witness, as their junction chain, each copy along the
+    selection of its own witness."""
+    s, sign, path, _ = ctx
+    if len(set(s.terms)) != len(s.terms):
         raise ConstructError(
             f"the witness terms chosen for {v} must be pairwise distinct")
+    one = [SelQuant(s.kind, s.var, (t,), (br,)) for t, br in zip(s.terms, s.branches)]
+    join, sel_join = (And, SelAnd) if sign < 0 else (Or, SelOr)
+    return Branch(((reduce(join, copies), (reduce(sel_join, one), sign, path, extra)),),
+                  finish)
 
 
-def _along(g: Formula, s: Selection, sign: int, path: tuple[int, ...],
-           quant) -> Formula:
-    """Rebuild g along the selection s: negations and junctions are matched
-    against s and kept, the sign flips under a negation, and every
-    quantifier is handed to quant(g, s, sign, path), which rebuilds it."""
-    if isinstance(g, Quant):
-        return quant(g, s, sign, path)
-    flip = -1 if isinstance(g, Not) else 1
-    return rebuild(g, *(_along(c, cs, flip * sign, path + (i,), quant)
-                        for i, (c, cs) in enumerate(
-                            zip(children(g), match_selection(g, s)))))
-
-
-def _copy_pass(g: Quant, s: Selection, sign: int, path: tuple[int, ...],
-               gammas: tuple[str, ...], st: _CopyState) -> Formula:
-    """The quantifier arm of the copy pass: one copy of a removable
+def _copy_pass(g: Quant, ctx, st: _CopyState):
+    """The quantifier rule of the copy pass: one copy of a removable
     quantifier per witness its selection lists, and a removed-quantifier
-    variable spelled as its Skolem term over the enclosing copies."""
+    variable spelled as its Skolem term over the enclosing copies (extra)."""
+    s, sign, path, gammas = ctx
     v, b = g.var, g.body
     if not is_gamma(quant_kind(g), sign):
         enc = App(st.sym_map[v], True, tuple(Var(x) for x in gammas))
         name = print_term(enc)
         st.used.add(name)
         st.original[name] = v
-        body = _along(substitute(b, {v: SkolemNamedVar(enc)}), s, sign,
-                      path + (0,), partial(_copy_pass, gammas=gammas, st=st))
-        return rebuild(g, body, var=name)
+        return Branch(((substitute(b, {v: SkolemNamedVar(enc)}),
+                        (s, sign, path + (0,), gammas)),),
+                      lambda body: rebuild(g, body, var=name))
     branches = match_selection(g, s)
-    _distinct_witnesses(s, v)
     k = len(s.terms)
-    nodes = []
-    for j, (t, br) in enumerate(zip(s.terms, branches)):
-        name = st.claim(v, first=j == 0)
-        copy_path = path + _chain_offset(j, k)
-        body = _along(substitute(b, {v: Var(name)}), br, sign, copy_path + (0,),
-                      partial(_copy_pass, gammas=gammas + (name,), st=st))
-        st.plan[name] = nameify_term(t)
-        nodes.append(rebuild(g, body, var=name))
     if k > 1:
-        st.copies.append((path, k))
-    return reduce(And if sign < 0 else Or, nodes)
+        def placed(chain):
+            st.copies.append((path, k))
+            return chain
+        return _chain(v, [g] * k, ctx, gammas, placed)
+    name = st.claim(v, first=True)
+
+    def named(body):
+        st.plan[name] = nameify_term(s.terms[0])
+        return rebuild(g, body, var=name)
+    return Branch(((substitute(b, {v: Var(name)}),
+                    (branches[0], sign, path + (0,), gammas + (name,))),), named)
 
 
 def _named_copies(a_r: Formula, sel: Selection) -> tuple[Formula, _CopyState]:
@@ -303,7 +315,7 @@ def _named_copies(a_r: Formula, sel: Selection) -> tuple[Formula, _CopyState]:
     outer_skolemize(a_r, record=sym_map)
     st = _CopyState(used=set(all_names(a_r)) | set(sym_map.values()),
                     sym_map=sym_map)
-    return _along(a_r, sel, 1, (), partial(_copy_pass, gammas=(), st=st)), st
+    return _along(a_r, sel, partial(_copy_pass, st=st), ()), st
 
 
 def _full_selection(a_r: Formula, terms: tuple[Term, ...]) -> Selection:
@@ -452,6 +464,22 @@ def _final_renames(merged: Formula, original: dict[str, str]):
 # ---------------------------------------------------------------------------
 # the two constructions
 
+def _established(a: Formula, n: int, sel, star: bool, budget: int,
+                 registry: SkolemRegistry | None = None):
+    """The rectified a and the selection to construct along, once property_c
+    confirms order n: sel as given, or else the full selection."""
+    a_r = rectify(a)
+    sel = None if sel is None else _as_selection(sel)
+    pre = property_c(a_r, n, star=star, sel=sel, budget=budget, registry=registry)
+    if not pre.holds:
+        raise ConstructError(
+            f"order {n}{' (starred)' if star else ''} is not established for "
+            f"this formula ({pre.status}{': ' + pre.detail if pre.detail else ''})")
+    if sel is None:
+        sel = _full_selection(a_r, champ(pre.skolemized, n, budget=budget).terms)
+    return a_r, sel
+
+
 def construct_derivation(a: Formula, n: int, sel=None,
                          budget: int = DEFAULT_BUDGET) -> Derivation:
     """A checked derivation of a from its order-n expansion (or from the
@@ -459,21 +487,12 @@ def construct_derivation(a: Formula, n: int, sel=None,
     variables to their Skolem terms, duplicate per witness, remove in
     stages; the recorded steps run the other way, from the tautology up to
     a."""
-    a_r = rectify(a)
-    sel_tree = None if sel is None else _as_selection(sel)
-    pre = property_c(a_r, n, star=False, sel=sel_tree, budget=budget)
-    if not pre.holds:
-        raise ConstructError(
-            f"order {n} is not established for this formula ({pre.status}"
-            f"{': ' + pre.detail if pre.detail else ''})")
-    if sel_tree is None:
-        ch = champ(pre.skolemized, n, budget=budget)
-        sel_tree = _full_selection(a_r, ch.terms)
+    a_r, sel_tree = _established(a, n, sel, False, budget)
     q, st = _named_copies(a_r, sel_tree)
     axiom, _, removal = _execute_stages(q, st.plan, n)
     merged, merge_steps = _merge_chains(q, st.copies)
     restored, rename_steps = _final_renames(merged, st.original)
-    if restored != a_r:
+    if not equal(restored, a_r):
         raise ConstructError("internal: the merged form does not restore the "
                              "source formula")
     steps = tuple(reversed(removal)) + tuple(merge_steps) + tuple(rename_steps)
@@ -501,19 +520,9 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
     is therefore keyed exactly as the Skolemization pass keyed it, so the
     opening line carries the same symbols as the starred form and the
     witness substitution recovers the chosen sub-expansion."""
-    a_r = rectify(a)
     if registry is None:
         registry = SkolemRegistry()
-    sel_tree = None if sel is None else _as_selection(sel)
-    pre = property_c(a_r, n, star=True, sel=sel_tree, budget=budget,
-                     registry=registry)
-    if not pre.holds:
-        raise ConstructError(
-            f"order {n} (starred) is not established for this formula "
-            f"({pre.status}{': ' + pre.detail if pre.detail else ''})")
-    if sel_tree is None:
-        ch = champ(pre.skolemized, n, budget=budget)
-        sel_tree = _full_selection(a_r, ch.terms)
+    a_r, sel_tree = _established(a, n, sel, True, budget, registry)
     avoid = set(collect_signature(a_r).functions)
     claim = _CopyState(used=set(all_names(a_r)), sym_map={}).claim
     source: dict[str, str] = {}  # copy binder -> binder it is a variant of
@@ -532,8 +541,10 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
             return Atom(g.pred, tuple(substitute_term(t, ren) for t in g.args))
         return rebuild(g, *kids, var=ren[g.var].name if isinstance(g, Quant) else None)
 
-    def strip(g: Quant, s: Selection, sign: int,
-              path: tuple[int, ...]) -> Formula:
+    # the quantifier rule; extra marks a copy placed in its chain, whose
+    # binder was claimed with the chain
+    def strip(g: Quant, ctx):
+        s, sign, path, placed = ctx
         kind = quant_kind(g)
         v, bd = g.var, g.body
         src = source.get(v, v)
@@ -541,28 +552,23 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
             listed, key = deltapp_scope(g)
             sym = registry.bind(key, src, len(listed), avoid)
             down.append(RuleStep(DELTAPP, path=path, quant=kind, var=v, scope=bd))
-            repl = App(sym, True, listed)
-            return _along(substitute(bd, {v: repl}), s, sign, path, strip)
+            return Swap(substitute(bd, {v: App(sym, True, listed)}))
         branches = match_selection(g, s, var=src)
-        _distinct_witnesses(s, v)
         k = len(s.terms)
-        claim(v, first=True)
-        copies = [g] + [fold(g, copy_up, copy_down, {}) for _ in range(k - 1)]
-        for depth in range(k - 1):
-            down.append(RuleStep(GAMMA_SIMP, path=path + (0,) * depth, keep="left"))
-        parts = []
-        for j, (copy, t, br) in enumerate(zip(copies, s.terms, branches)):
-            cpath = path + _chain_offset(j, k)
-            down.append(RuleStep(RESTRICTED_GAMMA, path=cpath, quant=kind,
-                                 var=copy.var, scope=copy.body,
-                                 term=GammaVar(copy.var)))
-            sigma["?" + copy.var] = t
-            parts.append(_along(
-                substitute(copy.body, {copy.var: GammaVar(copy.var)}),
-                br, sign, cpath, strip))
-        return reduce(And if sign < 0 else Or, parts)
+        if not placed:
+            claim(v, first=True)
+        if k > 1:
+            copies = [g] + [fold(g, copy_up, copy_down, {}) for _ in range(k - 1)]
+            for depth in range(k - 1):
+                down.append(RuleStep(GAMMA_SIMP, path=path + (0,) * depth, keep="left"))
+            return _chain(v, copies, ctx, True)
+        down.append(RuleStep(RESTRICTED_GAMMA, path=path, quant=kind, var=v,
+                             scope=bd, term=GammaVar(v)))
+        sigma["?" + v] = s.terms[0]
+        return Branch(((substitute(bd, {v: GammaVar(v)}),
+                        (branches[0], sign, path, False)),), None)
 
-    b = _along(a_r, sel_tree, 1, (), strip)
+    b = _along(a_r, sel_tree, strip, False)
     d = Derivation("free-variable", b, tuple(reversed(down)), a_r)
     report = check_derivation(d, registry)
     if not report.ok:

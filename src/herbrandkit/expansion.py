@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 from .syntax import (
-    And, App, Atom, DOT, Forall, Formula, FormulaError, GammaVar, Not, Or,
-    Quant, Swap, Term, Var, all_names, bound_names, children,
-    collect_signature, fold, fresh_name, is_quantifier_free, parse_term,
-    print_term, quant_kind, rebuild, rename_binder, substitute,
+    And, App, Atom, Branch, DOT, Forall, Formula, FormulaError, GammaVar,
+    Not, Or, Prune, Quant, Swap, Term, Var, all_names, bound_names,
+    children, collect_signature, fold, fresh_name, is_quantifier_free,
+    parse_term, print_term, quant_kind, rebuild, rename_binder, substitute,
     term_free_names, term_height, var_for_name,
 )
 
@@ -368,17 +368,17 @@ def print_selection(s: Selection) -> str:
 
 
 def selection_terms(s: Selection) -> list[Term]:
-    out = []
-    match s:
-        case SelNot(sub):
-            out += selection_terms(sub)
-        case SelAnd(l, r) | SelOr(l, r):
-            out += selection_terms(l)
-            out += selection_terms(r)
-        case SelQuant(_, _, terms, branches):
-            out += list(terms)
-            for b in branches:
-                out += selection_terms(b)
+    """The chosen terms in preorder, each quantifier's before its branches'."""
+    out, stack = [], [s]
+    while stack:
+        match stack.pop():
+            case SelNot(sub):
+                stack.append(sub)
+            case SelAnd(l, r) | SelOr(l, r):
+                stack += (r, l)
+            case SelQuant(_, _, terms, branches):
+                out += terms
+                stack += reversed(branches)
     return out
 
 
@@ -444,23 +444,30 @@ def build_sub_expansion(f: Formula, sel: Selection,
     if clash:
         raise SelectionError(
             "selection terms use bound variable names: " + ", ".join(sorted(clash)))
-    count = [0]
+    count = 0
 
-    def walk(g, s):
+    # the context is the node's selection; a quantifier's body is folded
+    # once per chosen term
+    def down(g, s):
+        nonlocal count
         if isinstance(s, SelLeaf) and is_quantifier_free(g):
-            count[0] += 1
-            return g
+            count += 1
+            return Prune(g)
         subs = match_selection(g, s)
+        if isinstance(g, Quant):
+            return Branch(tuple((g.body, br) for br in subs), s)
+        count += 1
+        return Branch(tuple(zip(children(g), subs)), s)
+
+    def up(g, kids, s):
+        nonlocal count
         if not isinstance(g, Quant):
-            count[0] += 1
-            return rebuild(g, *map(walk, children(g), subs))
-        acc = reduce(And if isinstance(g, Forall) else Or,
-                     [substitute(walk(g.body, br), {g.var: t})
-                      for t, br in zip(s.terms, subs)])
-        count[0] += len(s.terms) - 1
-        if count[0] > budget:
+            return rebuild(g, *kids)
+        count += len(s.terms) - 1
+        if count > budget:
             raise BudgetError(
                 f"sub-expansion exceeds the size guard of {budget} nodes")
-        return acc
+        return reduce(And if isinstance(g, Forall) else Or,
+                      [substitute(k, {g.var: t}) for t, k in zip(s.terms, kids)])
 
-    return walk(f, sel)
+    return fold(f, up, down, sel)

@@ -31,10 +31,10 @@ from .syntax import (
     And, App, Atom, CaptureError, Exists, Forall, Formula, FormulaError,
     GammaVar, Not, Or, PathError, Quant, Term, Var,
     all_names, alpha_equal, bound_names, classify_quantifier, collect_signature,
-    free_names, fresh_name, is_quantifier_free, nameify_term, parse_formula,
-    parse_term, path_nodes, polarity_at, print_formula, print_term,
-    promote_skolem_apps, rename_binder, replace_at, subformula_at, substitute,
-    term_free_names, var_for_name,
+    equal, free_names, fresh_name, is_quantifier_free, nameify_term, paired,
+    parse_formula, parse_term, path_nodes, polarity_at, print_formula,
+    print_term, promote_skolem_apps, rename_binder, replace_at, subformula_at,
+    substitute, term_free_names, var_for_name,
 )
 from .taut import is_tautology
 
@@ -211,7 +211,7 @@ def _gamma_quant(f, step, registry, restricted=False):
     except CaptureError as e:
         raise StepError("witness-capture", str(e))
     prev = subformula_at(f, step.path)
-    if prev != inst:
+    if not equal(prev, inst):
         raise StepError("premise-mismatch",
                         f"the premise at the path is not the scope instance; "
                         f"expected {print_formula(inst)[:80]}")
@@ -243,7 +243,7 @@ def _solve_instance(scope: Formula, var: str, got: Formula):
     the scope binds var (_wrap refuses such a scope)."""
     found: list[Term] = []
 
-    def wt(a: Term, b: Term) -> bool:
+    def wt(a: Term, b: Term, env=None) -> bool:
         if isinstance(a, Var) and a.name == var:
             found.append(b)
             return True
@@ -254,21 +254,7 @@ def _solve_instance(scope: Formula, var: str, got: Formula):
             case _:
                 return a == b
 
-    def wf(p: Formula, q: Formula) -> bool:
-        match p, q:
-            case Atom(n1, a1), Atom(n2, a2):
-                return (n1 == n2 and len(a1) == len(a2)
-                        and all(wt(x, y) for x, y in zip(a1, a2)))
-            case Not(s1), Not(s2):
-                return wf(s1, s2)
-            case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
-                return wf(l1, l2) and wf(r1, r2)
-            case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
-                return v1 == v2 and wf(b1, b2)
-            case _:
-                return False
-
-    if not wf(scope, got):
+    if not paired(scope, got, wt):
         raise StepError("premise-mismatch",
                         "the premise at the path is not an instance of the scope")
     if not found:
@@ -296,7 +282,7 @@ def _deltapp(f, step, registry: SkolemRegistry):
                             f"{len(listed)} instantiation variables")
         repl = App(sym, True, listed)
         inst = substitute(h, {step.var: repl})
-        if prev != inst:
+        if not equal(prev, inst):
             raise StepError("delta-term-mismatch",
                             f"the premise does not use the registry term "
                             f"{print_term(repl)}")
@@ -463,7 +449,7 @@ def check_derivation(d: Derivation,
         if step.tag in GAMMA_TAGS:
             report.witnesses.append(step.term)
         report.lines.append(cur)
-    if cur != d.end:
+    if not equal(cur, d.end):
         return refuse("end-mismatch",
                       f"derivation ends at {print_formula(cur)[:80]}, "
                       f"claimed {print_formula(d.end)[:80]}")

@@ -19,15 +19,16 @@ Paths are tuples of child indices: Not and quantifiers have child 0,
 And/Or have children 0 and 1.
 
 The traversal core (subformulas in preorder, path_nodes along a path, fold
-bottom-up) runs from explicit stacks, so formula walks do not depend on the
-recursion limit; the parser, term walkers and comparisons still recurse.
+bottom-up) runs from explicit stacks, so formula walks and the comparison of
+two formulas (paired, on the fold) do not depend on the recursion limit; the
+parser and the term walkers still recurse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 
 class FormulaError(Exception):
@@ -280,14 +281,22 @@ class Swap:
     node: Formula
 
 
+@dataclass(slots=True)
+class Branch:
+    """A down hook's answer: fold the (node, context) pairs as the node's
+    children, then hand ctx to its up."""
+    pairs: tuple
+    ctx: object
+
+
 def fold(f: Formula, up, down=None, ctx=None):
     """Fold f bottom-up from an explicit stack, so that no walk over a deep
     formula depends on the recursion limit.
 
     down(g, ctx), when given, runs on each node in preorder and returns the
-    context handed to each of g's children, or Prune or Swap.  up(g, kids,
-    ctx) runs in post-order with the children's results, left to right,
-    and the context down returned for g; it gives g's result."""
+    context handed to each of g's children, or Prune, Swap or Branch.
+    up(g, kids, ctx) runs in post-order with the children's results, left
+    to right, and the context down returned for g; it gives g's result."""
     results: list = []
     # (node, context, child count, or None while the node is yet to enter)
     stack: list = [(f, ctx, None)]
@@ -297,11 +306,17 @@ def fold(f: Formula, up, down=None, ctx=None):
         if n is None:
             if down is not None:
                 c2 = down(g, c)
-                if type(c2) is Prune:
+                t = type(c2)
+                if t is Prune:
                     out(c2.result)
                     continue
-                if type(c2) is Swap:
+                if t is Swap:
                     push((c2.node, c, None))
+                    continue
+                if t is Branch:
+                    push((g, c2.ctx, len(c2.pairs)))
+                    for k, kc in reversed(c2.pairs):
+                        push((k, kc, None))
                     continue
                 c = c2
             kids = children(g)
@@ -311,9 +326,13 @@ def fold(f: Formula, up, down=None, ctx=None):
             push((g, c, len(kids)))
             for k in reversed(kids):
                 push((k, c, None))
-        else:
+        elif 0 < n < 3:
             r = take()
             out(up(g, (r,) if n == 1 else (take(), r), c))
+        else:  # a Branch of no pairs, or of more than two
+            kids = tuple(results[len(results) - n:])
+            del results[len(results) - n:]
+            out(up(g, kids, c))
     return results[0]
 
 
@@ -459,7 +478,7 @@ def free_gamma_vars(f: Formula) -> list[str]:
 
 
 def bound_names(f: Formula) -> set[str]:
-    return {v for _, _, v in quantifier_positions(f)}
+    return {g.var for _, g in subformulas(f, paths=False) if isinstance(g, Quant)}
 
 
 def all_names(f: Formula) -> set[str]:
@@ -573,45 +592,62 @@ def is_rectified(f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# equality up to renaming
+# comparing two formulas
 
-def _alpha_walk(f, g, envf, envg):
-    """Structural comparison; envf/envg map bound names to levels."""
+def paired(f: Formula, g: Formula, term_test=None, binder=None, env=(),
+           identity: bool = False) -> bool:
+    """Whether g has f's shape, compared on the fold: term_test(s, t, env)
+    passes each pair of atom arguments, and binder(p, q, env) each pair of
+    quantifiers by giving their bodies' env, not None; by default the
+    arguments are equal and the binders one name.  With identity, a node
+    paired with itself passes at once."""
 
-    def term_eq(s, t):
-        sv = isinstance(s, (Var, SkolemNamedVar))
-        tv = isinstance(t, (Var, SkolemNamedVar))
-        if sv and tv:
-            sn, tn = term_var_name(s), term_var_name(t)
-            if sn in envf or tn in envg:
-                return envf.get(sn) == envg.get(tn)
-            return sn == tn
-        if isinstance(s, GammaVar) and isinstance(t, GammaVar):
-            return s.name == t.name
-        if isinstance(s, App) and isinstance(t, App):
-            return (s.sym == t.sym and s.skolem == t.skolem
-                    and len(s.args) == len(t.args)
-                    and all(term_eq(a, b) for a, b in zip(s.args, t.args)))
-        return False
+    def down(p, ctx):
+        q, env = ctx
+        t = type(p)
+        if identity and p is q:
+            return Prune(True)
+        if t is not type(q):
+            return Prune(False)
+        if t is Atom:
+            if term_test is None:
+                return Prune(p.pred == q.pred and p.args == q.args)
+            return Prune(p.pred == q.pred and len(p.args) == len(q.args)
+                         and all(term_test(s, u, env) for s, u in zip(p.args, q.args)))
+        if t is Not:
+            return Branch(((p.sub, (q.sub, env)),), None)
+        if t is And or t is Or:
+            return Branch(((p.left, (q.left, env)), (p.right, (q.right, env))), None)
+        env = binder(p, q, env) if binder else env if p.var == q.var else None
+        return Prune(False) if env is None else Branch(((p.body, (q.body, env)),), None)
 
-    match f, g:
-        case Atom(p1, a1), Atom(p2, a2):
-            return (p1 == p2 and len(a1) == len(a2)
-                    and all(term_eq(x, y) for x, y in zip(a1, a2)))
-        case Not(s1), Not(s2):
-            return _alpha_walk(s1, s2, envf, envg)
-        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
-            return (_alpha_walk(l1, l2, envf, envg)
-                    and _alpha_walk(r1, r2, envf, envg))
-        case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
-            lvl = len(envf)
-            return _alpha_walk(b1, b2, {**envf, v1: lvl}, {**envg, v2: lvl})
-    return False
+    return fold(f, lambda g, kids, _: all(kids), down, (g, env))
+
+
+def equal(f: Formula, g: Formula) -> bool:
+    """f == g, compared on the fold."""
+    return paired(f, g, identity=True)
+
+
+def _alpha_term(s: Term, t: Term, env) -> bool:
+    """Term comparison under env, which maps each side's bound names to
+    levels."""
+    envf, envg = env
+    if isinstance(s, (Var, SkolemNamedVar)) and isinstance(t, (Var, SkolemNamedVar)):
+        sn, tn = term_var_name(s), term_var_name(t)
+        return envf.get(sn) == envg.get(tn) if sn in envf or tn in envg else sn == tn
+    if isinstance(s, GammaVar) and isinstance(t, GammaVar):
+        return s.name == t.name
+    return (isinstance(s, App) and isinstance(t, App) and s.sym == t.sym
+            and s.skolem == t.skolem and len(s.args) == len(t.args)
+            and all(_alpha_term(a, b, env) for a, b in zip(s.args, t.args)))
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Equal up to renaming of bound variables."""
-    return _alpha_walk(f, g, {}, {})
+    """Equal up to renaming of bound variables: a binder pair gets the next
+    level on each side."""
+    return paired(f, g, _alpha_term, lambda p, q, env: (
+        {**env[0], p.var: len(env[0])}, {**env[1], q.var: len(env[0])}), ({}, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +818,12 @@ def _bind_named(body: Formula, name: str, var: Term) -> Formula:
 
 def _parse_unary(ts: _Tokens) -> Formula:
     kind, val, line, col = ts.peek()
-    if val == "~":
-        ts.next()
-        return Not(_parse_unary(ts))
+    if val == "~":  # counted by a loop, so a long chain parses at any depth
+        n = 0
+        while ts.peek()[1] == "~":
+            ts.next()
+            n += 1
+        return reduce(lambda f, _: Not(f), range(n), _parse_unary(ts))
     if kind == "kw":
         ts.next()
         bkind, bval, bline, bcol = ts.peek()

@@ -1,10 +1,23 @@
 """Reference checkers that the tests compare the library against: equality
 up to a renaming of free instantiation variables, and up to the grouping
-and order of junction operands; and the brute-force countermodel search
-that evaluates one interpretation at a time."""
+and order of junction operands; the brute-force countermodel search that
+evaluates one interpretation at a time; and the recursive comparison up to
+bound renaming and sub-expansion walk that the fold replaced."""
 
 import itertools
+from functools import reduce
 
+from herbrandkit.expansion import (
+    DEFAULT_BUDGET as EXPANSION_BUDGET,
+    BudgetError,
+    SelAnd,
+    SelLeaf,
+    SelNot,
+    SelOr,
+    SelQuant,
+    SelectionError,
+    match_selection,
+)
 from herbrandkit.oracle import (
     DEFAULT_BUDGET,
     Countermodel,
@@ -20,11 +33,18 @@ from herbrandkit.syntax import (
     GammaVar,
     Not,
     Or,
+    Quant,
     SkolemNamedVar,
     Var,
+    bound_names,
+    children,
     collect_signature,
+    is_quantifier_free,
     print_formula,
     quant_kind,
+    rebuild,
+    substitute,
+    term_free_names,
     term_var_name,
 )
 
@@ -159,3 +179,93 @@ def brute_force_countermodel(f, max_size=2, budget=DEFAULT_BUDGET):
                     if not _eval(f, funcs, preds, env, size):
                         return Countermodel(size, funcs, preds, env)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the recursive walkers syntax.alpha_equal and expansion.build_sub_expansion
+# ran on before the fold, bodies unchanged
+
+def _alpha_walk(f, g, envf, envg):
+    """Structural comparison; envf/envg map bound names to levels."""
+
+    def term_eq(s, t):
+        sv = isinstance(s, (Var, SkolemNamedVar))
+        tv = isinstance(t, (Var, SkolemNamedVar))
+        if sv and tv:
+            sn, tn = term_var_name(s), term_var_name(t)
+            if sn in envf or tn in envg:
+                return envf.get(sn) == envg.get(tn)
+            return sn == tn
+        if isinstance(s, GammaVar) and isinstance(t, GammaVar):
+            return s.name == t.name
+        if isinstance(s, App) and isinstance(t, App):
+            return (s.sym == t.sym and s.skolem == t.skolem
+                    and len(s.args) == len(t.args)
+                    and all(term_eq(a, b) for a, b in zip(s.args, t.args)))
+        return False
+
+    match f, g:
+        case Atom(p1, a1), Atom(p2, a2):
+            return (p1 == p2 and len(a1) == len(a2)
+                    and all(term_eq(x, y) for x, y in zip(a1, a2)))
+        case Not(s1), Not(s2):
+            return _alpha_walk(s1, s2, envf, envg)
+        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
+            return (_alpha_walk(l1, l2, envf, envg)
+                    and _alpha_walk(r1, r2, envf, envg))
+        case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
+            lvl = len(envf)
+            return _alpha_walk(b1, b2, {**envf, v1: lvl}, {**envg, v2: lvl})
+    return False
+
+
+def reference_alpha_equal(f, g):
+    return _alpha_walk(f, g, {}, {})
+
+
+def selection_terms(s):
+    out = []
+    match s:
+        case SelNot(sub):
+            out += selection_terms(sub)
+        case SelAnd(l, r) | SelOr(l, r):
+            out += selection_terms(l)
+            out += selection_terms(r)
+        case SelQuant(_, _, terms, branches):
+            out += list(terms)
+            for b in branches:
+                out += selection_terms(b)
+    return out
+
+
+def build_sub_expansion(f, sel, budget=EXPANSION_BUDGET):
+    """Expand each quantifier over its per-branch chosen terms.  The
+    selection must mirror the formula's skeleton down to quantifier-free
+    subformulas; chosen terms must not use variables bound in the formula."""
+    avoid = set()
+    for t in selection_terms(sel):
+        avoid |= term_free_names(t)
+    clash = bound_names(f) & avoid
+    if clash:
+        raise SelectionError(
+            "selection terms use bound variable names: " + ", ".join(sorted(clash)))
+    count = [0]
+
+    def walk(g, s):
+        if isinstance(s, SelLeaf) and is_quantifier_free(g):
+            count[0] += 1
+            return g
+        subs = match_selection(g, s)
+        if not isinstance(g, Quant):
+            count[0] += 1
+            return rebuild(g, *map(walk, children(g), subs))
+        acc = reduce(And if isinstance(g, Forall) else Or,
+                     [substitute(walk(g.body, br), {g.var: t})
+                      for t, br in zip(s.terms, subs)])
+        count[0] += len(s.terms) - 1
+        if count[0] > budget:
+            raise BudgetError(
+                f"sub-expansion exceeds the size guard of {budget} nodes")
+        return acc
+
+    return walk(f, sel)

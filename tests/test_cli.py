@@ -60,11 +60,24 @@ def test_deep_nesting_exits_2_with_json_error():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "herbrandkit", "--format", "json", "parse", "-"],
-        input="~" * 20_000 + "p", capture_output=True, text=True, env=env,
+        input="(" * 20_000 + "p" + ")" * 20_000, capture_output=True, text=True, env=env,
         timeout=120)
     assert proc.returncode == 2
     doc = json.loads(proc.stdout)
     assert doc["error"] == "RecursionError" and doc["message"]
+
+
+def test_a_long_negation_chain_is_decided(capsys):
+    """The parser counts a chain of ~ by a loop, so a 100,000-deep chain is
+    read and decided with the normal documents, not refused at the
+    recursion limit; --max 2 is the least bound that reaches expand."""
+    text = "~" * 100_000 + "p(c)"
+    code, doc, _ = run_json(capsys, "parse", text)
+    assert code == 0 and doc["size"] == 100_001
+    code, doc, _ = run_json(capsys, "taut", text)
+    assert code == 1 and doc["tautology"] is False and doc["atoms"] == 1
+    code, doc, _ = run_json(capsys, "min-order", "--max", "2", text)
+    assert code == 1 and doc == {"kind": "C", "max_checked": 2, "min_order": None}
 
 
 def test_parse_error_exits_2(capsys):

@@ -1,7 +1,12 @@
 """Mechanical construction of derivations and order bookkeeping."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +24,7 @@ from herbrandkit.construct import (
     procedure1_order,
     property_c,
 )
+import herbrandkit
 from herbrandkit import construct
 from herbrandkit.expansion import (
     LEAF,
@@ -462,3 +468,69 @@ def test_malformed_selection_reads_the_same_in_a_sub_expansion(drinker, case):
     sel, error, message = BAD_SELECTIONS[case]
     with pytest.raises(error, match=message):
         build_sub_expansion(outer_skolemize(rectify(drinker)), sel)
+
+
+# The walks along a selection and the comparisons of two formulas run from
+# an explicit stack: under a recursion limit of 120, a 300-way disjunction
+# (exists x0. p(x0)) | ... | ~p(c) with the witness c at each quantifier is
+# expanded, checked and derived both ways, and a 5,000-deep formula compares
+# equal up to bound renaming with a copy built under other binder names.
+LOW_LIMIT_SCRIPT = """
+import json, sys
+from functools import reduce
+from herbrandkit.construct import construct_derivation, construct_fv_derivation, property_c
+from herbrandkit.expansion import LEAF, SelOr, SelQuant, build_sub_expansion
+from herbrandkit.kernel import check_derivation
+from herbrandkit.skolem import SkolemRegistry
+from herbrandkit.syntax import (App, Atom, Exists, Forall, Not, Or, Var,
+                                alpha_equal, is_quantifier_free)
+
+c = App("c", False, ())
+f = Or(reduce(Or, [Exists(f"x{i}", Atom("p", (Var(f"x{i}"),))) for i in range(300)]),
+       Not(Atom("p", (c,))))
+sel = SelOr(reduce(SelOr, [SelQuant("exists", f"x{i}", (c,), (LEAF,)) for i in range(300)]),
+            LEAF)
+
+def deep(name):
+    g = Atom("q", (Var(name + "0"),))
+    for i in range(5000):
+        if i % 3:
+            g = Not(g)
+        else:
+            v = f"{name}{i}"
+            g = (Forall if i % 2 else Exists)(v, Or(g, Atom("q", (Var(v),))))
+    return g
+
+a, b = deep("y"), deep("z")
+sys.setrecursionlimit(120)
+out = {}
+
+def run(label, fn):
+    try:
+        out[label] = fn()
+    except RecursionError:
+        out[label] = "RecursionError"
+
+def fv():
+    reg = SkolemRegistry()
+    return check_derivation(construct_fv_derivation(f, 2, sel, reg)[0], reg).ok
+
+run("sub_expansion", lambda: is_quantifier_free(build_sub_expansion(f, sel)))
+run("property_c", lambda: property_c(f, 2, sel=sel).status)
+run("derivation", lambda: check_derivation(construct_derivation(f, 2, sel)).ok)
+run("fv_derivation", fv)
+run("alpha_equal", lambda: alpha_equal(a, b))
+print(json.dumps(out))
+"""
+
+
+def test_selection_walks_and_comparisons_run_under_a_low_recursion_limit():
+    src = str(Path(herbrandkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", LOW_LIMIT_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {
+        "sub_expansion": True, "property_c": "holds", "derivation": True,
+        "fv_derivation": True, "alpha_equal": True}

@@ -1,6 +1,8 @@
 """Term domains, expansions, sub-expansions, and selection trees."""
 
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from herbrandkit.expansion import (
     LEAF,
     BudgetError,
     ExpansionError,
+    SelAnd,
     SelNot,
     SelOr,
     SelQuant,
@@ -20,21 +23,34 @@ from herbrandkit.expansion import (
     expansion_node_count,
     parse_selection,
     print_selection,
+    selection_terms,
     selection_within,
 )
 from herbrandkit.skolem import outer_skolemize
 from herbrandkit.syntax import (
     DOT,
+    And,
+    App,
+    Atom,
+    GammaVar,
+    Not,
+    Or,
+    Var,
     formula_size,
     is_quantifier_free,
     parse_formula,
     parse_term,
     print_formula,
     print_term,
+    quant_kind,
     rectify,
     term_height,
 )
 from herbrandkit.taut import is_tautology
+
+import references
+from conftest import random_candidate
+from test_fold import random_formula
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +263,62 @@ def test_tautological_sub_expansion_implies_tautological_expansion():
             hits += 1
             assert is_tautology(expand(f, ch))
     assert hits > 0
+
+
+def random_selection(rng, g, terms):
+    """A selection for g that mostly fits, with a tail of faults: a leaf at
+    a quantifier, choices at an atom, the wrong junction, kind or binder, a
+    branch count unequal to the term count."""
+    roll = rng.random()
+    if roll < 0.02:
+        return LEAF
+    if roll < 0.03:
+        return SelNot(LEAF)
+    if isinstance(g, Atom) or is_quantifier_free(g) and roll < 0.5:
+        return LEAF
+    if isinstance(g, Not):
+        return SelNot(random_selection(rng, g.sub, terms))
+    if isinstance(g, (And, Or)):
+        make = SelAnd if isinstance(g, And) != (roll < 0.04) else SelOr
+        return make(random_selection(rng, g.left, terms),
+                    random_selection(rng, g.right, terms))
+    ts = tuple(rng.choice(terms) for _ in range(rng.randint(1, 3)))
+    kind = quant_kind(g) if roll > 0.05 else "exists"
+    var = g.var if roll > 0.06 else "w"
+    branches = [random_selection(rng, g.body, terms)
+                for _ in range(len(ts) + (roll < 0.07))]
+    return SelQuant(kind, var, ts, tuple(branches))
+
+
+def test_sub_expansion_agrees_with_the_reference():
+    """build_sub_expansion against the recursive walk it replaced, over
+    random formulas (Skolemized or not, with shadowed and Skolem-named
+    binders and ? variables) and random selections, some of them faulty,
+    some over terms that use bound names, under random size guards: the
+    same sub-expansion, or the same error and text."""
+    rng = random.Random(29)
+    extra = [GammaVar("g"), Var("x"), App("f", False, (GammaVar("g"),))]
+    outcomes = Counter()
+    for i in range(900):
+        if i % 3 == 2:
+            f = random_formula(rng, 4, [])
+            terms = [App("c", False, ()), App("sk_b", True, ()), GammaVar("g")]
+        else:
+            f = random_candidate(rng)
+            f = outer_skolemize(f) if i % 3 else f
+            terms = list(champ(f, 3).terms) + extra[:rng.randint(0, 3)]
+        sel = random_selection(rng, f, terms)
+        assert selection_terms(sel) == references.selection_terms(sel)
+        budget = rng.choice([4, 8, 16, 40, 10_000_000])
+        try:
+            want = references.build_sub_expansion(f, sel, budget)
+        except (SelectionError, BudgetError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                build_sub_expansion(f, sel, budget)
+            outcomes[type(e).__name__] += 1
+            continue
+        got = build_sub_expansion(f, sel, budget)
+        assert got == want and print_formula(got) == print_formula(want)
+        outcomes["built"] += 1
+    assert outcomes["built"] > 300 and outcomes["BudgetError"] > 50
+    assert outcomes["SelectionError"] > 100

@@ -102,25 +102,22 @@ def test_no_dead_definitions():
     assert test_only == USED_ONLY_IN_TESTS
 
 
-# The formula walkers fold from an explicit stack (syntax.fold).  The
-# functions that stay recursive: the parsers, the term walkers, the
-# two-formula comparisons, the walks driven by a selection tree with the
-# quantifier rules they hand themselves to, the SAT search and the CLI's
-# printer of nested documents.
+# The formula walkers, the walks driven by a selection tree and the
+# comparisons of two formulas fold from an explicit stack (syntax.fold).
+# The functions that stay recursive: the parsers, the term walkers,
+# print_selection, the SAT search and the CLI's printer of nested documents.
 STILL_RECURSIVE = {
     "syntax.py": {
         "print_term", "term_free_names", "substitute_term", "term_height",
-        "first_occurrences.walk_term", "_alpha_walk", "_alpha_walk.term_eq",
+        "first_occurrences.walk_term", "_alpha_term",
         "nameify_term", "collect_signature.walk_term",
         "_parse_term", "_bind_named.conv", "_parse_unary",
         "_check_arities.walk_term",
     },
     "taut.py": {"_dpll.solve"},
-    "expansion.py": {"parse_selection.node", "print_selection",
-                     "selection_terms", "build_sub_expansion.walk"},
+    "expansion.py": {"parse_selection.node", "print_selection"},
     "skolem.py": {"canonical_key.pt"},
-    "construct.py": {"_along", "_copy_pass", "construct_fv_derivation.strip"},
-    "kernel.py": {"_solve_instance.wt", "_solve_instance.wf"},
+    "kernel.py": {"_solve_instance.wt"},
     "oracle.py": {"_eval_term"},
     "cli.py": {"_lines"},
 }
