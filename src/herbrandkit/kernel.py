@@ -22,19 +22,19 @@ context condition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
 from .skolem import SkolemRegistry, deltapp_scope
 from .syntax import (
-    And, App, Atom, CaptureError, Exists, Forall, Formula, FormulaError,
+    And, App, CaptureError, Exists, Forall, Formula, FormulaError,
     GammaVar, Not, Or, PathError, Quant, Term, Var,
-    all_names, alpha_equal, bound_names, classify_quantifier, collect_signature,
-    equal, free_names, fresh_name, is_quantifier_free, nameify_term, paired,
-    parse_formula, parse_term, path_nodes, polarity_at, print_formula,
-    print_term, promote_skolem_apps, rename_binder, replace_at, subformula_at,
-    substitute, term_free_names, var_for_name,
+    all_names, alpha_equal, bound_names, children, classify_quantifier,
+    collect_signature, equal, free_names, fresh_name, is_quantifier_free,
+    nameify_term, paired, parse_formula, parse_term, path_nodes, polarity_at,
+    print_formula, print_term, promote_skolem_apps, rename_binder, replace_at,
+    subformula_at, substitute, term_free_names, var_for_name,
 )
 from .taut import is_tautology
 
@@ -85,6 +85,14 @@ class Derivation:
     axiom: Formula
     steps: tuple[RuleStep, ...]
     end: Formula
+    # the registry entries a check started from -> (its report, the entries
+    # it left); see check_derivation
+    _checked: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
+
+    def __post_init__(self):
+        # the remembered checks hold only while the steps cannot change
+        object.__setattr__(self, "steps", tuple(self.steps))
 
 
 @dataclass
@@ -221,17 +229,18 @@ def _gamma_quant(f, step, registry, restricted=False):
 
 
 def _delta_minus(f, step, registry):
-    h = subformula_at(f, step.path)
-    wrapped = _wrap(step, h)
-    result = replace_at(f, step.path, wrapped)
-    if any(isinstance(g, Quant) and g.var == step.var
-           for g in path_nodes(f, step.path)[:-1]):
+    nodes = path_nodes(f, step.path)
+    wrapped = _wrap(step, nodes[-1])
+    if any(isinstance(g, Quant) and g.var == step.var for g in nodes[:-1]):
         raise StepError("context-capture",
                         f"{step.var} is bound by an enclosing quantifier")
-    hole = replace_at(f, step.path, Atom("valid", ()))
-    if step.var in free_names(hole):
+    # no binder on the path takes the variable, so the context has it free
+    # exactly when a sibling of the path has it free
+    if any(step.var in free_names(children(g)[1 - i])
+           for g, i in zip(nodes, step.path) if isinstance(g, (And, Or))):
         raise StepError("context-capture",
                         f"{step.var} occurs free in the context")
+    result = replace_at(f, step.path, wrapped)
     _check_class(result, step.path, "delta")
     return result, None
 
@@ -419,7 +428,31 @@ def check_step(f: Formula, step: RuleStep,
 def check_derivation(d: Derivation,
                      registry: SkolemRegistry | None = None) -> CheckReport:
     """Replay a derivation from its axiom and verify every side condition,
-    the mode's rule gating, and the claimed end formula."""
+    the mode's rule gating, and the claimed end formula.
+
+    A derivation is frozen, so its replay depends only on it and on the
+    registry entries the replay starts from.  The check is therefore
+    remembered on d per registry state: a later call from the same entries
+    replays no step, leaves the registry as the replay left it and returns
+    a copy of the first report.  parse_script builds a new derivation, so a
+    script read from text is always replayed in full."""
+    before = () if registry is None else tuple(registry.entries.items())
+    known = d._checked.get(before)
+    if known is None:
+        report = _replay(d, registry)
+        after = () if registry is None else tuple(registry.entries.items())
+        known = d._checked[before] = report, after
+    elif registry is not None:
+        registry.entries.clear()
+        registry.entries.update(known[1])
+    report = known[0]
+    return replace(report, lines=list(report.lines),
+                   witnesses=list(report.witnesses),
+                   deltapp_symbols=list(report.deltapp_symbols))
+
+
+def _replay(d: Derivation, registry: SkolemRegistry | None) -> CheckReport:
+    """check_derivation's replay, step by step."""
     report = CheckReport(ok=False)
 
     def refuse(error, message, step_index=None):

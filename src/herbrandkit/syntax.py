@@ -427,13 +427,14 @@ def is_quantifier_free(f: Formula) -> bool:
 def free_names(f: Formula) -> set[str]:
     """Free variable names of a formula (plain names, ?names, and prints of
     free Skolem-named variables)."""
-    return _free_and_vacuous(f)[0]
+    return _free_below(f)[0]
 
 
-def _free_and_vacuous(f: Formula) -> tuple[set[str], set[int]]:
-    """f's free names, and the ids of its quantifier nodes whose variable
-    does not occur free in their body, from one bottom-up fold."""
-    vacuous: set[int] = set()
+def _free_below(f: Formula, names=()) -> tuple[set[str], dict[int, set[str]]]:
+    """f's free names and, for the id of each of its quantifier nodes, which
+    of names and the node's own variable occur free in its body, from one
+    bottom-up fold.  The ids stay the nodes' own while f lives."""
+    below: dict[int, set[str]] = {}
 
     def up(g, kids, _):
         if type(g) is Atom:
@@ -442,12 +443,11 @@ def _free_and_vacuous(f: Formula) -> tuple[set[str], set[int]]:
         if len(kids) == 2:
             out |= kids[1]
         elif isinstance(g, Quant):
-            if g.var not in out:
-                vacuous.add(id(g))
+            below[id(g)] = out.intersection((g.var, *names))
             out.discard(g.var)
         return out
 
-    return fold(f, up), vacuous
+    return fold(f, up), below
 
 
 def first_occurrences(f: Formula) -> list[str]:
@@ -518,12 +518,20 @@ def substitute(f: Formula, mapping: dict[str, Term], strict: bool = False) -> Fo
 
     Lenient mode renames a binder that would capture a variable of an
     incoming term; strict mode raises CaptureError instead."""
+    below = None  # from one fold over f, taken when a quantifier first needs it
 
     def down(g, mp):
+        nonlocal below
         if not isinstance(g, Quant):
             return mp
         v, b = g.var, g.body
-        live = free_names(b) if mp.keys() - {v} else ()
+        live = ()
+        if mp.keys() - {v}:
+            if below is None:
+                below = _free_below(f, mapping.keys())[1]
+            live = below.get(id(g))
+            if live is None:  # a binder renamed on the way is not in f
+                live = free_names(b)
         inner = {k: t for k, t in mp.items() if k != v and k in live}
         if not inner:
             return Prune(g)
@@ -554,14 +562,14 @@ def rectify(f: Formula) -> Formula:
     binders get _1, _2, ... suffixes; names colliding with free variables are
     renamed the same way.  A quantifier whose variable does not occur in its
     body is deleted."""
-    used, vacuous = _free_and_vacuous(f)
+    used, below = _free_below(f)
 
     # the context is (renaming, the binder name the last quantifier got)
     def down(g, ctx):
         if not isinstance(g, Quant):
             return ctx
         v, b = g.var, g.body
-        if id(g) in vacuous:
+        if not below[id(g)]:  # vacuous
             return Swap(b)
         v2 = fresh_name(v, used)
         used.add(v2)
@@ -580,11 +588,11 @@ def rectify(f: Formula) -> Formula:
 
 def is_rectified(f: Formula) -> bool:
     seen = set()
-    free, vacuous = _free_and_vacuous(f)
+    free, below = _free_below(f)
 
     def down(g, _):
         if isinstance(g, Quant):
-            if g.var in seen or g.var in free or id(g) in vacuous:
+            if g.var in seen or g.var in free or not below[id(g)]:
                 return Prune(False)
             seen.add(g.var)
 
@@ -632,7 +640,7 @@ def equal(f: Formula, g: Formula) -> bool:
 def _alpha_term(s: Term, t: Term, env) -> bool:
     """Term comparison under env, which maps each side's bound names to
     levels."""
-    envf, envg = env
+    envf, envg, _ = env
     if isinstance(s, (Var, SkolemNamedVar)) and isinstance(t, (Var, SkolemNamedVar)):
         sn, tn = term_var_name(s), term_var_name(t)
         return envf.get(sn) == envg.get(tn) if sn in envf or tn in envg else sn == tn
@@ -644,10 +652,12 @@ def _alpha_term(s: Term, t: Term, env) -> bool:
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Equal up to renaming of bound variables: a binder pair gets the next
-    level on each side."""
+    """Equal up to renaming of bound variables: a binder pair gets its
+    depth as the level on each side, so a shadowing binder gets a level of
+    its own."""
     return paired(f, g, _alpha_term, lambda p, q, env: (
-        {**env[0], p.var: len(env[0])}, {**env[1], q.var: len(env[0])}), ({}, {}))
+        {**env[0], p.var: env[2]}, {**env[1], q.var: env[2]}, env[2] + 1),
+        ({}, {}, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +750,16 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+# the parser descends by recursion through parentheses, quantifiers and
+# function applications; input nested deeper than this is refused, well
+# inside the default recursion limit, with an error that names the depth
+MAX_NESTING = 100
+
+
 class _Tokens:
     def __init__(self, text):
         self.toks = []
+        self.depth = 0
         line, col = 1, 1
         pos = 0
         while pos < len(text):
@@ -780,6 +797,17 @@ class _Tokens:
         _, v, line, col = self.peek()
         raise ParseError(f"{msg}, found {v or 'end of input'!r}", line, col)
 
+    def nest(self, parse):
+        """parse(self), one level of nesting deeper."""
+        if self.depth == MAX_NESTING:
+            _, _, line, col = self.peek()
+            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
+                             line, col)
+        self.depth += 1
+        out = parse(self)
+        self.depth -= 1
+        return out
+
 
 def _parse_term(ts: _Tokens) -> Term:
     kind, val, line, col = ts.next()
@@ -790,10 +818,10 @@ def _parse_term(ts: _Tokens) -> Term:
     if kind == "ident":
         if ts.peek()[1] == "(":
             ts.next()
-            args = [_parse_term(ts)]
+            args = [ts.nest(_parse_term)]
             while ts.peek()[1] == ",":
                 ts.next()
-                args.append(_parse_term(ts))
+                args.append(ts.nest(_parse_term))
             ts.expect(")")
             return App(val, is_skolem_symbol(val), tuple(args))
         if is_skolem_symbol(val):
@@ -841,13 +869,13 @@ def _parse_unary(ts: _Tokens) -> Formula:
         else:
             raise ParseError(f"bad binder {print_term(binder_term)!r}", bline, bcol)
         ts.expect(".")
-        body = _parse_implication(ts)
+        body = ts.nest(_parse_implication)
         if var is not None:
             body = _bind_named(body, name, var)
         return Forall(name, body) if val == "forall" else Exists(name, body)
     if val == "(":
         ts.next()
-        f = _parse_implication(ts)
+        f = ts.nest(_parse_implication)
         ts.expect(")")
         return f
     if kind in ("ident", "gvar", "dot_const"):

@@ -185,8 +185,9 @@ def brute_force_countermodel(f, max_size=2, budget=DEFAULT_BUDGET):
 # the recursive walkers syntax.alpha_equal and expansion.build_sub_expansion
 # ran on before the fold, bodies unchanged
 
-def _alpha_walk(f, g, envf, envg):
-    """Structural comparison; envf/envg map bound names to levels."""
+def _alpha_walk(f, g, envf, envg, depth=0):
+    """Structural comparison; envf/envg map bound names to levels, and a
+    binder pair gets its depth as its level."""
 
     def term_eq(s, t):
         sv = isinstance(s, (Var, SkolemNamedVar))
@@ -209,13 +210,13 @@ def _alpha_walk(f, g, envf, envg):
             return (p1 == p2 and len(a1) == len(a2)
                     and all(term_eq(x, y) for x, y in zip(a1, a2)))
         case Not(s1), Not(s2):
-            return _alpha_walk(s1, s2, envf, envg)
+            return _alpha_walk(s1, s2, envf, envg, depth)
         case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
-            return (_alpha_walk(l1, l2, envf, envg)
-                    and _alpha_walk(r1, r2, envf, envg))
+            return (_alpha_walk(l1, l2, envf, envg, depth)
+                    and _alpha_walk(r1, r2, envf, envg, depth))
         case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
-            lvl = len(envf)
-            return _alpha_walk(b1, b2, {**envf, v1: lvl}, {**envg, v2: lvl})
+            return _alpha_walk(b1, b2, {**envf, v1: depth}, {**envg, v2: depth},
+                               depth + 1)
     return False
 
 

@@ -11,7 +11,7 @@ import pytest
 import herbrandkit
 from herbrandkit.cli import main
 from herbrandkit.construct import UPPER_BOUND_TEXT
-from herbrandkit.syntax import alpha_equal, parse_formula
+from herbrandkit.syntax import MAX_NESTING, alpha_equal, parse_formula
 
 from conftest import DRINKER_TEXT
 
@@ -53,8 +53,9 @@ def test_parse_reads_file(capsys, tmp_path):
 
 
 def test_deep_nesting_exits_2_with_json_error():
-    """Input nested past the recursion limit could not be checked: exit 2
-    with the JSON error document, not a crash and not the negative exit 1."""
+    """Input nested past the parser's depth guard could not be checked: exit
+    2 with the JSON error document that names the depth, not a crash, not
+    the recursion limit and not the negative exit 1."""
     src = str(Path(herbrandkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -64,7 +65,18 @@ def test_deep_nesting_exits_2_with_json_error():
         timeout=120)
     assert proc.returncode == 2
     doc = json.loads(proc.stdout)
-    assert doc["error"] == "RecursionError" and doc["message"]
+    assert doc == {"error": "ParseError", "message": (
+        f"input nested deeper than {MAX_NESTING} levels "
+        f"(line 1, column {MAX_NESTING + 2})")}
+    assert "recursion" not in proc.stderr
+
+
+def test_nesting_up_to_the_depth_guard_is_read(capsys):
+    text = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
+    code, doc, _ = run_json(capsys, "parse", text)
+    assert code == 0 and doc["size"] == 1
+    code, _, err = run(capsys, "parse", "(" + text + ")")
+    assert code == 2 and f"nested deeper than {MAX_NESTING} levels" in err
 
 
 def test_a_long_negation_chain_is_decided(capsys):
@@ -327,6 +339,24 @@ def test_check_proof_rejects_with_condition(capsys, tmp_path):
     code, out, _ = run(capsys, "check-proof", str(script))
     assert code == 1
     assert "rejected" in out and "premise-mismatch" in out
+
+
+def test_check_proof_refuses_to_drop_a_shadowed_non_variant(capsys, tmp_path):
+    """Under the shadowing exists x, the p(x,y) on the left reads the
+    exists, while p(c,b) on the right reads the forall after it: the two
+    operands are no variants of each other, and the right one does not
+    imply the left one."""
+    script = tmp_path / "shadow.txt"
+    script.write_text(
+        "mode: heijenoort\n"
+        "start: (forall x. exists x. forall y. p(x,y)) | "
+        "(forall a. exists b. forall c. p(c,b))\n"
+        "step: simp path=. keep=left\n"
+        "end: forall x. exists x. forall y. p(x,y)\n")
+    code, doc, _ = run_json(capsys, "check-proof", str(script))
+    assert code == 1
+    assert doc["accepted"] is False and doc["error"] == "not-a-variant"
+    assert doc["step_index"] == 0
 
 
 def test_check_proof_reads_eq_as_an_integer(capsys, tmp_path):

@@ -4,7 +4,18 @@ from pathlib import Path
 
 import pytest
 
+from herbrandkit import kernel
 from herbrandkit.cli import main
+from herbrandkit.construct import (
+    UPPER_BOUND_SELECTION,
+    UPPER_BOUND_TEXT,
+    construct_derivation,
+    construct_fv_derivation,
+    demo_upper_bound,
+    derivation_order_bound,
+    property_c,
+)
+from herbrandkit.expansion import parse_selection
 from herbrandkit.kernel import (
     DELTA_MINUS,
     DELTAPP,
@@ -501,3 +512,101 @@ def test_script_mutation_round_trip_through_checker(showcase_derivation):
     text = print_script(showcase_derivation)
     report = check_derivation(parse_script(text))
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# remembered checks
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The derivations the kernel replays step by step, in call order."""
+    seen = []
+    replay = kernel._replay
+
+    def counted(d, registry):
+        seen.append(d)
+        return replay(d, registry)
+
+    monkeypatch.setattr(kernel, "_replay", counted)
+    return seen
+
+
+def test_demo_upper_bound_replays_each_derivation_once(replays):
+    """The demo checks both constructed derivations again and reads the
+    order bound off the first: the constructions' own checks answer."""
+    doc = demo_upper_bound()
+    assert doc["derivation"]["accepted"] and doc["free_variable"]["accepted"]
+    assert [d.mode for d in replays] == ["heijenoort", "free-variable"]
+
+
+def test_the_upperbound_bench_request_replays_three_derivations(replays):
+    """The calls of the benchmark's upperbound request: the construction's
+    check, the round trip through the printed script and the free-variable
+    construction's check replay; the repeats do not."""
+    a = parse_formula(UPPER_BOUND_TEXT)
+    sel = parse_selection(UPPER_BOUND_SELECTION)
+    assert property_c(a, 4, sel=sel).holds
+    d = construct_derivation(a, 4, sel)
+    assert check_derivation(parse_script(print_script(d))).ok
+    registry = SkolemRegistry()
+    fv_d, _, _ = construct_fv_derivation(a, 4, sel, registry)
+    assert check_derivation(fv_d, registry).ok
+    assert derivation_order_bound(d).value == 16
+    assert len(replays) == 3
+    assert replays[0] is d and replays[1] == d and replays[1] is not d
+    assert replays[2] is fv_d
+
+
+def test_a_script_read_from_text_is_replayed_in_full(showcase_derivation, replays):
+    d = showcase_derivation
+    first = check_derivation(d)
+    again = parse_script(print_script(d))
+    assert again == d
+    assert check_derivation(again) == first
+    assert replays[-1] is again
+    replays.clear()
+    assert check_derivation(d) == first and check_derivation(again) == first
+    assert replays == []
+
+
+def test_a_check_from_another_registry_state_replays(
+        upper_bound, upper_bound_selection, replays):
+    """A free-variable check from other registry entries replays; a repeat
+    from the same entries does not, and leaves the registry as a full
+    replay of the same script from those entries leaves it.  The
+    construction's own check started from the entries it bound."""
+    built = SkolemRegistry()
+    d, _, _ = construct_fv_derivation(upper_bound, 4, upper_bound_selection, built)
+    text = print_script(d)
+    other = {"0" * 16: ("sk_z", 0)}
+    for start, replayed in ((built.entries, False), ({}, True), (other, True),
+                            ({}, False), (other, False), (built.entries, False)):
+        ref = SkolemRegistry(dict(start))
+        want = check_derivation(parse_script(text), ref)
+        reg = SkolemRegistry(dict(start))
+        n = len(replays)
+        got = check_derivation(d, reg)
+        assert (len(replays) > n) == replayed
+        assert got == want and got.ok
+        assert list(reg.entries.items()) == list(ref.entries.items())
+        if start is not built.entries:  # the replay bound the scopes
+            assert len(reg.entries) > len(start)
+
+
+def test_a_returned_report_is_a_copy(showcase_derivation):
+    first = check_derivation(showcase_derivation)
+    lines, witnesses = list(first.lines), list(first.witnesses)
+    first.lines.clear()
+    first.witnesses.append(parse_term("c"))
+    first.ok = False
+    again = check_derivation(showcase_derivation)
+    assert again.ok and again.lines == lines and again.witnesses == witnesses
+
+
+def test_a_derivation_keeps_the_steps_it_was_built_with():
+    steps = []
+    d = Derivation("heijenoort", parse_formula("p | ~p"), steps,
+                   parse_formula("p | ~p"))
+    assert check_derivation(d).ok
+    steps.append(RuleStep(SIMP, (), keep="left"))
+    assert d.steps == () and check_derivation(d).ok
