@@ -37,6 +37,7 @@ from .expansion import (
 from .kernel import (
     apply_passage,
     check_derivation,
+    format_path,
     parse_path,
     parse_script,
     print_script,
@@ -45,14 +46,16 @@ from .oracle import find_countermodel
 from .skolem import SkolemRegistry, deltapp_skolemize, outer_skolemize
 from .syntax import (
     FormulaError,
-    classify_quantifier,
+    Quant,
     formula_size,
+    is_gamma,
     parse_formula,
     parse_term,
     print_formula,
     print_term,
-    quantifier_positions,
+    quant_kind,
     rectify,
+    sites,
 )
 from .taut import atom_list, emit_dimacs, is_tautology
 
@@ -146,15 +149,12 @@ def _cmd_rectify(args):
 
 def _cmd_classify(args):
     f = _read_formula(args)
-    rows = []
-    raw = []
-    for path, kind, var in quantifier_positions(f):
-        _, klass, accessible = classify_quantifier(f, path)
-        dotted = ".".join(map(str, path)) or "."
-        rows.append({"path": dotted, "kind": kind, "var": var, "class": klass,
-                     "accessible": accessible})
-        raw.append(f"{dotted} {kind} {var} {klass}"
-                   f"{' accessible' if accessible else ''}")
+    rows = [{"path": format_path(path), "kind": quant_kind(g), "var": g.var,
+             "class": "gamma" if is_gamma(quant_kind(g), sign) else "delta",
+             "accessible": accessible}
+            for path, g, sign, accessible in sites(f) if isinstance(g, Quant)]
+    raw = [f"{r['path']} {r['kind']} {r['var']} {r['class']}"
+           f"{' accessible' if r['accessible'] else ''}" for r in rows]
     return 0, {"formula": print_formula(f), "quantifiers": rows}, "\n".join(raw)
 
 

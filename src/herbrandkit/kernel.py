@@ -29,12 +29,12 @@ from typing import Callable, NamedTuple
 from .skolem import SkolemRegistry, deltapp_scope
 from .syntax import (
     And, App, CaptureError, Exists, Forall, Formula, FormulaError,
-    GammaVar, Not, Or, PathError, Quant, Term, Var,
-    all_names, alpha_equal, bound_names, children, classify_quantifier,
-    collect_signature, equal, free_names, fresh_name, is_quantifier_free,
-    nameify_term, paired, parse_formula, parse_term, path_nodes, polarity_at,
-    print_formula, print_term, promote_skolem_apps, rename_binder, replace_at,
-    subformula_at, substitute, term_free_names, var_for_name,
+    GammaVar, Not, Or, PathError, Quant, Site, Term, Var,
+    all_names, alpha_equal, bound_names, children, collect_signature, equal,
+    free_names, fresh_name, is_gamma, is_quantifier_free, locate,
+    nameify_term, paired, parse_formula, parse_term, print_formula,
+    print_term, promote_skolem_apps, quant_kind, rename_binder,
+    substitute, term_free_names, var_for_name,
 )
 from .taut import is_tautology
 
@@ -164,16 +164,17 @@ def _passage_rewrite(sub: Formula, eq: int, direction: str, avoid: set[str]) -> 
 def apply_passage(f: Formula, path: tuple[int, ...], eq: int,
                   direction: str) -> Formula:
     """Apply one rule of passage at the given position."""
-    sub = subformula_at(f, path)
-    return replace_at(f, path, _passage_rewrite(sub, eq, direction, all_names(f)))
+    site = locate(f, path)
+    return site.plug(_passage_rewrite(site.node, eq, direction, all_names(f)))
 
 
 # ---------------------------------------------------------------------------
 # step checking: each rule takes (line, step, registry) and gives the next
 # line and the registry symbol the step bound (None but for delta++); a
-# path that names no subformula is a bad-path step
+# path that names no subformula is a bad-path step.  A rule locates its
+# position once, and the nodes above it, which give its class, do not change
 
-def _wrap(step: RuleStep, scope: Formula) -> Formula:
+def _wrap(step: RuleStep, scope: Formula, bound: set[str]) -> Formula:
     if step.quant not in ("forall", "exists"):
         raise StepError("bad-step", f"missing or bad quantifier kind {step.quant!r}")
     if step.var is None:
@@ -182,20 +183,20 @@ def _wrap(step: RuleStep, scope: Formula) -> Formula:
         var_for_name(step.var)
     except FormulaError as e:
         raise StepError("bad-binder-name", str(e))
-    if step.var in bound_names(scope):
+    if step.var in bound:
         raise StepError("binder-collision",
                         f"{step.var} is already bound inside the scope")
     make = Forall if step.quant == "forall" else Exists
     return make(step.var, scope)
 
 
-def _check_class(result, path, want):
-    """The introduced quantifier is of class want; a gamma is accessible."""
-    _, klass, accessible = classify_quantifier(result, path)
+def _check_class(site: Site, kind: str, want: str):
+    """A quantifier of this kind at site is of class want; a gamma is accessible."""
+    klass = "gamma" if is_gamma(kind, site.sign) else "delta"
     if klass != want:
         raise StepError(f"not-a-{want}",
                         f"the introduced quantifier is a {klass} here")
-    if want == "gamma" and not accessible:
+    if want == "gamma" and not site.accessible:
         raise StepError("gamma-not-accessible",
                         "the introduced quantifier sits below another quantifier")
 
@@ -208,41 +209,40 @@ def _gamma_quant(f, step, registry, restricted=False):
         raise StepError("witness-not-gamma-var",
                         f"restricted gamma needs an instantiation variable, "
                         f"got {print_term(t)}")
-    captured = term_free_names(t) & bound_names(h)
+    bound = bound_names(h)
+    captured = term_free_names(t) & bound
     if captured:
         raise StepError("witness-capture",
                         "the witness uses " + ", ".join(sorted(captured)) +
                         " bound by quantifiers of the scope")
-    wrapped = _wrap(step, h)
+    wrapped = _wrap(step, h, bound)
     try:
         inst = substitute(h, {step.var: t}, strict=True)
     except CaptureError as e:
         raise StepError("witness-capture", str(e))
-    prev = subformula_at(f, step.path)
-    if not equal(prev, inst):
+    site = locate(f, step.path)
+    if not equal(site.node, inst):
         raise StepError("premise-mismatch",
                         f"the premise at the path is not the scope instance; "
                         f"expected {print_formula(inst)[:80]}")
-    result = replace_at(f, step.path, wrapped)
-    _check_class(result, step.path, "gamma")
-    return result, None
+    _check_class(site, step.quant, "gamma")
+    return site.plug(wrapped), None
 
 
 def _delta_minus(f, step, registry):
-    nodes = path_nodes(f, step.path)
-    wrapped = _wrap(step, nodes[-1])
-    if any(isinstance(g, Quant) and g.var == step.var for g in nodes[:-1]):
+    site = locate(f, step.path)
+    wrapped = _wrap(step, site.node, bound_names(site.node))
+    if any(isinstance(g, Quant) and g.var == step.var for g in site.above):
         raise StepError("context-capture",
                         f"{step.var} is bound by an enclosing quantifier")
     # no binder on the path takes the variable, so the context has it free
     # exactly when a sibling of the path has it free
     if any(step.var in free_names(children(g)[1 - i])
-           for g, i in zip(nodes, step.path) if isinstance(g, (And, Or))):
+           for g, i in zip(site.above, step.path) if isinstance(g, (And, Or))):
         raise StepError("context-capture",
                         f"{step.var} occurs free in the context")
-    result = replace_at(f, step.path, wrapped)
-    _check_class(result, step.path, "delta")
-    return result, None
+    _check_class(site, step.quant, "delta")
+    return site.plug(wrapped), None
 
 
 def _solve_instance(scope: Formula, var: str, got: Formula):
@@ -279,9 +279,9 @@ def _deltapp(f, step, registry: SkolemRegistry):
     if step.scope is None:
         raise StepError("bad-step", "delta++ needs the quantifier scope")
     h = step.scope
-    wrapped = _wrap(step, h)
+    wrapped = _wrap(step, h, bound_names(h))
     listed, key = deltapp_scope(wrapped)
-    prev = subformula_at(f, step.path)
+    site = locate(f, step.path)
     known = registry.lookup(key)
     if known is not None:
         sym, arity = known
@@ -291,12 +291,12 @@ def _deltapp(f, step, registry: SkolemRegistry):
                             f"{len(listed)} instantiation variables")
         repl = App(sym, True, listed)
         inst = substitute(h, {step.var: repl})
-        if not equal(prev, inst):
+        if not equal(site.node, inst):
             raise StepError("delta-term-mismatch",
                             f"the premise does not use the registry term "
                             f"{print_term(repl)}")
     else:
-        t = _solve_instance(h, step.var, prev)
+        t = _solve_instance(h, step.var, site.node)
         if t is None:
             sym = registry.bind(key, step.var, len(listed),
                                 avoid=set(collect_signature(f).functions))
@@ -313,23 +313,22 @@ def _deltapp(f, step, registry: SkolemRegistry):
                 raise StepError("registry-mismatch",
                                 f"{sym} is already bound to a different scope")
             registry.record(key, sym, len(listed))
-    result = replace_at(f, step.path, wrapped)
-    _check_class(result, step.path, "delta")
-    return result, sym
+    _check_class(site, step.quant, "delta")
+    return site.plug(wrapped), sym
 
 
 def _simplification(f, step, registry, gamma=False):
     if step.keep not in ("left", "right"):
         raise StepError("bad-step", f"keep must be left or right, got {step.keep!r}")
-    node = subformula_at(f, step.path)
-    sign = polarity_at(f, step.path)
+    site = locate(f, step.path)
+    node = site.node
     match node:
         case Or(_, _):
-            if sign < 0:
+            if site.sign < 0:
                 raise StepError("operator-polarity",
                                 "disjunctive simplification needs a positive position")
         case And(_, _):
-            if sign > 0:
+            if site.sign > 0:
                 raise StepError("operator-polarity",
                                 "conjunctive simplification needs a negative position")
         case _:
@@ -342,16 +341,14 @@ def _simplification(f, step, registry, gamma=False):
         raise StepError("not-a-variant",
                         "the discarded operand is not a bound-renaming variant "
                         "of the kept one")
-    result = replace_at(f, step.path, kept)
     if gamma:
         if not isinstance(kept, Quant):
             raise StepError("kept-not-gamma",
                             "gamma simplification keeps a quantified formula")
-        _, klass, _ = classify_quantifier(result, step.path)
-        if klass != "gamma":
+        if not is_gamma(quant_kind(kept), site.sign):
             raise StepError("kept-not-gamma",
                             "the kept quantifier is not a gamma here")
-    return result, None
+    return site.plug(kept), None
 
 
 def _passage(f, step, registry):
@@ -359,7 +356,8 @@ def _passage(f, step, registry):
 
 
 def _rename(f, step, registry):
-    node = subformula_at(f, step.path)
+    site = locate(f, step.path)
+    node = site.node
     if not isinstance(node, Quant):
         raise StepError("rename-target", "no quantifier at the path")
     if step.var != node.var:
@@ -378,7 +376,7 @@ def _rename(f, step, registry):
         if step.new in bound_names(node.body):
             raise StepError("rename-collision",
                             f"{step.new} is bound inside the scope")
-    return replace_at(f, step.path, rename_binder(node, step.new)), None
+    return site.plug(rename_binder(node, step.new)), None
 
 
 class _Rule(NamedTuple):

@@ -18,10 +18,10 @@ Formulas
 Paths are tuples of child indices: Not and quantifiers have child 0,
 And/Or have children 0 and 1.
 
-The traversal core (subformulas in preorder, path_nodes along a path, fold
-bottom-up) runs from explicit stacks, so formula walks and the comparison of
-two formulas (paired, on the fold) do not depend on the recursion limit; the
-parser and the term walkers still recurse.
+The traversal core (subformulas and sites in preorder, locate along one
+path, fold bottom-up) runs from explicit stacks or loops, so formula walks
+and the comparison of two formulas (paired, on the fold) do not depend on
+the recursion limit; the parser and the term walkers still recurse.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 
 class FormulaError(Exception):
@@ -256,17 +257,31 @@ def rename_binder(q: Formula, new: str) -> Formula:
     return type(q)(new, substitute(q.body, {q.var: var_for_name(new)}))
 
 
-def subformulas(f: Formula, paths: bool = True):
-    """(path, node) for every node of f in preorder, from an explicit stack,
-    so that no walk over a deep formula depends on the recursion limit.
-    A path costs its length to build, so with paths=False it is None."""
-    stack: list[tuple[tuple[int, ...] | None, Formula]] = [(() if paths else None, f)]
+def subformulas(f: Formula):
+    """Every node of f in preorder, from an explicit stack, so that no walk
+    over a deep formula depends on the recursion limit."""
+    stack = [f]
     while stack:
-        path, g = stack.pop()
-        yield path, g
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(children(g)))
+
+
+def sites(f: Formula):
+    """(path, node, sign, accessible) for every position of f in preorder,
+    from an explicit stack, with the sign and accessibility locate gives."""
+    stack = [((), f, 1, True)]
+    while stack:
+        site = stack.pop()
+        yield site
+        path, g, sign, accessible = site
         kids = children(g)
+        if type(g) is Not:
+            sign = -sign
+        elif isinstance(g, Quant):
+            accessible = False
         for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,) if paths else None, kids[i]))
+            stack.append((path + (i,), kids[i], sign, accessible))
 
 
 @dataclass(slots=True)
@@ -336,18 +351,6 @@ def fold(f: Formula, up, down=None, ctx=None):
     return results[0]
 
 
-def path_nodes(f: Formula, path: tuple[int, ...]) -> list[Formula]:
-    """The nodes from the root down to the position path names, both ends
-    included.  A step outside 0..len(children)-1 raises PathError."""
-    nodes = [f]
-    for i, step in enumerate(path):
-        kids = children(nodes[-1])
-        if not 0 <= step < len(kids):
-            raise PathError(f"path {'.'.join(map(str, path))} leaves the formula at position {i}")
-        nodes.append(kids[step])
-    return nodes
-
-
 def map_atoms(f: Formula, fn, stop: str | None = None) -> Formula:
     """f with fn applied to every argument term of every atom.  The scope of
     a quantifier binding stop is left as it is."""
@@ -368,31 +371,46 @@ def map_atoms(f: Formula, fn, stop: str | None = None) -> Formula:
 # positions
 
 def formula_size(f: Formula) -> int:
-    return sum(1 for _ in subformulas(f, paths=False))
+    return sum(1 for _ in subformulas(f))
 
 
-def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    return path_nodes(f, path)[-1]
+class Site(NamedTuple):
+    """A position of a formula, found by one walk down its path."""
+    node: Formula
+    above: tuple[Formula, ...]  # the nodes from the root down to node's parent
+    path: tuple[int, ...]
+    sign: int                   # +1 under an even number of negations, else -1
+    accessible: bool            # no quantifier stands above node
+
+    def plug(self, new: Formula) -> Formula:
+        """The formula with new in place of node."""
+        for g, step in zip(reversed(self.above), reversed(self.path)):
+            kids = list(children(g))
+            kids[step] = new
+            new = rebuild(g, *kids)
+        return new
 
 
-def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
-    nodes = path_nodes(f, path)
-    for g, step in zip(reversed(nodes[:-1]), reversed(path)):
-        kids = list(children(g))
-        kids[step] = new
-        new = rebuild(g, *kids)
-    return new
-
-
-def polarity_at(f: Formula, path: tuple[int, ...]) -> int:
-    """+1 if the position is under an even number of negations, -1 otherwise."""
-    negations = sum(isinstance(g, Not) for g in path_nodes(f, path)[:-1])
-    return -1 if negations % 2 else 1
+def locate(f: Formula, path: tuple[int, ...]) -> Site:
+    """The position path names in f, or PathError for a step outside
+    0..len(children)-1."""
+    above, sign, accessible = [], 1, True
+    for i, step in enumerate(path):
+        kids = children(f)
+        if not 0 <= step < len(kids):
+            raise PathError(f"path {'.'.join(map(str, path))} leaves the formula at position {i}")
+        if type(f) is Not:
+            sign = -sign
+        elif isinstance(f, Quant):
+            accessible = False
+        above.append(f)
+        f = kids[step]
+    return Site(f, tuple(above), tuple(path), sign, accessible)
 
 
 def quantifier_positions(f: Formula) -> list[tuple[tuple[int, ...], str, str]]:
     """Preorder list of (path, 'forall'|'exists', binder name)."""
-    return [(path, quant_kind(g), g.var) for path, g in subformulas(f)
+    return [(path, quant_kind(g), g.var) for path, g, _, _ in sites(f)
             if isinstance(g, Quant)]
 
 
@@ -404,21 +422,17 @@ def is_gamma(kind: str, sign: int) -> bool:
 
 
 def classify_quantifier(f: Formula, path: tuple[int, ...]) -> tuple[str, str, bool]:
-    """(kind, 'gamma'|'delta', accessible) for the quantifier at path.
-
-    The class is the one is_gamma gives.  A quantifier is accessible when no
-    quantifier stands strictly above it."""
-    nodes = path_nodes(f, path)
-    if not isinstance(nodes[-1], Quant):
+    """(kind, 'gamma'|'delta', accessible) for the quantifier at path: its
+    class by is_gamma, and whether no quantifier stands above it."""
+    site = locate(f, path)
+    if not isinstance(site.node, Quant):
         raise PathError(f"no quantifier at path {'.'.join(map(str, path)) or '.'}")
-    kind = quant_kind(nodes[-1])
-    klass = "gamma" if is_gamma(kind, polarity_at(f, path)) else "delta"
-    accessible = not any(isinstance(g, Quant) for g in nodes[:-1])
-    return kind, klass, accessible
+    kind = quant_kind(site.node)
+    return kind, "gamma" if is_gamma(kind, site.sign) else "delta", site.accessible
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, Quant) for _, g in subformulas(f, paths=False))
+    return not any(isinstance(g, Quant) for g in subformulas(f))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +478,7 @@ def first_occurrences(f: Formula) -> list[str]:
                 for a in args:
                     walk_term(a)
 
-    for _, g in subformulas(f, paths=False):
+    for g in subformulas(f):
         if isinstance(g, Atom):
             for a in g.args:
                 walk_term(a)
@@ -478,7 +492,7 @@ def free_gamma_vars(f: Formula) -> list[str]:
 
 
 def bound_names(f: Formula) -> set[str]:
-    return {g.var for _, g in subformulas(f, paths=False) if isinstance(g, Quant)}
+    return {g.var for g in subformulas(f) if isinstance(g, Quant)}
 
 
 def all_names(f: Formula) -> set[str]:
@@ -937,7 +951,7 @@ def _check_arities(f: Formula):
             case SkolemNamedVar(encoded):
                 walk_term(encoded)
 
-    for _, g in subformulas(f, paths=False):
+    for g in subformulas(f):
         if isinstance(g, Atom):
             if g.pred != "<":
                 seen(preds, funcs, g.pred, len(g.args), "predicate")

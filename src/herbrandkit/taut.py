@@ -27,7 +27,7 @@ def atom_list(f: Formula) -> list[str]:
     """Distinct atom prints in order of first occurrence.  Raises TautError
     at a quantifier, so one pass both checks and collects."""
     seen: dict[str, None] = {}
-    for _, g in subformulas(f, paths=False):
+    for g in subformulas(f):
         if isinstance(g, Atom):
             seen.setdefault(print_formula(g))
         elif isinstance(g, Quant):

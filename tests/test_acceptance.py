@@ -65,11 +65,11 @@ from herbrandkit.syntax import (
     Var,
     alpha_equal,
     free_gamma_vars,
+    locate,
     parse_formula,
     print_formula,
     print_term,
     rectify,
-    replace_at,
     substitute,
     term_height,
 )
@@ -537,7 +537,7 @@ def test_criterion_12_mutation_rejection(showcase_derivation):
     for i, s in enumerate(d.steps):
         if s.tag != DELTA_MINUS:
             continue
-        context = replace_at(intact.lines[i], s.path, Atom("hole", ()))
+        context = locate(intact.lines[i], s.path).plug(Atom("hole", ()))
         loose = [n for n in ("sk_u", "sk_v", "sk_w")
                  if n != s.var and n in _term_prints(context, set())]
         if loose:

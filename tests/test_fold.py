@@ -4,8 +4,10 @@ and substitution against the recursive versions they replaced."""
 
 import random
 import re
+import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -30,21 +32,25 @@ from herbrandkit.syntax import (
     alpha_equal,
     bound_names,
     children,
+    classify_quantifier,
     equal,
     fold,
     fresh_name,
     free_names,
+    is_gamma,
     is_rectified,
+    locate,
     parse_formula,
     print_formula,
     print_term,
     promote_skolem_apps,
+    quant_kind,
     quantifier_positions,
     rebuild,
     rectify,
     rename_binder,
-    replace_at,
-    subformula_at,
+    sites,
+    subformulas,
     substitute,
     substitute_term,
     term_free_names,
@@ -412,8 +418,8 @@ def renamed(rng, f):
     name may shadow, be shadowed, or capture."""
     for path, _, _ in quantifier_positions(f):
         if rng.random() < 0.5:
-            node = subformula_at(f, path)
-            f = replace_at(f, path, rename_binder(node, rng.choice(BINDERS + ["w"])))
+            site = locate(f, path)
+            f = site.plug(rename_binder(site.node, rng.choice(BINDERS + ["w"])))
     return f
 
 
@@ -446,3 +452,79 @@ def test_comparisons_agree_with_the_references():
             outcomes["alpha", want] += 1
             outcomes["equal", f == g] += 1
     assert min(outcomes.values()) > 500
+
+
+# ---------------------------------------------------------------------------
+# positions: one walk down a path (locate), one walk over them all (sites)
+
+@contextmanager
+def recursion_limit(headroom):
+    """The recursion limit set headroom frames above the current depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def check_positions(f, stride=1):
+    """The site walk against its own definition at every position: each
+    node is its parent's child at the path's last step, the sign flips
+    under each negation and accessibility ends under a quantifier.  At
+    every stride-th position and the last, locate finds the same, plug(node)
+    gives f back and plug puts another node in place; at every quantifier,
+    classify_quantifier gives the walk's class and accessibility.  Returns
+    the number of quantifiers that shadow a binder above them."""
+    walked = list(sites(f))
+    nodes = list(subformulas(f))
+    assert len(walked) == len(nodes)
+    assert all(node is g for (_, node, _, _), g in zip(walked, nodes))
+    at = {}
+    shadowing = 0
+    for path, node, sign, accessible in walked:
+        if path:
+            parent, up_sign, up_accessible, above = at[path[:-1]]
+            assert node is children(parent)[path[-1]]
+            assert sign == (-up_sign if type(parent) is Not else up_sign)
+            assert accessible == (up_accessible and not isinstance(parent, (Forall, Exists)))
+            if isinstance(parent, (Forall, Exists)):
+                above = above | {parent.var}
+        else:
+            assert (sign, accessible) == (1, True)
+            above = frozenset()
+        at[path] = node, sign, accessible, above
+        if isinstance(node, (Forall, Exists)):
+            shadowing += node.var in above
+            kind = quant_kind(node)
+            klass = "gamma" if is_gamma(kind, sign) else "delta"
+            assert classify_quantifier(f, path) == (kind, klass, accessible)
+    hole = Atom("hole")
+    for path, node, sign, accessible in walked[::stride] + walked[-1:]:
+        site = locate(f, path)
+        assert site.path == path and site.node is node
+        chain = (*site.above, node)
+        assert len(site.above) == len(path)
+        assert all(chain[k + 1] is children(g)[i] for k, (g, i) in enumerate(zip(chain, path)))
+        assert (site.sign, site.accessible) == (sign, accessible)
+        assert equal(site.plug(node), f)
+        assert locate(site.plug(hole), path).node is hole
+    return shadowing
+
+
+def test_locate_and_the_site_walk_agree_at_every_position():
+    """Seeded random formulas with shared subformulas, Skolem-named and
+    shadowing binders, and a 5,000-deep negation chain over a shadowing
+    quantifier, all under a recursion limit 60 frames above the test; on the
+    chain every 97th position is located, since each costs its depth."""
+    rng = random.Random(11)
+    formulas = [random_formula(rng, 5, []) for _ in range(300)]
+    deep = not_chain(Forall("x", Or(not_chain(Exists("x", Atom("p", (X,))), 3),
+                                    Atom("q", (X, Y)))))
+    with recursion_limit(60):
+        shadowing = sum(check_positions(f) for f in formulas)
+        assert check_positions(deep, stride=97) == 1
+    assert shadowing > 50

@@ -9,6 +9,7 @@ imports count as uses.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -100,6 +101,32 @@ def test_no_dead_definitions():
     dead, test_only = dead_definitions()
     assert dead == []
     assert test_only == USED_ONLY_IN_TESTS
+
+
+def library_table_names() -> list[tuple[str, str]]:
+    """(module file, name) for every backticked identifier in the README's
+    library table, but for the command the cli row names."""
+    out = []
+    for row in (TESTS.parent / "README.md").read_text().splitlines():
+        m = re.match(r"\| `herbrandkit\.(\w+)` \|(.*)\|$", row)
+        if m is None:
+            continue
+        module = m.group(1) + ".py"
+        out += [(module, name) for name in re.findall(r"`([^`]+)`", m.group(2))
+                if name.isidentifier()
+                and (module, name) != ("cli.py", "herbrandkit")]
+    return out
+
+
+def test_the_readme_library_table_names_definitions():
+    """A name the library table shows its module to define is defined
+    there at the top level."""
+    table = library_table_names()
+    assert ("syntax.py", "locate") in table
+    defined = {path.name: {name for stmt in ast.parse(path.read_text()).body
+                           for name in defined_names(stmt)}
+               for path in MODULES}
+    assert [(m, n) for m, n in table if n not in defined[m]] == []
 
 
 # The formula walkers, the walks driven by a selection tree and the

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from herbrandkit import kernel
+from herbrandkit import construct, kernel, syntax
 from herbrandkit.cli import main
 from herbrandkit.construct import (
     UPPER_BOUND_SELECTION,
@@ -610,3 +610,39 @@ def test_a_derivation_keeps_the_steps_it_was_built_with():
     assert check_derivation(d).ok
     steps.append(RuleStep(SIMP, (), keep="left"))
     assert d.steps == () and check_derivation(d).ok
+
+
+# ---------------------------------------------------------------------------
+# one walk per position
+
+def test_a_replay_locates_each_step_once(showcase_derivation, monkeypatch):
+    """Every rule reads its premise, the sign and the accessibility of its
+    position and the rebuilt line off one walk down the step's path."""
+    found = []
+    locate = kernel.locate
+
+    def counted(f, path):
+        found.append(path)
+        return locate(f, path)
+
+    monkeypatch.setattr(kernel, "locate", counted)
+    d = parse_script(print_script(showcase_derivation))
+    assert check_derivation(d).ok
+    assert found == [s.path for s in d.steps]
+
+
+def test_the_construction_classifies_no_quantifier_apart(
+        upper_bound, upper_bound_selection, monkeypatch):
+    """The staged removal reads class and accessibility off its walk over
+    the line, and the kernel off the premise's position."""
+    calls = []
+    classify = syntax.classify_quantifier
+
+    def counted(f, path):
+        calls.append(path)
+        return classify(f, path)
+
+    for module in (syntax, kernel, construct):
+        monkeypatch.setattr(module, "classify_quantifier", counted, raising=False)
+    construct_derivation(upper_bound, 4, upper_bound_selection)
+    assert calls == []

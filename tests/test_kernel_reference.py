@@ -33,7 +33,7 @@ from herbrandkit.syntax import (
     fresh_name,
     free_names,
     print_formula,
-    subformulas,
+    sites,
     substitute,
     var_for_name,
 )
@@ -208,7 +208,7 @@ def _prenex_steps(f):
     steps = []
     while True:
         tries = (RuleStep("passage", path, eq=eq, direction="prenex")
-                 for path, _ in subformulas(f) for eq in range(1, 7))
+                 for path, _, _, _ in sites(f) for eq in range(1, 7))
         step = next((s for s in tries if _applies(f, s)), None)
         if step is None:
             return steps

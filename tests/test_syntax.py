@@ -27,16 +27,15 @@ from herbrandkit.syntax import (
     free_names,
     is_quantifier_free,
     is_rectified,
+    locate,
     parse_formula,
     parse_term,
-    polarity_at,
     print_formula,
     print_term,
     promote_skolem_apps,
     quantifier_positions,
     rectify,
-    replace_at,
-    subformula_at,
+    sites,
     subformulas,
     substitute,
     term_height,
@@ -194,28 +193,28 @@ def test_rectify_preserves_small_model_verdict(f):
 
 def test_paths_and_replacement():
     f = parse_formula("~(p & q) | r")
-    assert subformula_at(f, (0, 0, 1)) == Atom("q", ())
-    g = replace_at(f, (0, 0, 1), Atom("s", ()))
+    assert locate(f, (0, 0, 1)).node == Atom("q", ())
+    g = locate(f, (0, 0, 1)).plug(Atom("s", ()))
     assert print_formula(g) == "~(p & s) | r"
     with pytest.raises(PathError):
-        subformula_at(f, (2,))
+        locate(f, (2,))
     with pytest.raises(PathError):
-        subformula_at(f, (-1,))
+        locate(f, (-1,))
     with pytest.raises(PathError):
-        subformula_at(f, (0, 0, 0, 0))
+        locate(f, (0, 0, 0, 0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(formulas())
 def test_subformulas_is_the_preorder_of_paths(f):
-    walked = list(subformulas(f))
-    for path, node in walked:
-        assert subformula_at(f, path) == node
-        assert replace_at(f, path, node) == f
-    paths = [path for path, _ in walked]
+    walked = list(sites(f))
+    for path, node, _, _ in walked:
+        assert locate(f, path).node == node
+        assert locate(f, path).plug(node) == f
+    paths = [path for path, _, _, _ in walked]
     assert paths == sorted(paths)
     assert len(walked) == formula_size(f)
-    assert list(subformulas(f, paths=False)) == [(None, g) for _, g in walked]
+    assert list(subformulas(f)) == [g for _, g, _, _ in walked]
 
 
 def test_walkers_do_not_depend_on_the_recursion_limit():
@@ -228,10 +227,10 @@ def test_walkers_do_not_depend_on_the_recursion_limit():
 
 def test_polarity_counts_negations():
     f = parse_formula("~(~p | q)")
-    assert polarity_at(f, ()) > 0
-    assert polarity_at(f, (0,)) < 0
-    assert polarity_at(f, (0, 0, 0)) > 0
-    assert polarity_at(f, (0, 1)) < 0
+    assert locate(f, ()).sign > 0
+    assert locate(f, (0,)).sign < 0
+    assert locate(f, (0, 0, 0)).sign > 0
+    assert locate(f, (0, 1)).sign < 0
 
 
 def test_classification_on_known_formula(drinker):
