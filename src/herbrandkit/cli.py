@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .construct import (
@@ -206,10 +207,7 @@ def _cmd_expand(args):
 
 def _cmd_subexpand(args):
     f = _read_formula(args)
-    sel = _read_selection(args)
-    if sel is None:
-        raise CliError("subexpand needs --selection")
-    e = build_sub_expansion(f, sel)
+    e = build_sub_expansion(f, _read_selection(args))
     doc = {"formula": print_formula(f), "sub_expansion": print_formula(e),
            "nodes": formula_size(e)}
     return 0, doc, print_formula(e)
@@ -353,7 +351,9 @@ def _add_registry_args(p):
                    help="write the (possibly extended) bindings back to this file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     top = argparse.ArgumentParser(
         prog="herbrandkit",
         description="Skolemize, expand, check and construct quantifier "
@@ -364,21 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse and reprint a formula")
     _add_formula_args(p)
-    p.set_defaults(run=_cmd_parse)
 
     p = sub.add_parser("rectify", help="make binders unique, drop vacuous ones")
     _add_formula_args(p)
-    p.set_defaults(run=_cmd_rectify)
 
     p = sub.add_parser("classify", help="list quantifiers with polarity class")
     _add_formula_args(p)
-    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("skolemize", help="remove one polarity of quantifiers")
     _add_formula_args(p)
     p.add_argument("--mode", choices=("outer", "deltapp"), default="outer")
     _add_registry_args(p)
-    p.set_defaults(run=_cmd_skolemize)
 
     p = sub.add_parser("champ", help="terms of height below the order")
     _add_formula_args(p)
@@ -386,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--herbrand-heights", action="store_true",
                    help="count variables as height 0, constants as 1")
     _add_budget(p)
-    p.set_defaults(run=_cmd_champ)
 
     p = sub.add_parser("expand", help="expand quantifiers over a term domain")
     _add_formula_args(p)
@@ -394,19 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms-file", help="explicit term list, one per line")
     p.add_argument("--herbrand-heights", action="store_true")
     _add_budget(p)
-    p.set_defaults(run=_cmd_expand)
 
     p = sub.add_parser("subexpand", help="expand along a selection tree")
     _add_formula_args(p)
     p.add_argument("--selection", required=True,
                    help="selection s-expression, inline or a file path")
-    p.set_defaults(run=_cmd_subexpand)
 
     p = sub.add_parser("taut", help="sentential tautology check")
     _add_formula_args(p)
     p.add_argument("--emit-cnf", action="store_true",
                    help="print the refutation clauses in DIMACS form")
-    p.set_defaults(run=_cmd_taut)
 
     p = sub.add_parser("check-c",
                        help="does the order-n expansion come out tautological?")
@@ -419,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--herbrand-heights", action="store_true")
     _add_registry_args(p)
     _add_budget(p)
-    p.set_defaults(run=_cmd_check_c)
 
     p = sub.add_parser("min-order", help="least order that works, if any")
     _add_formula_args(p)
@@ -427,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--star", action="store_true")
     p.add_argument("--herbrand-heights", action="store_true")
     _add_budget(p)
-    p.set_defaults(run=_cmd_min_order)
 
     p = sub.add_parser("derive",
                        help="construct a derivation from an established order")
@@ -439,44 +429,39 @@ def build_parser() -> argparse.ArgumentParser:
                    help="free-variable calculus with placeholder witnesses")
     _add_registry_args(p)
     _add_budget(p)
-    p.set_defaults(run=_cmd_derive)
 
     p = sub.add_parser("check-proof", help="replay a proof script")
     p.add_argument("script", help="script file, or - for stdin")
     _add_registry_args(p)
-    p.set_defaults(run=_cmd_check_proof)
 
     p = sub.add_parser("passage", help="move a quantifier across a junction")
     _add_formula_args(p)
     p.add_argument("--path", default=".", help="position, e.g. . or 0.1")
     p.add_argument("--eq", type=int, required=True, choices=range(1, 7))
     p.add_argument("--dir", required=True, choices=("prenex", "antiprenex"))
-    p.set_defaults(run=_cmd_passage)
 
     p = sub.add_parser("models", help="brute-force validity over tiny domains")
     _add_formula_args(p)
     p.add_argument("--size", type=int, default=2)
     _add_budget(p)
-    p.set_defaults(run=_cmd_models)
 
     p = sub.add_parser("demo", help="run a showcase computation end to end")
     p.add_argument("which", choices=("false-lemma", "upperbound"))
-    p.set_defaults(run=_cmd_demo)
 
     p = sub.add_parser("bound-gd", help="repaired order transfer arithmetic")
     p.add_argument("--n", type=int, required=True, help="starting order")
     p.add_argument("--r", type=int, required=True, help="maximal arity")
     p.add_argument("--N", type=int, required=True, dest="big_n",
                    help="domain size")
-    p.set_defaults(run=_cmd_bound_gd)
 
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code, doc, raw = args.run(args)
+        code, doc, raw = run(args)
     except Exception as e:
         # Exit 1 means checked and negative, so every failure to check, be
         # it bad input, unreadable files, input nested deeper than the

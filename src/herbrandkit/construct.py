@@ -169,7 +169,7 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
             shown = ", ".join(print_term(t) for t in offenders[:5])
             raise ConstructError(
                 f"the selection uses terms outside the order-{n} domain: {shown}")
-        e = build_sub_expansion(sk, sel_tree)
+        e = build_sub_expansion(sk, sel_tree, budget)
         taut = is_tautology(e)
         if taut:
             return PropertyCResult("holds", witness="sub-expansion selection",
@@ -202,17 +202,16 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
 
 
 def min_order(a: Formula, star: bool = False, n_max: int = 8,
-              herbrand_heights: bool = False, budget: int = DEFAULT_BUDGET,
-              registry: SkolemRegistry | None = None) -> int | None:
+              herbrand_heights: bool = False,
+              budget: int = DEFAULT_BUDGET) -> int | None:
     """Least order up to n_max at which the full expansion is tautological,
     or None.  Selections play no part here; this is the search the
     round-trip theorems quantify over."""
-    reg = registry
-    if star and reg is None:
-        reg = SkolemRegistry()
+    if n_max < 1:
+        raise ConstructError(f"the largest order must be at least 1, got {n_max}")
     for n in range(1, n_max + 1):
         r = property_c(a, n, star=star, herbrand_heights=herbrand_heights,
-                       budget=budget, registry=reg)
+                       budget=budget)
         if r.holds:
             return n
     return None
@@ -606,7 +605,7 @@ def goedel_dreben_bound(n: int, r: int, big_n: int) -> int:
 # ---------------------------------------------------------------------------
 # demos
 
-def demo_false_lemma(n_max: int = 6, budget: int = DEFAULT_BUDGET) -> dict:
+def demo_false_lemma() -> dict:
     """Both counterexamples to order invariance under the rules of passage,
     with every order recomputed: moving a quantifier across a disjunction
     shifts the least workable order, in one direction of height counting or
@@ -622,10 +621,8 @@ def demo_false_lemma(n_max: int = 6, budget: int = DEFAULT_BUDGET) -> dict:
             ("two-disjunct", two, two_moved, "prenex")):
         orders = {}
         for mode_label, hh in (("standard", False), ("herbrand", True)):
-            o_before = min_order(before, n_max=n_max, herbrand_heights=hh,
-                                 budget=budget)
-            o_after = min_order(after, n_max=n_max, herbrand_heights=hh,
-                                budget=budget)
+            o_before = min_order(before, herbrand_heights=hh)
+            o_after = min_order(after, herbrand_heights=hh)
             orders[mode_label] = {"before": o_before, "after": o_after,
                                   "preserved": o_before == o_after}
         cases.append({
@@ -661,7 +658,7 @@ UPPER_BOUND_SELECTION = (
 DOCUMENTED_DOMAIN_SIZE = 156
 
 
-def demo_upper_bound(budget: int = DEFAULT_BUDGET) -> dict:
+def demo_upper_bound() -> dict:
     """The three-element-upper-bound theorem end to end: domain size and
     leaf arithmetic, the selected sub-expansion and its tautology check,
     both constructed derivations rerun through the checker, and the order
@@ -669,15 +666,15 @@ def demo_upper_bound(budget: int = DEFAULT_BUDGET) -> dict:
     a = parse_formula(UPPER_BOUND_TEXT)
     a_r = rectify(a)
     f_sk = outer_skolemize(a_r)
-    ch = champ(f_sk, 4, budget=budget)
+    ch = champ(f_sk, 4)
     n_terms = len(ch.terms)
     sel = parse_selection(UPPER_BOUND_SELECTION)
     sel_ok, _ = selection_within(sel, ch)
     j = build_sub_expansion(f_sk, sel)
-    res = property_c(a, 4, star=False, sel=sel, budget=budget)
+    res = property_c(a, 4, star=False, sel=sel)
     full_nodes = expansion_node_count(f_sk, n_terms)
 
-    d = construct_derivation(a, 4, sel, budget=budget)
+    d = construct_derivation(a, 4, sel)
     report = check_derivation(d)
     counts: dict[str, int] = {}
     for s in d.steps:
@@ -685,7 +682,7 @@ def demo_upper_bound(budget: int = DEFAULT_BUDGET) -> dict:
     bound = derivation_order_bound(d)
 
     registry = SkolemRegistry()
-    fv_d, b, sigma = construct_fv_derivation(a, 4, sel, registry, budget=budget)
+    fv_d, b, sigma = construct_fv_derivation(a, 4, sel, registry)
     fv_report = check_derivation(fv_d, registry)
     f_star = deltapp_skolemize(a_r, registry)
     b_instantiated = substitute(b, sigma)
@@ -702,7 +699,7 @@ def demo_upper_bound(budget: int = DEFAULT_BUDGET) -> dict:
             "leaf_count_at_documented_size": expansion_leaf_count(
                 f_sk, DOCUMENTED_DOMAIN_SIZE),
             "full_expansion_nodes": full_nodes,
-            "full_expansion_within_guard": full_nodes <= budget,
+            "full_expansion_within_guard": full_nodes <= DEFAULT_BUDGET,
         },
         "sub_expansion": {
             "selection_within_domain": sel_ok,

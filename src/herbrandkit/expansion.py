@@ -16,10 +16,10 @@ from functools import cached_property, lru_cache, reduce
 
 from .syntax import (
     And, App, Atom, Branch, DOT, Forall, Formula, FormulaError, GammaVar,
-    Not, Or, Prune, Quant, Swap, Term, Var, all_names, bound_names,
-    children, collect_signature, fold, fresh_name, is_quantifier_free,
-    parse_term, print_term, quant_kind, rebuild, rename_binder, substitute,
-    term_free_names, term_height, var_for_name,
+    Not, Or, Prune, Quant, Swap, Term, Var, _parse_term, _Tokens, all_names,
+    bound_names, children, collect_signature, fold, fresh_name,
+    is_quantifier_free, parse_term, print_term, quant_kind, rebuild,
+    rename_binder, substitute, term_free_names, term_height, var_for_name,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -250,135 +250,119 @@ class SelectionError(ExpansionError):
     pass
 
 
-def _sel_tokens(text: str):
-    """Tokens for the s-expression selection syntax.  A term token may
-    contain balanced parentheses of its own (sk_m(sk_v,sk_w))."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "()":
-            toks.append(c)
-            i += 1
-            continue
-        j = i
-        depth = 0
-        while j < n:
-            c = text[j]
-            if c.isspace() and depth == 0:
-                break
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            j += 1
-        toks.append(text[i:j])
-        i = j
-    return toks
+_NODES = {"not": SelNot, "and": SelAnd, "or": SelOr}
+
+
+def _sel_children(s: Selection) -> tuple[Selection, ...]:
+    match s:
+        case SelNot(sub):
+            return (sub,)
+        case SelAnd(l, r) | SelOr(l, r):
+            return (l, r)
+        case SelQuant():
+            return s.branches
+    return ()
 
 
 def parse_selection(text: str) -> Selection:
-    toks = _sel_tokens(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
+    """Read a selection in its s-expression syntax (see the README), where
+    a ; comments out the rest of its line.  Terms and binders are read in
+    the same token stream as formulas, and open nodes wait on an explicit
+    stack, so any depth reads."""
+    ts = _Tokens("\n".join(line.partition(";")[0] for line in text.split("\n")))
 
     def take():
-        t = peek()
-        if t is None:
+        kind, val, _, _ = ts.next()
+        if kind == "eof":
             raise SelectionError("unexpected end of selection")
-        pos[0] += 1
-        return t
+        return val
 
-    def node() -> Selection:
+    def term():
+        # a term ends at whitespace: in "x (c)" the list is not x's arguments
+        _, val, line, col = ts.peek()
+        after = ts.toks[min(ts.i + 1, len(ts.toks) - 1)]
+        if after[1] == "(" and after[2:] != (line, col + len(val)):
+            return parse_term(ts.next()[1])
+        return _parse_term(ts)
+
+    # an open node is [head, binder, terms, children read so far]; the one
+    # at the bottom takes the whole selection as its only child
+    stack = [[None, None, (), []]]
+    while not stack[0][3]:
         t = take()
-        if t == "_":
-            return LEAF
-        if t != "(":
+        head, var, terms, kids = stack[-1]
+        full = head in _NODES and len(kids) == (1 if head == "not" else 2)
+        if full and t != ")":
+            raise SelectionError("expected ) in selection")
+        if t == ")" and (full or head in ("forall", "exists")):
+            if not full and len(kids) not in (0, 1, len(terms)):
+                raise SelectionError(
+                    f"quantifier {var} lists {len(terms)} terms but "
+                    f"{len(kids)} sub-selections")
+            stack.pop()
+            stack[-1][3].append(_NODES[head](*kids) if full else SelQuant(
+                head, var, terms, tuple(kids) if len(kids) > 1
+                else (kids[0] if kids else LEAF,) * len(terms)))
+        elif t == "_":
+            kids.append(LEAF)
+        elif t != "(":
             raise SelectionError(f"expected ( or _, found {t!r}")
-        head = take()
-        if head == "not":
-            s = SelNot(node())
-        elif head in ("and", "or"):
-            l = node()
-            r = node()
-            s = (SelAnd if head == "and" else SelOr)(l, r)
-        elif head in ("forall", "exists"):
-            var = take()
+        elif (head := take()) in _NODES:
+            stack.append([head, None, (), []])
+        elif head not in ("forall", "exists"):
+            raise SelectionError(f"unknown selection node {head!r}")
+        else:
+            var = print_term(term())
             if take() != "(":
                 raise SelectionError(f"expected a term list after {head} {var}")
             terms = []
-            while peek() != ")":
-                if peek() is None:
+            while ts.peek()[1] != ")":
+                if ts.peek()[0] == "eof":
                     raise SelectionError("unclosed term list")
-                terms.append(parse_term(take()))
-            take()
+                terms.append(term())
+            ts.next()
             if not terms:
                 raise SelectionError(f"empty term list at quantifier {var}")
-            branches = []
-            while peek() != ")":
-                branches.append(node())
-            if len(branches) == 1 or not branches:
-                sub = branches[0] if branches else LEAF
-                branches = [sub] * len(terms)
-            elif len(branches) != len(terms):
-                raise SelectionError(
-                    f"quantifier {var} lists {len(terms)} terms but "
-                    f"{len(branches)} sub-selections")
-            s = SelQuant(head, var, tuple(terms), tuple(branches))
-        else:
-            raise SelectionError(f"unknown selection node {head!r}")
-        if take() != ")":
-            raise SelectionError("expected ) in selection")
-        return s
-
-    s = node()
-    if pos[0] != len(toks):
+            stack.append([head, var, tuple(terms), []])
+    if ts.peek()[0] != "eof":
         raise SelectionError("trailing input in selection")
-    return s
+    return stack[0][3][0]
 
 
 def print_selection(s: Selection) -> str:
-    match s:
-        case SelLeaf():
-            return "_"
-        case SelNot(sub):
-            return f"(not {print_selection(sub)})"
-        case SelAnd(l, r):
-            return f"(and {print_selection(l)} {print_selection(r)})"
-        case SelOr(l, r):
-            return f"(or {print_selection(l)} {print_selection(r)})"
-        case SelQuant(kind, var, terms, branches):
-            ts = " ".join(print_term(t) for t in terms)
-            if all(b == branches[0] for b in branches):
-                bs = " " + print_selection(branches[0])
-            else:
-                bs = " " + " ".join(print_selection(b) for b in branches)
-            return f"({kind} {var} ({ts}){bs})"
+    """The s-expression of s, each node printed after its children from an
+    explicit stack.  A quantifier whose branches print alike prints one
+    branch, shared by every term; selections read from text print alike
+    exactly when they are equal."""
+    heads = {cls: head for head, cls in _NODES.items()}
+    done: list[str] = []  # printed nodes whose parent is not printed yet
+    stack = [(s, False)]
+    while stack:
+        node, ready = stack.pop()
+        kids = _sel_children(node)
+        if isinstance(node, SelQuant) and all(k is kids[0] for k in kids):
+            kids = kids[:1]  # a branch shared by every term prints once
+        if not ready:
+            stack += [(node, True)] + [(k, False) for k in reversed(kids)]
+            continue
+        texts = done[len(done) - len(kids):]
+        del done[len(done) - len(kids):]
+        head = heads.get(type(node))
+        if isinstance(node, SelQuant):
+            texts = texts[:1] if len(set(texts)) == 1 else texts
+            head = f"{node.kind} {node.var} ({' '.join(map(print_term, node.terms))})"
+        done.append(f"({' '.join([head, *texts])})" if head else "_")
+    return done[0]
 
 
 def selection_terms(s: Selection) -> list[Term]:
     """The chosen terms in preorder, each quantifier's before its branches'."""
     out, stack = [], [s]
     while stack:
-        match stack.pop():
-            case SelNot(sub):
-                stack.append(sub)
-            case SelAnd(l, r) | SelOr(l, r):
-                stack += (r, l)
-            case SelQuant(_, _, terms, branches):
-                out += terms
-                stack += reversed(branches)
+        node = stack.pop()
+        if isinstance(node, SelQuant):
+            out += node.terms
+        stack += reversed(_sel_children(node))
     return out
 
 

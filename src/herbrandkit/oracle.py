@@ -121,6 +121,8 @@ def find_countermodel(f: Formula, max_size: int = 2,
     and environment.  All predicate-table choices are evaluated at once:
     choice k is bit k of an int mask, and entry j of the P predicate-table
     entries is true in it iff bit P-1-j of k is set."""
+    if max_size < 1:
+        raise OracleError(f"the largest domain size must be at least 1, got {max_size}")
     sig = collect_signature(f)
     fsyms = dict(sig.functions)
     if sig.uses_dot:

@@ -21,7 +21,8 @@ And/Or have children 0 and 1.
 The traversal core (subformulas and sites in preorder, locate along one
 path, fold bottom-up) runs from explicit stacks or loops, so formula walks
 and the comparison of two formulas (paired, on the fold) do not depend on
-the recursion limit; the parser and the term walkers still recurse.
+the recursion limit; the parser and the term walkers still recurse.  The
+tokenizer and term parser also read selections, whose leaf _ is punctuation.
 """
 
 from __future__ import annotations
@@ -760,7 +761,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<dot_const>@dot)
   | (?P<kw>\b(?:forall|exists)\b)
   | (?P<ident>[a-z][a-zA-Z0-9_]*)
-  | (?P<punct>[().,~&|<])
+  | (?P<punct>[().,~&|<_])
 """, re.VERBOSE)
 
 

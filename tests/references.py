@@ -1,20 +1,24 @@
 """Reference checkers that the tests compare the library against: equality
 up to a renaming of free instantiation variables, and up to the grouping
 and order of junction operands; the brute-force countermodel search that
-evaluates one interpretation at a time; and the recursive comparison up to
-bound renaming and sub-expansion walk that the fold replaced."""
+evaluates one interpretation at a time; the recursive comparison up to
+bound renaming and sub-expansion walk that the fold replaced; and the
+selection reader, with its own lexer, and printer that the stack-driven
+ones replaced."""
 
 import itertools
 from functools import reduce
 
 from herbrandkit.expansion import (
     DEFAULT_BUDGET as EXPANSION_BUDGET,
+    LEAF,
     BudgetError,
     SelAnd,
     SelLeaf,
     SelNot,
     SelOr,
     SelQuant,
+    Selection,
     SelectionError,
     match_selection,
 )
@@ -40,7 +44,9 @@ from herbrandkit.syntax import (
     children,
     collect_signature,
     is_quantifier_free,
+    parse_term,
     print_formula,
+    print_term,
     quant_kind,
     rebuild,
     substitute,
@@ -270,3 +276,124 @@ def build_sub_expansion(f, sel, budget=EXPANSION_BUDGET):
         return acc
 
     return walk(f, sel)
+
+
+# ---------------------------------------------------------------------------
+# the recursive selection reader, its lexer and the recursive printer, as
+# expansion had them before they ran from explicit stacks, bodies unchanged
+
+def _sel_tokens(text: str):
+    """Tokens for the s-expression selection syntax.  A term token may
+    contain balanced parentheses of its own (sk_m(sk_v,sk_w))."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in "()":
+            toks.append(c)
+            i += 1
+            continue
+        j = i
+        depth = 0
+        while j < n:
+            c = text[j]
+            if c.isspace() and depth == 0:
+                break
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            j += 1
+        toks.append(text[i:j])
+        i = j
+    return toks
+
+
+def parse_selection(text: str) -> Selection:
+    toks = _sel_tokens(text)
+    pos = [0]
+
+    def peek():
+        return toks[pos[0]] if pos[0] < len(toks) else None
+
+    def take():
+        t = peek()
+        if t is None:
+            raise SelectionError("unexpected end of selection")
+        pos[0] += 1
+        return t
+
+    def node() -> Selection:
+        t = take()
+        if t == "_":
+            return LEAF
+        if t != "(":
+            raise SelectionError(f"expected ( or _, found {t!r}")
+        head = take()
+        if head == "not":
+            s = SelNot(node())
+        elif head in ("and", "or"):
+            l = node()
+            r = node()
+            s = (SelAnd if head == "and" else SelOr)(l, r)
+        elif head in ("forall", "exists"):
+            var = take()
+            if take() != "(":
+                raise SelectionError(f"expected a term list after {head} {var}")
+            terms = []
+            while peek() != ")":
+                if peek() is None:
+                    raise SelectionError("unclosed term list")
+                terms.append(parse_term(take()))
+            take()
+            if not terms:
+                raise SelectionError(f"empty term list at quantifier {var}")
+            branches = []
+            while peek() != ")":
+                branches.append(node())
+            if len(branches) == 1 or not branches:
+                sub = branches[0] if branches else LEAF
+                branches = [sub] * len(terms)
+            elif len(branches) != len(terms):
+                raise SelectionError(
+                    f"quantifier {var} lists {len(terms)} terms but "
+                    f"{len(branches)} sub-selections")
+            s = SelQuant(head, var, tuple(terms), tuple(branches))
+        else:
+            raise SelectionError(f"unknown selection node {head!r}")
+        if take() != ")":
+            raise SelectionError("expected ) in selection")
+        return s
+
+    s = node()
+    if pos[0] != len(toks):
+        raise SelectionError("trailing input in selection")
+    return s
+
+
+def print_selection(s: Selection) -> str:
+    match s:
+        case SelLeaf():
+            return "_"
+        case SelNot(sub):
+            return f"(not {print_selection(sub)})"
+        case SelAnd(l, r):
+            return f"(and {print_selection(l)} {print_selection(r)})"
+        case SelOr(l, r):
+            return f"(or {print_selection(l)} {print_selection(r)})"
+        case SelQuant(kind, var, terms, branches):
+            ts = " ".join(print_term(t) for t in terms)
+            if all(b == branches[0] for b in branches):
+                bs = " " + print_selection(branches[0])
+            else:
+                bs = " " + " ".join(print_selection(b) for b in branches)
+            return f"({kind} {var} ({ts}){bs})"

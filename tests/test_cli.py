@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import herbrandkit
 from herbrandkit.cli import main
@@ -196,6 +201,19 @@ def test_subexpand_reads_the_leaf_selection_inline(capsys):
     assert code == 0 and out.strip() == "p | q"
 
 
+def test_a_deep_selection_is_decided(capsys):
+    """The selection reader and printer run from explicit stacks, so a
+    selection as deep as a 20,000-deep chain of ~ is read and decided."""
+    depth = 20_000
+    text = "~" * depth + "(exists a. ~p(a) | p(c))"
+    sel = "(not " * depth + "(exists a (c) _)" + ")" * depth
+    code, doc, _ = run_json(capsys, "subexpand", "--selection", sel, text)
+    assert code == 0 and doc["sub_expansion"] == "~" * depth + "(~p(c) | p(c))"
+    code, doc, _ = run_json(capsys, "check-c", "--order", "2",
+                            "--selection", sel, text)
+    assert code == 0 and doc["status"] == "holds"
+
+
 DEEP_DISJUNCTION = " | ".join(["p", "~p"] * 2500)
 
 
@@ -235,6 +253,20 @@ def test_check_c_trichotomy(capsys):
     code, out, _ = run(capsys, "check-c", "--order", "3", "--selection",
                        "(exists a (@dot) _)", DRINKER_TEXT)
     assert code == 2 and "status: inconclusive" in out
+
+
+def test_check_c_holds_a_selection_to_the_size_guard(capsys):
+    """The sub-expansion of a selection is held to --budget like the full
+    expansion, whose 24 nodes are refused under a guard of 20."""
+    sel = "(or (not (forall x (a b c) (forall y (a b c) _))) _)"
+    text = "(forall x. forall y. p(x,y)) -> p(a,b) & p(b,c) & p(c,a)"
+    code, _, err = run(capsys, "check-c", "--order", "2", "--budget", "20", text)
+    assert code == 2 and "24 formula nodes" in err
+    code, _, err = run(capsys, "check-c", "--order", "2", "--budget", "18",
+                       "--selection", sel, text)
+    assert code == 2 and "sub-expansion exceeds the size guard of 18" in err
+    code, out, _ = run(capsys, "check-c", "--order", "2", "--selection", sel, text)
+    assert code == 0 and "status: holds" in out
 
 
 def test_check_c_star(capsys):
@@ -284,6 +316,16 @@ def test_models_verdicts(capsys):
     assert code == 0 and "valid in every interpretation" in out
     code, out, _ = run(capsys, "models", "p(x)")
     assert code == 1 and "countermodel" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["models", "--size", "0", "p(c) & ~p(c)"],
+    ["min-order", "--max", "0", DRINKER_TEXT],
+    ["check-c", "--order", "0", DRINKER_TEXT]], ids=" ".join)
+def test_a_bound_below_one_exits_2(capsys, argv):
+    """A bound below one leaves nothing to check, so it is refused."""
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "must be at least 1, got 0" in err
 
 
 def test_bound_gd(capsys):
@@ -428,3 +470,125 @@ def test_golden_output(capsys, name):
     code, out, _ = run(capsys, *GOLDEN[name])
     assert code == 0
     assert out == (DATA / "golden" / f"{name}.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# every subcommand on random input: the exit-code trichotomy, JSON that
+# parses, no internal fault, and the same bytes from a second run in the
+# same process (the parser and the champs are shared between runs)
+
+ATOM_TEXTS = ("p(x)", "p(c)", "q(x,y)", "q(c,x)", "r", "p(sk_f(c))", "p(?g)",
+              "x < y", "p(@dot)")
+FUZZ_BUDGET = "3000"
+
+
+def formula_texts():
+    def extend(kids):
+        return st.one_of(
+            st.builds("~{}".format, kids),
+            st.builds("({} {} {})".format, kids, st.sampled_from("&|") | st.just("->"),
+                      kids),
+            st.builds("({} {}. {})".format, st.sampled_from(["forall", "exists"]),
+                      st.sampled_from("xya"), kids))
+    leaves = st.recursive(st.sampled_from(ATOM_TEXTS), extend, max_leaves=6)
+    return st.builds(lambda n, f: "~" * n + f, st.sampled_from([0, 0, 1, 2, 3000]),
+                     leaves)
+
+
+def selection_texts():
+    def quant(kind, var, terms, kids):
+        return f"({kind} {var} ({' '.join(terms)}) {' '.join(kids)})"
+
+    def extend(kids):
+        return st.one_of(
+            st.builds("(not {})".format, kids),
+            st.builds("({} {} {})".format, st.sampled_from(["and", "or"]), kids, kids),
+            st.builds(quant, st.sampled_from(["forall", "exists"]),
+                      st.sampled_from("xya"),
+                      st.lists(st.sampled_from(["c", "x", "@dot", "sk_f(c)", "?g"]),
+                               min_size=1, max_size=2),
+                      st.lists(kids, max_size=2)))
+    nodes = st.recursive(st.just("_"), extend, max_leaves=5)
+    return st.builds(lambda n, s: "(not " * n + s + ")" * n,
+                     st.sampled_from([0, 0, 1, 3000]), nodes)
+
+
+STEP_LINES = ("step: simp path=. keep=left", "step: passage path=. eq=3 dir=prenex",
+              "step: rename path=0 var={x} new={y}",
+              "step: gamma-quant path=. q=exists var={a} scope={p(a)} term={c}",
+              "step: delta-minus path=0 q=exists var={x}", "step: bogus")
+
+
+def command_lines():
+    f, order, sel = formula_texts(), st.integers(0, 3), selection_texts()
+    on = st.booleans()
+
+    def flag(name, set_):
+        return [name] if set_ else []
+
+    def optional(name, value):
+        return [] if value is None else [name, value]
+
+    return st.one_of(
+        st.builds(lambda c, f: [c, f],
+                  st.sampled_from(["parse", "rectify", "classify", "taut"]), f),
+        st.builds(lambda f: ["taut", "--emit-cnf", f], f),
+        st.builds(lambda m, f: ["skolemize", "--mode", m, f],
+                  st.sampled_from(["outer", "deltapp"]), f),
+        st.builds(lambda c, n, hh, f: [c, "--order", str(n),
+                                       *flag("--herbrand-heights", hh),
+                                       "--budget", FUZZ_BUDGET, f],
+                  st.sampled_from(["champ", "expand"]), order, on, f),
+        st.builds(lambda s, f: ["subexpand", "--selection", s, f], sel, f),
+        st.builds(lambda n, star, hh, s, f: [
+            "check-c", "--order", str(n), *flag("--star", star),
+            *flag("--herbrand-heights", hh), *optional("--selection", s),
+            "--budget", FUZZ_BUDGET, f], order, on, on, st.none() | sel, f),
+        st.builds(lambda n, star, hh, f: [
+            "min-order", "--max", str(n), *flag("--star", star),
+            *flag("--herbrand-heights", hh), "--budget", FUZZ_BUDGET, f],
+            st.integers(0, 2), on, on, f),
+        st.builds(lambda n, fv, s, f: [
+            "derive", "--order", str(n), *flag("--fv", fv),
+            *optional("--selection", s), "--budget", FUZZ_BUDGET, f],
+            order, on, st.none() | sel, f),
+        st.builds(lambda path, eq, d, f: ["passage", "--path", path, "--eq", str(eq),
+                                          "--dir", d, f],
+                  st.sampled_from([".", "0", "1", "0.0"]), st.integers(1, 6),
+                  st.sampled_from(["prenex", "antiprenex"]), f),
+        st.builds(lambda n, f: ["models", "--size", str(n), "--budget", FUZZ_BUDGET, f],
+                  st.integers(0, 2), f),
+        st.builds(lambda n, r, big_n: ["bound-gd", "--n", str(n), "--r", str(r),
+                                       "--N", str(big_n)],
+                  st.integers(0, 3), st.integers(-1, 2), st.integers(0, 3)),
+        st.builds(lambda mode, start, steps, end: [
+            "check-proof", f"mode: {mode}\nstart: {start}\n"
+            + "".join(s + "\n" for s in steps) + f"end: {end}\n"],
+            st.sampled_from(["heijenoort", "herbrand-original", "free-variable"]),
+            f, st.lists(st.sampled_from(STEP_LINES), max_size=2), f),
+        st.sampled_from([["demo", "false-lemma"], ["demo", "upperbound"]]))
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(command_lines(), st.sampled_from(["text", "json"]))
+def test_every_subcommand_on_random_input(argv, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "check-proof":  # the script goes in through a file
+            script = Path(tmp) / "proof.txt"
+            script.write_text(argv[1])
+            argv = ["check-proof", str(script)]
+        first = run_in_process(["--format", fmt, *argv])
+        code, out, err = first
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err, err
+        if fmt == "json":
+            json.loads(out)
+        assert run_in_process(["--format", fmt, *argv]) == first

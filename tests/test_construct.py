@@ -268,10 +268,8 @@ def test_fv_construction_round_trips_on_random_valid_formulas():
     while built < 20 and tried < 400:
         tried += 1
         f = random_candidate(rng)
-        registry = SkolemRegistry()
         try:
-            n = min_order(f, star=True, n_max=3, budget=200_000,
-                          registry=registry)
+            n = min_order(f, star=True, n_max=3, budget=200_000)
         except BudgetError:
             continue
         if n is None:

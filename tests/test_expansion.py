@@ -1,12 +1,14 @@
 """Term domains, expansions, sub-expansions, and selection trees."""
 
+import ast
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from herbrandkit.construct import property_c
+from herbrandkit.construct import UPPER_BOUND_SELECTION, property_c
 from herbrandkit.expansion import (
     LEAF,
     BudgetError,
@@ -16,6 +18,7 @@ from herbrandkit.expansion import (
     SelOr,
     SelQuant,
     SelectionError,
+    _sel_children,
     build_sub_expansion,
     champ,
     expand,
@@ -32,6 +35,7 @@ from herbrandkit.syntax import (
     And,
     App,
     Atom,
+    FormulaError,
     GammaVar,
     Not,
     Or,
@@ -190,6 +194,134 @@ def test_selection_comments_and_underscore_leaf():
     assert sel.kind == "exists" and sel.var == "a"
     assert [print_term(t) for t in sel.terms] == ["c", "d"]
     assert sel.branches == (LEAF, LEAF)
+
+
+def selection_literals() -> list[str]:
+    """Every string in the tests that reads as a selection, or as one meant
+    to be refused, and the selection files under tests/data."""
+    here = Path(__file__).parent
+    shape = re.compile(r"\s*(;[^\n]*\n\s*)*(_\s*$|\((not|and|or|forall|exists)\s)")
+    out = [p.read_text() for p in sorted((here / "data").glob("*.sel"))]
+    for path in sorted(here.glob("*.py")):
+        out += [n.value for n in ast.walk(ast.parse(path.read_text()))
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and shape.match(n.value)]
+    return out
+
+
+def random_selection_text(rng, depth: int) -> str:
+    """A well-formed selection with a random layout: comments, newlines and
+    runs of blanks between tokens and inside term parentheses, Skolem terms
+    with nested arguments, @dot, ? variables and Skolem-named binders, and
+    either one branch shared by every term or one branch per term."""
+
+    def gap():
+        return rng.choice([" ", "  ", "\n", " \t", " ; note (a) _\n", "\n; x\n "])
+
+    def pad():
+        return rng.choice(["", "", " ", "\n "])
+
+    def term(d):
+        if d == 0 or rng.random() < 0.4:
+            return rng.choice(["c", "x", "sk_u", "sk_v", "@dot", "?g", "?h1", "f1"])
+        args = [term(d - 1) for _ in range(rng.randint(1, 3))]
+        sep = "," + pad()
+        return (rng.choice(["sk_m", "sk_f", "g"]) + "(" + pad()
+                + sep.join(args) + pad() + ")")
+
+    def node(d):
+        roll = rng.random()
+        if d == 0 or roll < 0.15:
+            return "_"
+        if roll < 0.3:
+            return "(" + pad() + "not" + gap() + node(d - 1) + pad() + ")"
+        if roll < 0.5:
+            return ("(" + rng.choice(["and", "or"]) + gap() + node(d - 1)
+                    + gap() + node(d - 1) + pad() + ")")
+        terms = [term(2) for _ in range(rng.randint(1, 3))]
+        binder = rng.choice(["x", "a", "y_1", "sk_a(x)", "sk_b(sk_m(c,?g))"])
+        n = rng.choice([0, 1, len(terms)])
+        return ("(" + rng.choice(["forall", "exists"]) + gap() + binder + gap()
+                + "(" + pad() + gap().join(terms) + pad() + ")"
+                + "".join(gap() + node(d - 1) for _ in range(n)) + pad() + ")")
+
+    return pad() + node(depth) + pad()
+
+
+def read_both(text: str):
+    """What the reader and the reference reader make of a text: the tree
+    and both printers' text of it, or None for a refusal."""
+    out = []
+    for parse in (parse_selection, references.parse_selection):
+        try:
+            sel = parse(text)
+        except FormulaError:
+            out.append(None)
+            continue
+        out.append((sel, print_selection(sel), references.print_selection(sel)))
+    return out
+
+
+def has_unreadable_binder(sel) -> bool:
+    """Whether some binder of sel does not read as a term that prints back
+    as itself."""
+    stack = [sel]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, SelQuant):
+            try:
+                if print_term(parse_term(s.var)) != s.var:
+                    return True
+            except FormulaError:
+                return True
+        stack += _sel_children(s)
+    return False
+
+
+def test_selection_reader_and_printer_agree_with_the_reference():
+    """The reader from the formula tokenizer and the printer from an
+    explicit stack against the recursive reader, with its own lexer, and
+    printer that they replaced: the same tree and byte-identical text on
+    every selection literal of the tests and on seeded random selections,
+    and the same refusals on one-character mutations of those."""
+    rng = random.Random(1313)
+    literals = selection_literals()
+    assert len(literals) > 10
+    texts = [UPPER_BOUND_SELECTION, *literals]
+    texts += [random_selection_text(rng, rng.randint(1, 6)) for _ in range(2000)]
+    outcomes = Counter()
+    for text in texts:
+        new, old = read_both(text)
+        assert new == old, text
+        if new is not None:
+            sel, printed, reference_printed = new
+            assert printed == reference_printed
+            assert parse_selection(printed) == sel
+            outcomes["read"] += 1
+        cut = rng.randrange(len(text))
+        if not text[cut].isspace():  # deleting a blank may join two terms
+            mutated = text[:cut] + text[cut + 1:]
+            new, old = read_both(mutated)
+            if new is None and old is not None:
+                # the reference took any word as a binder, unread
+                assert has_unreadable_binder(old[0]), mutated
+                outcomes["binder"] += 1
+                continue
+            assert new == old, mutated
+            outcomes["refused" if new is None else "mutated"] += 1
+    assert outcomes["read"] > 2000 and outcomes["refused"] > 500
+
+
+def test_deep_selection_reads_and_prints_under_the_recursion_limit():
+    depth = 20_000
+    text = "(not " * depth + "(exists a (c) _)" + ")" * depth
+    sel = parse_selection(text)
+    assert print_selection(sel) == text
+    again = parse_selection(print_selection(sel))
+    for _ in range(depth):
+        assert isinstance(sel, SelNot) and isinstance(again, SelNot)
+        sel, again = sel.sub, again.sub
+    assert sel == again == SelQuant("exists", "a", (Var("c"),), (LEAF,))
 
 
 def test_selection_rejects_empty_term_lists():

@@ -71,6 +71,16 @@ def referenced_names(node: ast.AST) -> Counter:
     return out
 
 
+def dispatched_names(node: ast.AST) -> Counter:
+    """The function cli.main runs for each subcommand the parser defines:
+    sub.add_parser("check-c", ...) is run as _cmd_check_c."""
+    return Counter("_cmd_" + n.args[0].value.replace("-", "_")
+                   for n in ast.walk(node)
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "add_parser" and n.args
+                   and isinstance(n.args[0], ast.Constant))
+
+
 def dead_definitions() -> tuple[list[str], set[str]]:
     """Definitions no src code references outside the defining statement
     (a recursive call is no use), and those among them that tests use."""
@@ -78,7 +88,7 @@ def dead_definitions() -> tuple[list[str], set[str]]:
     stmts = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        src_refs += referenced_names(tree)
+        src_refs += referenced_names(tree) + dispatched_names(tree)
         if path.name != "__init__.py":
             stmts += [(path.name, stmt) for stmt in tree.body]
     test_refs = Counter()
@@ -130,9 +140,10 @@ def test_the_readme_library_table_names_definitions():
 
 
 # The formula walkers, the walks driven by a selection tree and the
-# comparisons of two formulas fold from an explicit stack (syntax.fold).
-# The functions that stay recursive: the parsers, the term walkers,
-# print_selection, the SAT search and the CLI's printer of nested documents.
+# comparisons of two formulas fold from an explicit stack (syntax.fold), and
+# the selection reader and printer run from explicit stacks of their own.
+# The functions that stay recursive: the formula parser, the term walkers,
+# the SAT search and the CLI's printer of nested documents.
 STILL_RECURSIVE = {
     "syntax.py": {
         "print_term", "term_free_names", "substitute_term", "term_height",
@@ -142,7 +153,6 @@ STILL_RECURSIVE = {
         "_check_arities.walk_term",
     },
     "taut.py": {"_dpll.solve"},
-    "expansion.py": {"parse_selection.node", "print_selection"},
     "skolem.py": {"canonical_key.pt"},
     "kernel.py": {"_solve_instance.wt"},
     "oracle.py": {"_eval_term"},

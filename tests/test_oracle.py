@@ -6,6 +6,7 @@ import pytest
 
 from herbrandkit.oracle import (
     OracleBudgetError,
+    OracleError,
     find_countermodel,
     valid_up_to,
 )
@@ -27,6 +28,12 @@ from references import brute_force_countermodel
 def test_propositional_validity():
     assert valid_up_to(parse_formula("p | ~p"), 2)
     assert not valid_up_to(parse_formula("p"), 1)
+
+
+def test_a_size_below_one_is_refused():
+    """No interpretation has an empty domain, so there is nothing to check."""
+    with pytest.raises(OracleError, match="at least 1, got 0"):
+        valid_up_to(parse_formula("p(c) & ~p(c)"), 0)
 
 
 def test_quantifier_semantics():

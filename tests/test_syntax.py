@@ -96,7 +96,7 @@ def test_quantifier_body_extends_right():
 
 
 def test_parse_errors():
-    for bad in ("((", "p &", "forall. p", "p(", "exists 3. p"):
+    for bad in ("((", "p &", "forall. p", "p(", "exists 3. p", "p | _", "p(_)"):
         with pytest.raises(ParseError):
             parse_formula(bad)
 
