@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -58,7 +59,7 @@ from .syntax import (
     rectify,
     sites,
 )
-from .taut import atom_list, emit_dimacs, is_tautology
+from .taut import decide, emit_dimacs
 
 
 class CliError(FormulaError):
@@ -78,11 +79,16 @@ def _read_formula(args) -> "Formula":
     return parse_formula(text)
 
 
+_BLANKS = re.compile(r"(?:\s|;[^\n]*)*")  # blanks and ; comment lines
+
+
 def _read_selection(args):
     raw = args.selection
     if raw is None:
         return None
-    inline = raw.lstrip().startswith("(") or raw.strip() == "_"
+    # inline text opens with "(" or is "_" once blanks and comments are skipped
+    rest = raw[_BLANKS.match(raw).end():]
+    inline = rest.startswith("(") or rest.rstrip() == "_"
     text = raw if inline else Path(raw).read_text()
     return parse_selection(text)
 
@@ -215,9 +221,8 @@ def _cmd_subexpand(args):
 
 def _cmd_taut(args):
     f = _read_formula(args)
-    verdict = is_tautology(f)
-    doc = {"formula": print_formula(f), "tautology": verdict,
-           "atoms": len(atom_list(f))}
+    verdict, atoms = decide(f)
+    doc = {"formula": print_formula(f), "tautology": verdict, "atoms": atoms}
     raw = emit_dimacs(f) if args.emit_cnf else _scalar(verdict)
     return (0 if verdict else 1), doc, raw
 

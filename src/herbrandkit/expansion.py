@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, reduce
 from .syntax import (
     And, App, Atom, Branch, DOT, Forall, Formula, FormulaError, GammaVar,
     Not, Or, Prune, Quant, Swap, Term, Var, _parse_term, _Tokens, all_names,
-    bound_names, children, collect_signature, fold, fresh_name,
+    bound_names, children, collect_signature, fold, formula_size, fresh_name,
     is_quantifier_free, parse_term, print_term, quant_kind, rebuild,
     rename_binder, substitute, term_free_names, term_height, var_for_name,
 )
@@ -430,27 +430,29 @@ def build_sub_expansion(f: Formula, sel: Selection,
             "selection terms use bound variable names: " + ", ".join(sorted(clash)))
     count = 0
 
-    # the context is the node's selection; a quantifier's body is folded
-    # once per chosen term
-    def down(g, s):
+    def grow(nodes: int) -> None:
         nonlocal count
+        count += nodes
+        if count > budget:
+            raise BudgetError(
+                f"sub-expansion exceeds the size guard of {budget} nodes")
+
+    # the context is the node's selection; a quantifier's body is folded
+    # once per chosen term, and every node built is counted as it is built
+    def down(g, s):
         if isinstance(s, SelLeaf) and is_quantifier_free(g):
-            count += 1
+            grow(formula_size(g))
             return Prune(g)
         subs = match_selection(g, s)
         if isinstance(g, Quant):
             return Branch(tuple((g.body, br) for br in subs), s)
-        count += 1
+        grow(1)
         return Branch(tuple(zip(children(g), subs)), s)
 
     def up(g, kids, s):
-        nonlocal count
         if not isinstance(g, Quant):
             return rebuild(g, *kids)
-        count += len(s.terms) - 1
-        if count > budget:
-            raise BudgetError(
-                f"sub-expansion exceeds the size guard of {budget} nodes")
+        grow(len(s.terms) - 1)
         return reduce(And if isinstance(g, Forall) else Or,
                       [substitute(k, {g.var: t}) for t, k in zip(s.terms, kids)])
 

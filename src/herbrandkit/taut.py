@@ -2,17 +2,20 @@
 
 Atoms are identified by their full printed form, so a Skolem-named variable
 and a term that happens to print the same way name the same proposition.
-Up to 20 distinct atoms the check runs a truth table (bit-column vectors);
-above that it refutes the negation through a structure-preserving clausal
-form with unit propagation and backtracking.
+One post-order fold reads a formula into its propositional abstraction:
+atoms and junctions numbered together as they first close, each junction
+defined once per (connective, child literals).  Up to 20 distinct atoms the
+check runs a truth table of bit columns over those junctions; above that it
+refutes the negation through the structure-preserving clausal form with a
+CDCL solver (two watched literals, first-UIP clause learning and
+non-chronological backjumping).
 """
 
 from __future__ import annotations
 
-from .syntax import (
-    And, Atom, Formula, FormulaError, Not, Or, Quant, fold, print_formula,
-    subformulas,
-)
+from heapq import heapify, heappop, heappush
+
+from .syntax import And, Atom, Formula, FormulaError, Not, Or, fold, print_formula
 
 TABLE_LIMIT = 20
 
@@ -23,45 +26,88 @@ class TautError(FormulaError):
     pass
 
 
-def atom_list(f: Formula) -> list[str]:
-    """Distinct atom prints in order of first occurrence.  Raises TautError
-    at a quantifier, so one pass both checks and collects."""
-    seen: dict[str, None] = {}
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            seen.setdefault(print_formula(g))
-        elif isinstance(g, Quant):
-            raise TautError(QUANTIFIER_FREE_ONLY)
-    return list(seen)
+def _abstract(f: Formula) -> tuple[list, int]:
+    """The propositional abstraction of f, from one fold: its nodes, where
+    node v - 1 is variable v (an atom's print, or a junction (And or Or,
+    left literal, right literal)), and the literal of f's root.  Subformulas
+    equal up to double negations and atom prints share one variable, and
+    none is hashed whole.  Raises TautError at a quantifier."""
+    nodes: list = []
+    var: dict = {}
 
-
-def _table_tautology(f: Formula, atoms: list[str]) -> bool:
-    """Truth table as bit columns: column i holds, for every assignment row,
-    the value of atom i; connectives become bitwise operations."""
-    n = len(atoms)
-    rows = 1 << n
-    full = (1 << rows) - 1
-    cols: list[int] = []
-    width = 1
-    for i in range(n):
-        cols = [c | (c << width) for c in cols]
-        cols.append(((1 << width) - 1) << width)
-        width <<= 1
-    index = {a: i for i, a in enumerate(atoms)}
-
-    def ev(g, kids, _) -> int:
+    def lit(g, kids, _) -> int:
         t = type(g)
         if t is Atom:
-            return cols[index[print_formula(g)]]
-        if t is Not:
-            return full ^ kids[0]
-        if t is And:
-            return kids[0] & kids[1]
-        if t is Or:
-            return kids[0] | kids[1]
-        raise TautError(QUANTIFIER_FREE_ONLY)
+            key = print_formula(g)
+        elif t is Not:
+            return -kids[0]
+        elif t is And or t is Or:
+            key = (t, *kids)
+        else:
+            raise TautError(QUANTIFIER_FREE_ONLY)
+        v = var.get(key)
+        if v is None:
+            nodes.append(key)
+            v = var[key] = len(nodes)
+        return v
 
-    return fold(f, ev) == full
+    return nodes, fold(f, lit)
+
+
+def atom_list(f: Formula) -> list[str]:
+    """Distinct atom prints in order of first occurrence.  Raises TautError
+    at a quantifier."""
+    return [node for node in _abstract(f)[0] if type(node) is str]
+
+
+def _table_tautology(nodes: list, root: int, n: int) -> bool:
+    """Truth table as bit columns over the n atoms of an abstraction: the
+    column of atom i holds, for every assignment row, its value, and a
+    junction's column is the bitwise and/or of its children's.  Each column
+    is dropped after its last use, so a wide table holds few at once."""
+    rows = 1 << n
+    full = (1 << rows) - 1
+    atom_cols: list[int] = []
+    width = 1
+    for _ in range(n):
+        atom_cols = [c | (c << width) for c in atom_cols]
+        atom_cols.append(((1 << width) - 1) << width)
+        width <<= 1
+    uses = [0] * (len(nodes) + 1)
+    for node in nodes:
+        if type(node) is tuple:
+            uses[abs(node[1])] += 1
+            uses[abs(node[2])] += 1
+    cols: list = [None] * (len(nodes) + 1)
+    next_atom = iter(atom_cols)
+    for v, node in enumerate(nodes, 1):
+        if type(node) is str:
+            cols[v] = next(next_atom)
+            continue
+        t, a, b = node
+        x = cols[a] if a > 0 else full ^ cols[-a]
+        y = cols[b] if b > 0 else full ^ cols[-b]
+        for u in (abs(a), abs(b)):
+            uses[u] -= 1
+            if not uses[u]:
+                cols[u] = None
+        cols[v] = x & y if t is And else x | y
+    return cols[abs(root)] == (full if root > 0 else 0)
+
+
+def _clauses(nodes: list, root: int) -> list[list[int]]:
+    """Definitional clauses for every junction, in variable order, plus the
+    unit clause asserting the root false."""
+    clauses: list[list[int]] = []
+    for v, node in enumerate(nodes, 1):
+        if type(node) is tuple:
+            t, a, b = node
+            if t is And:
+                clauses.extend(([-v, a], [-v, b], [v, -a, -b]))
+            else:
+                clauses.extend(([-v, a, b], [v, -a], [v, -b]))
+    clauses.append([-root])
+    return clauses
 
 
 def clausal_refutation_form(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
@@ -70,130 +116,203 @@ def clausal_refutation_form(f: Formula) -> tuple[list[list[int]], dict[str, int]
     plus the unit clause asserting the root false.
 
     Returns (clauses, atom name -> variable, number of variables).  A
-    junction is defined once per (connective, child literals): subformulas
-    equal up to double negations and atom prints share one variable, and
-    none is hashed whole."""
-    atom_var: dict[str, int] = {}
-    defined: dict[tuple, int] = {}
-    clauses: list[list[int]] = []
-
-    def lit(g, kids, _) -> int:
-        t = type(g)
-        if t is Atom:
-            return atom_var.setdefault(print_formula(g), len(atom_var) + len(defined) + 1)
-        if t is Not:
-            return -kids[0]
-        if t is not And and t is not Or:
-            raise TautError(QUANTIFIER_FREE_ONLY)
-        key = (t, *kids)
-        v = defined.get(key)
-        if v is None:
-            v = defined[key] = len(atom_var) + len(defined) + 1
-            a, b = kids
-            if t is And:
-                clauses.extend(([-v, a], [-v, b], [v, -a, -b]))
-            else:
-                clauses.extend(([-v, a, b], [v, -a], [v, -b]))
-        return v
-
-    root = fold(f, lit)
-    clauses.append([-root])
-    return clauses, atom_var, len(atom_var) + len(defined)
+    junction is defined once per (connective, child literals), as in
+    the abstraction the check reads."""
+    nodes, root = _abstract(f)
+    atom_var = {n: v for v, n in enumerate(nodes, 1) if type(n) is str}
+    return _clauses(nodes, root), atom_var, len(nodes)
 
 
-def _dpll(clauses: list[list[int]], nvars: int) -> bool:
-    """True iff satisfiable.  Unit propagation strengthened with failed
-    literal probing (a literal whose propagation closes every clause is
-    asserted negatively), then chronological backtracking.  Tautological
-    clauses are dropped up front."""
-    clauses = [cl for cl in clauses if not any(-l in cl for l in cl)]
-    assign: dict[int, bool] = {}
+def _cdcl(clauses: list[list[int]], nvars: int) -> bool:
+    """True iff the clauses over variables 1..nvars are satisfiable.
 
-    def value(l: int):
-        v = assign.get(abs(l))
-        if v is None:
-            return None
-        return v if l > 0 else not v
+    Conflict-driven clause learning as in Chaff and MiniSat, as one loop:
+    each clause of two or more literals is watched on its first two
+    literals in flat storage, a conflict is analysed to its first unique
+    implication point, and the learnt clause sends the search back to the
+    second-highest level in it.  Decisions take the unassigned variable of
+    highest activity, the lowest-numbered on a tie, in its saved phase
+    (false at first), so the search is deterministic.  A clause may repeat
+    a literal or hold one with its negation: a watch on a repeated literal
+    is visited once per copy, and a clause with both signs always keeps a
+    true watch, so neither needs preprocessing."""
+    # Lists indexed by a literal hold 2 * nvars + 1 slots: a negative
+    # literal -v indexes from the end, so l and -l never share a slot.
+    size = 2 * nvars + 1
+    val = [0] * size                    # 1 true, -1 false, 0 unassigned
+    watches: list[list[int]] = [[] for _ in range(size)]
+    lits: list[int] = []                # clause c is lits[start[c]:start[c + 1]]
+    start = [0]
+    units: list[int] = []
+    for cl in clauses:
+        if len(cl) < 2:
+            if not cl:
+                return False
+            units.append(cl[0])
+            continue
+        c = len(start) - 1
+        watches[cl[0]].append(c)
+        watches[cl[1]].append(c)
+        lits.extend(cl)
+        start.append(len(lits))
 
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for cl in clauses:
-                unassigned = None
-                satisfied = False
-                open_count = 0
-                for l in cl:
-                    val = value(l)
-                    if val is True:
-                        satisfied = True
-                        break
-                    if val is None:
-                        open_count += 1
-                        unassigned = l
-                if satisfied:
-                    continue
-                if open_count == 0:
-                    return False
-                if open_count == 1:
-                    assign[abs(unassigned)] = unassigned > 0
-                    trail.append(abs(unassigned))
-                    changed = True
-        return True
-
-    def undo(trail: list[int]):
-        for v in trail:
-            del assign[v]
-
-    def probe(trail: list[int]) -> bool:
-        """Assert the negation of every literal that fails by propagation
-        alone; False on an outright contradiction."""
-        progress = True
-        while progress:
-            progress = False
-            for v in range(1, nvars + 1):
-                if v in assign:
-                    continue
-                for guess in (True, False):
-                    assign[v] = guess
-                    sub: list[int] = []
-                    ok = propagate(sub)
-                    undo(sub)
-                    del assign[v]
-                    if not ok:
-                        assign[v] = not guess
-                        trail.append(v)
-                        if not propagate(trail):
-                            return False
-                        progress = True
-                        break
-        return True
-
-    def solve() -> bool:
-        trail: list[int] = []
-        if not (propagate(trail) and probe(trail)):
-            undo(trail)
+    level = [0] * (nvars + 1)
+    reason = [-1] * (nvars + 1)         # the clause that implied a variable
+    phase = [False] * (nvars + 1)
+    activity = [0.0] * (nvars + 1)
+    bump = 1.0
+    seen = [False] * (nvars + 1)
+    trail: list[int] = []
+    lim: list[int] = []                 # trail length at each decision
+    # (-activity, variable): every unassigned variable has an entry, and
+    # entries popped for assigned ones are dropped
+    heap = [(0.0, v) for v in range(1, nvars + 1)]
+    for u in units:
+        if val[u] < 0:
             return False
-        var = next((v for v in range(1, nvars + 1) if v not in assign), None)
-        if var is None:
-            return True
-        for guess in (True, False):
-            assign[var] = guess
-            if solve():
-                return True
-            del assign[var]
-        undo(trail)
-        return False
+        if not val[u]:
+            val[u], val[-u] = 1, -1
+            trail.append(u)
+    qhead = 0
+    while True:
+        conflict = -1
+        while qhead < len(trail):
+            fl = -trail[qhead]
+            qhead += 1
+            ws = watches[fl]
+            watches[fl] = kept = []
+            i, n = 0, len(ws)
+            while i < n:
+                c = ws[i]
+                i += 1
+                s = start[c]
+                a = lits[s]
+                if a == fl:
+                    a = lits[s + 1]
+                    lits[s], lits[s + 1] = a, fl
+                if val[a] > 0:
+                    kept.append(c)
+                    continue
+                for k in range(s + 2, start[c + 1]):
+                    b = lits[k]
+                    if val[b] >= 0:
+                        lits[s + 1], lits[k] = b, fl
+                        watches[b].append(c)
+                        break
+                else:
+                    kept.append(c)
+                    if val[a] < 0:
+                        conflict = c
+                        kept.extend(ws[i:])
+                        break
+                    val[a], val[-a] = 1, -1
+                    level[abs(a)] = len(lim)
+                    reason[abs(a)] = c
+                    trail.append(a)
+            if conflict >= 0:
+                break
 
-    return solve()
+        if conflict < 0:
+            while heap:
+                v = heappop(heap)[1]
+                if not val[v]:
+                    break
+            else:
+                return True
+            d = v if phase[v] else -v
+            lim.append(len(trail))
+            val[d], val[-d] = 1, -1
+            level[v] = len(lim)
+            reason[v] = -1
+            trail.append(d)
+            continue
+
+        if not lim:
+            return False
+        # first-UIP analysis: resolve backwards along the trail until one
+        # literal of the conflict level is left
+        top = len(lim)
+        learnt = [0]
+        pending = 0
+        p = 0
+        idx = len(trail) - 1
+        c = conflict
+        while True:
+            for k in range(start[c], start[c + 1]):
+                q = lits[k]
+                v = abs(q)
+                if q != p and not seen[v] and level[v]:
+                    seen[v] = True
+                    activity[v] += bump
+                    if level[v] == top:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            while not seen[abs(trail[idx])]:
+                idx -= 1
+            p = trail[idx]
+            idx -= 1
+            seen[abs(p)] = False
+            pending -= 1
+            if not pending:
+                break
+            c = reason[abs(p)]
+        learnt[0] = -p
+        back = 0
+        for k in range(1, len(learnt)):
+            v = abs(learnt[k])
+            seen[v] = False
+            if level[v] > back:
+                back = level[v]
+                learnt[1], learnt[k] = learnt[k], learnt[1]
+
+        keep = lim[back]
+        for q in trail[keep:]:
+            v = abs(q)
+            phase[v] = q > 0
+            val[q] = val[-q] = 0
+            heappush(heap, (-activity[v], v))
+        del trail[keep:], lim[back:]
+        qhead = keep
+        a = learnt[0]
+        if len(learnt) > 1:
+            c = len(start) - 1
+            watches[a].append(c)
+            watches[learnt[1]].append(c)
+            lits.extend(learnt)
+            start.append(len(lits))
+        else:
+            c = -1
+        val[a], val[-a] = 1, -1
+        level[abs(a)] = back
+        reason[abs(a)] = c
+        trail.append(a)
+
+        # activities decay by a growing bump (VSIDS); rescale them before
+        # floats overflow, and rebuild the heap then or once stale entries
+        # pile up
+        bump *= 1 / 0.95
+        if bump > 1e100 or len(heap) > 4 * nvars:
+            if bump > 1e100:
+                activity = [x * 1e-100 for x in activity]
+                bump *= 1e-100
+            heap = [(-activity[v], v) for v in range(1, nvars + 1) if not val[v]]
+            heapify(heap)
+
+
+def decide(f: Formula) -> tuple[bool, int]:
+    """Whether f is a tautology, and how many distinct atoms it has, from
+    one fold: by truth table up to TABLE_LIMIT atoms, above that by
+    refuting the clausal form."""
+    nodes, root = _abstract(f)
+    n = sum(type(node) is str for node in nodes)
+    if n <= TABLE_LIMIT:
+        return _table_tautology(nodes, root, n), n
+    return not _cdcl(_clauses(nodes, root), len(nodes)), n
 
 
 def is_tautology(f: Formula) -> bool:
-    atoms = atom_list(f)
-    if len(atoms) <= TABLE_LIMIT:
-        return _table_tautology(f, atoms)
-    clauses, _, nvars = clausal_refutation_form(f)
-    return not _dpll(clauses, nvars)
+    return decide(f)[0]
 
 
 def emit_dimacs(f: Formula) -> str:

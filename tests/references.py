@@ -2,9 +2,10 @@
 up to a renaming of free instantiation variables, and up to the grouping
 and order of junction operands; the brute-force countermodel search that
 evaluates one interpretation at a time; the recursive comparison up to
-bound renaming and sub-expansion walk that the fold replaced; and the
+bound renaming and sub-expansion walk that the fold replaced; the
 selection reader, with its own lexer, and printer that the stack-driven
-ones replaced."""
+ones replaced; and the DPLL search with failed-literal probing that the
+CDCL solver replaced."""
 
 import itertools
 from functools import reduce
@@ -43,6 +44,7 @@ from herbrandkit.syntax import (
     bound_names,
     children,
     collect_signature,
+    formula_size,
     is_quantifier_free,
     parse_term,
     print_formula,
@@ -258,21 +260,24 @@ def build_sub_expansion(f, sel, budget=EXPANSION_BUDGET):
             "selection terms use bound variable names: " + ", ".join(sorted(clash)))
     count = [0]
 
+    def grow(nodes):
+        count[0] += nodes
+        if count[0] > budget:
+            raise BudgetError(
+                f"sub-expansion exceeds the size guard of {budget} nodes")
+
     def walk(g, s):
         if isinstance(s, SelLeaf) and is_quantifier_free(g):
-            count[0] += 1
+            grow(formula_size(g))
             return g
         subs = match_selection(g, s)
         if not isinstance(g, Quant):
-            count[0] += 1
+            grow(1)
             return rebuild(g, *map(walk, children(g), subs))
         acc = reduce(And if isinstance(g, Forall) else Or,
                      [substitute(walk(g.body, br), {g.var: t})
                       for t, br in zip(s.terms, subs)])
-        count[0] += len(s.terms) - 1
-        if count[0] > budget:
-            raise BudgetError(
-                f"sub-expansion exceeds the size guard of {budget} nodes")
+        grow(len(s.terms) - 1)
         return acc
 
     return walk(f, sel)
@@ -397,3 +402,93 @@ def print_selection(s: Selection) -> str:
             else:
                 bs = " " + " ".join(print_selection(b) for b in branches)
             return f"({kind} {var} ({ts}){bs})"
+
+
+# ---------------------------------------------------------------------------
+# the satisfiability search taut had before its CDCL solver, body unchanged
+
+def dpll(clauses: list[list[int]], nvars: int) -> bool:
+    """True iff satisfiable.  Unit propagation strengthened with failed
+    literal probing (a literal whose propagation closes every clause is
+    asserted negatively), then chronological backtracking.  Tautological
+    clauses are dropped up front."""
+    clauses = [cl for cl in clauses if not any(-l in cl for l in cl)]
+    assign: dict[int, bool] = {}
+
+    def value(l: int):
+        v = assign.get(abs(l))
+        if v is None:
+            return None
+        return v if l > 0 else not v
+
+    def propagate(trail: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for cl in clauses:
+                unassigned = None
+                satisfied = False
+                open_count = 0
+                for l in cl:
+                    val = value(l)
+                    if val is True:
+                        satisfied = True
+                        break
+                    if val is None:
+                        open_count += 1
+                        unassigned = l
+                if satisfied:
+                    continue
+                if open_count == 0:
+                    return False
+                if open_count == 1:
+                    assign[abs(unassigned)] = unassigned > 0
+                    trail.append(abs(unassigned))
+                    changed = True
+        return True
+
+    def undo(trail: list[int]):
+        for v in trail:
+            del assign[v]
+
+    def probe(trail: list[int]) -> bool:
+        """Assert the negation of every literal that fails by propagation
+        alone; False on an outright contradiction."""
+        progress = True
+        while progress:
+            progress = False
+            for v in range(1, nvars + 1):
+                if v in assign:
+                    continue
+                for guess in (True, False):
+                    assign[v] = guess
+                    sub: list[int] = []
+                    ok = propagate(sub)
+                    undo(sub)
+                    del assign[v]
+                    if not ok:
+                        assign[v] = not guess
+                        trail.append(v)
+                        if not propagate(trail):
+                            return False
+                        progress = True
+                        break
+        return True
+
+    def solve() -> bool:
+        trail: list[int] = []
+        if not (propagate(trail) and probe(trail)):
+            undo(trail)
+            return False
+        var = next((v for v in range(1, nvars + 1) if v not in assign), None)
+        if var is None:
+            return True
+        for guess in (True, False):
+            assign[var] = guess
+            if solve():
+                return True
+            del assign[var]
+        undo(trail)
+        return False
+
+    return solve()

@@ -201,6 +201,14 @@ def test_subexpand_reads_the_leaf_selection_inline(capsys):
     assert code == 0 and out.strip() == "p | q"
 
 
+def test_subexpand_reads_an_inline_selection_that_opens_with_a_comment(capsys):
+    code, out, _ = run(capsys, "subexpand", "--selection",
+                       "; both\n(exists a (@dot) _)", "exists a. ~p(sk_b(a)) | p(a)")
+    assert code == 0 and out.strip() == "~p(sk_b(@dot)) | p(@dot)"
+    code, out, _ = run(capsys, "subexpand", "--selection", "; leaf\n _ ", "p | q")
+    assert code == 0 and out.strip() == "p | q"
+
+
 def test_a_deep_selection_is_decided(capsys):
     """The selection reader and printer run from explicit stacks, so a
     selection as deep as a 20,000-deep chain of ~ is read and decided."""
@@ -265,6 +273,9 @@ def test_check_c_holds_a_selection_to_the_size_guard(capsys):
     code, _, err = run(capsys, "check-c", "--order", "2", "--budget", "18",
                        "--selection", sel, text)
     assert code == 2 and "sub-expansion exceeds the size guard of 18" in err
+    code, _, err = run(capsys, "check-c", "--order", "2", "--budget", "20",
+                       "--selection", sel, text)
+    assert code == 2 and "sub-expansion exceeds the size guard of 20" in err
     code, out, _ = run(capsys, "check-c", "--order", "2", "--selection", sel, text)
     assert code == 0 and "status: holds" in out
 

@@ -93,6 +93,15 @@ def test_property_c_budget_guard(upper_bound):
         property_c(upper_bound, 4)
 
 
+def test_the_full_order_3_check_of_the_upper_bound_fails(upper_bound):
+    """The order-3 expansion of the upper-bound example (12,744 nodes, 405
+    atoms) is decided by the clausal route: its refutation form is
+    satisfiable, so property C of order 3 fails."""
+    r = property_c(upper_bound, 3)
+    assert r.status == "fails" and not r.tautology
+    assert r.node_count == 12744 and r.term_count == 12
+
+
 def test_property_c_star_uses_scope_wise_symbols(drinker):
     r = property_c(drinker, 2, star=True)
     assert r.holds and r.kind == "C*"

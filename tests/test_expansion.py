@@ -365,6 +365,21 @@ def test_build_sub_expansion_single_choice_is_not_tautological(drinker):
     assert not is_tautology(e)
 
 
+def test_the_sub_expansion_guard_counts_every_node_it_builds():
+    """Each copy of a quantifier-free leaf counts all its nodes, and the
+    guard is checked as the count grows: the 24-node sub-expansion below
+    passes a guard of 24 and no smaller one, like the full expansion of
+    that size, in the library and in the reference."""
+    f = outer_skolemize(rectify(parse_formula(
+        "(forall x. forall y. p(x,y)) -> p(a,b) & p(b,c) & p(c,a)")))
+    sel = parse_selection("(or (not (forall x (a b c) (forall y (a b c) _))) _)")
+    for build in (build_sub_expansion, references.build_sub_expansion):
+        assert formula_size(build(f, sel, 24)) == 24
+        for budget in (19, 23):
+            with pytest.raises(BudgetError, match=f"size guard of {budget} nodes"):
+                build(f, sel, budget)
+
+
 def test_build_sub_expansion_skeleton_mismatch(drinker):
     sk = outer_skolemize(drinker)
     with pytest.raises(ExpansionError):
@@ -451,6 +466,7 @@ def test_sub_expansion_agrees_with_the_reference():
             continue
         got = build_sub_expansion(f, sel, budget)
         assert got == want and print_formula(got) == print_formula(want)
+        assert formula_size(got) <= budget
         outcomes["built"] += 1
     assert outcomes["built"] > 300 and outcomes["BudgetError"] > 50
     assert outcomes["SelectionError"] > 100

@@ -1,6 +1,11 @@
 """Sentential tautology checking over the propositional abstraction."""
 
+import gc
+import itertools
 import random
+import tracemalloc
+from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +26,15 @@ from herbrandkit.syntax import (
 )
 from herbrandkit.taut import (
     TautError,
-    _table_tautology,
+    _cdcl,
     atom_list,
     clausal_refutation_form,
+    decide,
     emit_dimacs,
     is_tautology,
 )
+
+import references
 
 
 def test_known_verdicts():
@@ -48,10 +56,8 @@ def test_quantified_input_is_an_error():
         is_tautology(parse_formula("forall x. p(x)"))
 
 
-@pytest.mark.parametrize("check", [
-    emit_dimacs, clausal_refutation_form,
-    lambda f: _table_tautology(f, ["q", "p(x)"])],
-    ids=["emit_dimacs", "clausal_refutation_form", "_table_tautology"])
+@pytest.mark.parametrize("check", [emit_dimacs, clausal_refutation_form, decide],
+                         ids=["emit_dimacs", "clausal_refutation_form", "_table_tautology"])
 def test_a_quantifier_is_a_taut_error_on_every_route(check):
     with pytest.raises(TautError, match="quantifier-free"):
         check(parse_formula("q | forall x. p(x)"))
@@ -95,6 +101,20 @@ def test_large_atom_count_uses_refutation_search():
     assert is_tautology(f)
     g = parse_formula("(" + ") & (".join(parts + ["p0 | p1"]) + ")")
     assert not is_tautology(g)
+
+
+def test_the_truth_table_drops_each_column_after_its_last_use():
+    """20 atoms make columns of 128 KB; a table that kept the column of
+    every junction of this chain of 219 would hold about 30 MB."""
+    p = [Atom(f"p{i}") for i in range(20)]
+    f = reduce(Or, [And(p[i % 20], Not(p[(i + 1) % 20])) for i in range(200)])
+    tracemalloc.start()
+    try:
+        assert decide(f) == (False, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def qf_formulas():
@@ -156,3 +176,128 @@ def test_agrees_with_truth_tables(f):
 def test_tautology_implies_small_model_validity(f):
     if is_tautology(f):
         assert valid_up_to(f, 2)
+
+
+# ---------------------------------------------------------------------------
+# the clausal route: the CDCL solver against the DPLL search it replaced and
+# against brute force
+
+def random_cnf(rng, n):
+    """Clauses over variables 1..n, with empty, unit, duplicate-literal and
+    tautological clauses among them."""
+    clauses = []
+    for _ in range(rng.randint(0, 4 * n + 2)):
+        roll = rng.random()
+        if roll < 0.01:
+            clauses.append([])
+            continue
+        cl = [rng.choice((1, -1)) * rng.randint(1, n)
+              for _ in range(1 if roll < 0.15 else rng.randint(2, 4))]
+        if roll > 0.9:
+            cl.append(cl[0])
+        elif roll > 0.8:
+            cl.append(-cl[0])
+        rng.shuffle(cl)
+        clauses.append(cl)
+    return clauses
+
+
+def brute_force_satisfiable(clauses, n):
+    """Every assignment at once: bit r of a variable's column is its value
+    in row r, and a clause's column is the union of its literals'."""
+    full = (1 << (1 << n)) - 1
+    cols = [sum(1 << r for r in range(1 << n) if r >> (v - 1) & 1)
+            for v in range(1, n + 1)]
+    rows = full
+    for cl in clauses:
+        rows &= reduce(int.__or__, (cols[l - 1] if l > 0 else full ^ cols[-l - 1]
+                                    for l in cl), 0)
+    return rows != 0
+
+
+def test_cdcl_agrees_with_the_reference_and_brute_force_on_random_cnfs():
+    rng = random.Random(14)
+    verdicts = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        clauses = random_cnf(rng, n)
+        want = brute_force_satisfiable(clauses, n)
+        assert _cdcl(clauses, n) == want, (clauses, n)
+        assert references.dpll(clauses, n) == want, (clauses, n)
+        verdicts[want] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+def implies(a, b):
+    return Or(Not(a), b)
+
+
+def wide_qf_formulas():
+    """Formulas over 8 atoms, a third of them tautologies by their shape:
+    (g -> h) | (h -> g) and Peirce's law ((g -> h) -> g) -> g."""
+    base = st.sampled_from([Atom(f"a{i}", ()) for i in range(8)])
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Not, children),
+            st.builds(And, children, children),
+            st.builds(Or, children, children),
+        )
+    f = st.recursive(base, extend, max_leaves=16)
+    return st.one_of(
+        f,
+        st.builds(lambda g, h: Or(implies(g, h), implies(h, g)), f, f),
+        st.builds(lambda g, h: implies(implies(implies(g, h), g), g), f, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_qf_formulas())
+def test_the_clausal_route_agrees_with_truth_tables(f):
+    clauses, _, nvars = clausal_refutation_form(f)
+    want = brute_force_tautology(f)
+    assert (not _cdcl(clauses, nvars)) == want
+    assert (not references.dpll(clauses, nvars)) == want
+    assert decide(f)[0] == want
+
+
+def pigeonhole(pigeons, holes):
+    """Each pigeon sits in some hole and no hole holds two: satisfiable iff
+    pigeons <= holes.  Variable i * holes + j + 1 puts pigeon i in hole j."""
+    def var(i, j):
+        return i * holes + j + 1
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    clauses += [[-var(i, j), -var(k, j)] for j in range(holes)
+                for i, k in itertools.combinations(range(pigeons), 2)]
+    return clauses, pigeons * holes
+
+
+def as_formula(clauses):
+    return reduce(And, [reduce(Or, [Atom(f"x{l}") if l > 0 else Not(Atom(f"x{-l}"))
+                                    for l in cl]) for cl in clauses])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pigeonhole(n):
+    assert not _cdcl(*pigeonhole(n + 1, n))
+    assert _cdcl(*pigeonhole(n, n))
+
+
+def test_pigeonhole_formulas_take_the_clausal_route():
+    # 30 and 25 atoms, over the truth table's limit
+    unsat, sat = as_formula(pigeonhole(6, 5)[0]), as_formula(pigeonhole(5, 5)[0])
+    assert decide(Not(unsat)) == (True, 30)
+    assert decide(Not(sat)) == (False, 25)
+
+
+def test_the_clausal_route_leaves_no_cyclic_garbage():
+    """The solver is one loop with no closure that refers to itself, so
+    its arrays are freed on return, not left for the cyclic collector."""
+    f = Not(as_formula(pigeonhole(6, 5)[0]))
+    assert is_tautology(f)
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_tautology(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
