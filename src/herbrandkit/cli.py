@@ -48,7 +48,6 @@ from .oracle import find_countermodel
 from .skolem import SkolemRegistry, deltapp_skolemize, outer_skolemize
 from .syntax import (
     FormulaError,
-    Quant,
     formula_size,
     is_gamma,
     parse_formula,
@@ -56,8 +55,8 @@ from .syntax import (
     print_formula,
     print_term,
     quant_kind,
+    quantifier_sites,
     rectify,
-    sites,
 )
 from .taut import decide, emit_dimacs
 
@@ -159,7 +158,7 @@ def _cmd_classify(args):
     rows = [{"path": format_path(path), "kind": quant_kind(g), "var": g.var,
              "class": "gamma" if is_gamma(quant_kind(g), sign) else "delta",
              "accessible": accessible}
-            for path, g, sign, accessible in sites(f) if isinstance(g, Quant)]
+            for path, g, sign, accessible in quantifier_sites(f)]
     raw = [f"{r['path']} {r['kind']} {r['var']} {r['class']}"
            f"{' accessible' if r['accessible'] else ''}" for r in rows]
     return 0, {"formula": print_formula(f), "quantifiers": rows}, "\n".join(raw)

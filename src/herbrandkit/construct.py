@@ -27,10 +27,8 @@ from functools import partial, reduce
 
 from .expansion import (
     DEFAULT_BUDGET,
-    LEAF,
     BudgetError,
     SelAnd,
-    SelNot,
     SelOr,
     SelQuant,
     Selection,
@@ -39,6 +37,7 @@ from .expansion import (
     expand,
     expansion_leaf_count,
     expansion_node_count,
+    full_selection,
     match_selection,
     parse_selection,
     selection_within,
@@ -92,10 +91,10 @@ from .syntax import (
     print_term,
     quant_kind,
     quantifier_positions,
+    quantifier_sites,
     rebuild,
     rectify,
     rename_binder,
-    sites,
     substitute,
     substitute_term,
     term_free_names,
@@ -315,23 +314,6 @@ def _named_copies(a_r: Formula, sel: Selection) -> tuple[Formula, _CopyState]:
     return _along(a_r, sel, partial(_copy_pass, st=st), ()), st
 
 
-def _full_selection(a_r: Formula, terms: tuple[Term, ...]) -> Selection:
-    """The selection that chooses every domain term at every removable
-    quantifier: duplicating along it rebuilds the full expansion."""
-
-    def up(g: Formula, kids, sign: int) -> Selection:
-        if isinstance(g, Atom):
-            return LEAF
-        if not isinstance(g, Quant):
-            return {Not: SelNot, And: SelAnd, Or: SelOr}[type(g)](*kids)
-        kind = quant_kind(g)
-        if is_gamma(kind, sign):
-            return SelQuant(kind, g.var, tuple(terms), kids * len(terms))
-        return kids[0]
-
-    return fold(a_r, up, lambda g, sign: -sign if isinstance(g, Not) else sign, 1)
-
-
 # ---------------------------------------------------------------------------
 # staged quantifier removal
 
@@ -376,9 +358,8 @@ def _execute_stages(q: Formula, plan: dict[str, Term], n: int):
     def first(gamma: bool, stage: int):
         """The first accessible quantifier of the wanted class, on one walk
         of the current line."""
-        return next(((path, g) for path, g, sign, accessible in sites(cur)
-                     if accessible and isinstance(g, Quant)
-                     and is_gamma(quant_kind(g), sign) == gamma
+        return next(((path, g) for path, g, sign, accessible in quantifier_sites(cur)
+                     if accessible and is_gamma(quant_kind(g), sign) == gamma
                      and not (gamma and term_height(plan[g.var]) >= stage)), None)
 
     for i in range(1, n + 1):
@@ -465,7 +446,8 @@ def _established(a: Formula, n: int, sel, star: bool, budget: int,
             f"order {n}{' (starred)' if star else ''} is not established for "
             f"this formula ({pre.status}{': ' + pre.detail if pre.detail else ''})")
     if sel is None:
-        sel = _full_selection(a_r, champ(pre.skolemized, n, budget=budget).terms)
+        sk = pre.skolemized
+        sel = full_selection(sk, champ(sk, n, budget=budget).terms)
     return a_r, sel
 
 

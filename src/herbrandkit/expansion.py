@@ -5,7 +5,10 @@ height strictly below n.  Expanding a formula over a term list replaces an
 existential quantifier by the disjunction of the instances and a universal
 quantifier by the conjunction; a sub-expansion expands every quantifier over
 a chosen nonempty subset of terms, chosen per branch via a selection tree
-mirroring the quantifier skeleton.
+mirroring the quantifier skeleton.  The full expansion is the sub-expansion
+along full_selection, which chooses every term at every quantifier; both are
+built by one walk along a selection that makes each instance once, at the
+quantifier-free leaves, under the environment of the chosen terms.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from functools import cached_property, lru_cache, reduce
 
 from .syntax import (
     And, App, Atom, Branch, DOT, Forall, Formula, FormulaError, GammaVar,
-    Not, Or, Prune, Quant, Swap, Term, Var, _parse_term, _Tokens, all_names,
-    bound_names, children, collect_signature, fold, formula_size, fresh_name,
-    is_quantifier_free, parse_term, print_term, quant_kind, rebuild,
-    rename_binder, substitute, term_free_names, term_height, var_for_name,
+    Not, Or, Prune, Quant, Term, Var, _parse_term, _Tokens, bound_names,
+    children, collect_signature, fold, formula_size, is_quantifier_free,
+    parse_term, print_term, quant_kind, rebuild, substitute, term_free_names,
+    term_height, var_for_name,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -160,28 +163,12 @@ def expansion_leaf_count(f: Formula, n_terms: int) -> int:
     return 1 if count is None else count
 
 
-def _rename_away(f: Formula, avoid: set[str]) -> Formula:
-    """Rename bound variables of f that collide with the given names (the
-    formula is renamed, never the terms)."""
-    clash = bound_names(f) & avoid
-    if not clash:
-        return f
-    used = all_names(f) | avoid
-
-    def down(g, _):
-        if isinstance(g, Quant) and g.var in avoid:
-            v2 = fresh_name(g.var, used)
-            used.add(v2)
-            return Swap(rename_binder(g, v2))
-
-    return fold(f, lambda g, kids, _: rebuild(g, *kids), down)
-
-
 def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
            herbrand: bool = False) -> Formula:
     """The expansion of f over a term list: every exists becomes the
     disjunction, every forall the conjunction, of the instances, recursively
-    over the same terms.  Instances are ordered canonically."""
+    over the same terms.  Instances are ordered canonically.  This is the
+    sub-expansion along full_selection(f, terms)."""
     if isinstance(terms, ChampFini):
         terms = terms.terms  # distinct and in canonical order already
     else:
@@ -195,18 +182,7 @@ def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
     if total > budget:
         raise BudgetError(
             f"expansion would have {total} nodes, over the size guard of {budget}")
-    avoid = set()
-    for t in terms:
-        avoid |= term_free_names(t)
-    f = _rename_away(f, avoid)
-
-    def up(g, kids, _):
-        if not isinstance(g, Quant):
-            return rebuild(g, *kids)
-        return reduce(And if isinstance(g, Forall) else Or,
-                      [substitute(kids[0], {g.var: t}) for t in terms])
-
-    return fold(f, up)
+    return _walk(f, full_selection(f, terms), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +392,43 @@ def match_selection(f: Formula, sel: Selection,
     return sel.branches
 
 
+def full_selection(f: Formula, terms) -> Selection:
+    """The selection that chooses every one of terms, as given, at every
+    quantifier of f, with a leaf at each quantifier-free subformula: the
+    sub-expansion along it is the expansion over terms."""
+    terms = tuple(terms)
+    nodes = {Not: SelNot, And: SelAnd, Or: SelOr}
+
+    def up(g, kids, _):
+        if isinstance(g, Quant):
+            return SelQuant(quant_kind(g), g.var, terms, kids * len(terms))
+        if all(k is LEAF for k in kids):
+            return LEAF
+        return nodes[type(g)](*kids)
+
+    return fold(f, up)
+
+
 def build_sub_expansion(f: Formula, sel: Selection,
                         budget: int = DEFAULT_BUDGET) -> Formula:
     """Expand each quantifier over its per-branch chosen terms.  The
     selection must mirror the formula's skeleton down to quantifier-free
     subformulas; chosen terms must not use variables bound in the formula."""
-    avoid = set()
-    for t in selection_terms(sel):
-        avoid |= term_free_names(t)
-    clash = bound_names(f) & avoid
+    clash = bound_names(f) & set().union(*map(term_free_names, selection_terms(sel)))
     if clash:
         raise SelectionError(
             "selection terms use bound variable names: " + ", ".join(sorted(clash)))
+    return _walk(f, sel, budget)
+
+
+def _walk(f: Formula, sel: Selection, budget: int) -> Formula:
+    """The sub-expansion of f along sel, folded with (selection, environment):
+    a quantifier folds its body once per chosen term, the environment sending
+    its variable to the term, and joins the instances; a quantifier-free
+    subformula under a leaf is instantiated once, by the environment.  Every
+    node built is counted as it is built."""
     count = 0
+    sizes: dict[int, int | None] = {}  # id(g) -> g's size if quantifier-free
 
     def grow(nodes: int) -> None:
         nonlocal count
@@ -437,23 +437,26 @@ def build_sub_expansion(f: Formula, sel: Selection,
             raise BudgetError(
                 f"sub-expansion exceeds the size guard of {budget} nodes")
 
-    # the context is the node's selection; a quantifier's body is folded
-    # once per chosen term, and every node built is counted as it is built
-    def down(g, s):
-        if isinstance(s, SelLeaf) and is_quantifier_free(g):
-            grow(formula_size(g))
-            return Prune(g)
+    def down(g, ctx):
+        s, env = ctx
+        if isinstance(s, SelLeaf):
+            key = id(g)
+            if key not in sizes:
+                sizes[key] = formula_size(g) if is_quantifier_free(g) else None
+            if (size := sizes[key]) is not None:
+                grow(size)
+                return Prune(substitute(g, env) if env else g)
         subs = match_selection(g, s)
         if isinstance(g, Quant):
-            return Branch(tuple((g.body, br) for br in subs), s)
+            return Branch(tuple((g.body, (br, {**env, g.var: t}))
+                                for t, br in zip(s.terms, subs)), s)
         grow(1)
-        return Branch(tuple(zip(children(g), subs)), s)
+        return Branch(tuple((c, (cs, env)) for c, cs in zip(children(g), subs)), s)
 
     def up(g, kids, s):
         if not isinstance(g, Quant):
             return rebuild(g, *kids)
-        grow(len(s.terms) - 1)
-        return reduce(And if isinstance(g, Forall) else Or,
-                      [substitute(k, {g.var: t}) for t, k in zip(s.terms, kids)])
+        grow(len(kids) - 1)
+        return reduce(And if isinstance(g, Forall) else Or, kids)
 
-    return fold(f, up, down, sel)
+    return fold(f, up, down, (sel, {}))

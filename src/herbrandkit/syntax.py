@@ -18,8 +18,8 @@ Formulas
 Paths are tuples of child indices: Not and quantifiers have child 0,
 And/Or have children 0 and 1.
 
-The traversal core (subformulas and sites in preorder, locate along one
-path, fold bottom-up) runs from explicit stacks or loops, so formula walks
+The traversal core (subformulas and quantifier_sites in preorder, locate
+along one path, fold bottom-up) runs from explicit stacks or loops, so walks
 and the comparison of two formulas (paired, on the fold) do not depend on
 the recursion limit; the parser and the term walkers still recurse.  The
 tokenizer and term parser also read selections, whose leaf _ is punctuation.
@@ -268,21 +268,26 @@ def subformulas(f: Formula):
         stack.extend(reversed(children(g)))
 
 
-def sites(f: Formula):
-    """(path, node, sign, accessible) for every position of f in preorder,
-    from an explicit stack, with the sign and accessibility locate gives."""
-    stack = [((), f, 1, True)]
+def quantifier_sites(f: Formula):
+    """(path, node, sign, accessible) for every quantifier of f in preorder,
+    from an explicit stack, with the sign and accessibility locate gives.
+    One list holds the path and a tuple is built only at a quantifier, so
+    the walk is linear in the size of f."""
+    path: list[int] = []  # the steps down to the node last taken
+    stack = [(f, 0, 0, 1, True)]  # (node, depth, step, sign, accessible)
     while stack:
-        site = stack.pop()
-        yield site
-        path, g, sign, accessible = site
+        g, depth, step, sign, accessible = stack.pop()
+        if depth:
+            del path[depth - 1:]
+            path.append(step)
         kids = children(g)
         if type(g) is Not:
             sign = -sign
         elif isinstance(g, Quant):
+            yield tuple(path), g, sign, accessible
             accessible = False
         for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i], sign, accessible))
+            stack.append((kids[i], depth + 1, i, sign, accessible))
 
 
 @dataclass(slots=True)
@@ -411,8 +416,7 @@ def locate(f: Formula, path: tuple[int, ...]) -> Site:
 
 def quantifier_positions(f: Formula) -> list[tuple[tuple[int, ...], str, str]]:
     """Preorder list of (path, 'forall'|'exists', binder name)."""
-    return [(path, quant_kind(g), g.var) for path, g, _, _ in sites(f)
-            if isinstance(g, Quant)]
+    return [(path, quant_kind(g), g.var) for path, g, _, _ in quantifier_sites(f)]
 
 
 def is_gamma(kind: str, sign: int) -> bool:

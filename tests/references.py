@@ -4,8 +4,11 @@ and order of junction operands; the brute-force countermodel search that
 evaluates one interpretation at a time; the recursive comparison up to
 bound renaming and sub-expansion walk that the fold replaced; the
 selection reader, with its own lexer, and printer that the stack-driven
-ones replaced; and the DPLL search with failed-literal probing that the
-CDCL solver replaced."""
+ones replaced; the DPLL search with failed-literal probing that the
+CDCL solver replaced; and the expansion that substituted after every
+quantifier, which the walk along the every-term selection replaced; and
+the walk over every position that copied its parent's path at each node,
+which the quantifier site walk replaced."""
 
 import itertools
 from functools import reduce
@@ -14,6 +17,8 @@ from herbrandkit.expansion import (
     DEFAULT_BUDGET as EXPANSION_BUDGET,
     LEAF,
     BudgetError,
+    ChampFini,
+    ExpansionError,
     SelAnd,
     SelLeaf,
     SelNot,
@@ -21,7 +26,9 @@ from herbrandkit.expansion import (
     SelQuant,
     Selection,
     SelectionError,
+    expansion_node_count,
     match_selection,
+    term_order_key,
 )
 from herbrandkit.oracle import (
     DEFAULT_BUDGET,
@@ -40,17 +47,22 @@ from herbrandkit.syntax import (
     Or,
     Quant,
     SkolemNamedVar,
+    Swap,
     Var,
+    all_names,
     bound_names,
     children,
     collect_signature,
+    fold,
     formula_size,
+    fresh_name,
     is_quantifier_free,
     parse_term,
     print_formula,
     print_term,
     quant_kind,
     rebuild,
+    rename_binder,
     substitute,
     term_free_names,
     term_var_name,
@@ -492,3 +504,77 @@ def dpll(clauses: list[list[int]], nvars: int) -> bool:
         return False
 
     return solve()
+
+
+# ---------------------------------------------------------------------------
+# the expansion expand built before it became the walk along the every-term
+# selection: binders renamed away from the terms' free names, then each
+# quantifier's expanded body substituted once per term, bodies unchanged
+
+def _rename_away(f, avoid):
+    """Rename bound variables of f that collide with the given names (the
+    formula is renamed, never the terms)."""
+    clash = bound_names(f) & avoid
+    if not clash:
+        return f
+    used = all_names(f) | avoid
+
+    def down(g, _):
+        if isinstance(g, Quant) and g.var in avoid:
+            v2 = fresh_name(g.var, used)
+            used.add(v2)
+            return Swap(rename_binder(g, v2))
+
+    return fold(f, lambda g, kids, _: rebuild(g, *kids), down)
+
+
+def expand(f, terms, budget=EXPANSION_BUDGET, herbrand=False):
+    """The expansion of f over a term list: every exists becomes the
+    disjunction, every forall the conjunction, of the instances, recursively
+    over the same terms.  Instances are ordered canonically."""
+    if isinstance(terms, ChampFini):
+        terms = terms.terms  # distinct and in canonical order already
+    else:
+        terms = tuple(sorted(set(terms), key=lambda t: term_order_key(t, herbrand)))
+    if not terms:
+        if is_quantifier_free(f):
+            return f
+        raise ExpansionError("expansion over an empty term list is undefined "
+                             "for a formula with quantifiers")
+    total = expansion_node_count(f, len(terms))
+    if total > budget:
+        raise BudgetError(
+            f"expansion would have {total} nodes, over the size guard of {budget}")
+    avoid = set()
+    for t in terms:
+        avoid |= term_free_names(t)
+    f = _rename_away(f, avoid)
+
+    def up(g, kids, _):
+        if not isinstance(g, Quant):
+            return rebuild(g, *kids)
+        return reduce(And if isinstance(g, Forall) else Or,
+                      [substitute(kids[0], {g.var: t}) for t in terms])
+
+    return fold(f, up)
+
+
+# ---------------------------------------------------------------------------
+# the walk over every position that syntax.quantifier_sites replaced, which
+# copies its parent's path at each node, body unchanged
+
+def sites(f):
+    """(path, node, sign, accessible) for every position of f in preorder,
+    from an explicit stack, with the sign and accessibility locate gives."""
+    stack = [((), f, 1, True)]
+    while stack:
+        site = stack.pop()
+        yield site
+        path, g, sign, accessible = site
+        kids = children(g)
+        if type(g) is Not:
+            sign = -sign
+        elif isinstance(g, Quant):
+            accessible = False
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i], sign, accessible))

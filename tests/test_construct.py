@@ -36,6 +36,7 @@ from herbrandkit.expansion import (
     SelectionError,
     build_sub_expansion,
     champ,
+    full_selection,
     parse_selection,
     selection_terms,
     selection_within,
@@ -314,8 +315,7 @@ def test_procedure_safety_on_arbitrary_selections():
         a_r = rectify(f)
         terms = tuple(rng.choice(ch.terms)
                       for _ in range(rng.randint(1, 2)))
-        from herbrandkit.construct import _full_selection
-        base = _full_selection(a_r, terms)
+        base = full_selection(outer_skolemize(a_r), terms)
         try:
             d = construct_derivation(f, 3, sel=base, budget=100_000)
         except (ConstructError, BudgetError):
@@ -336,9 +336,10 @@ def test_selection_consumers_agree():
     named = free = 0
     for _ in range(120):
         a_r = random_candidate(rng)
-        terms = champ(outer_skolemize(a_r), 3).terms
-        sel = construct._full_selection(
-            a_r, tuple(rng.sample(terms, min(len(terms), rng.randint(1, 2)))))
+        sk = outer_skolemize(a_r)
+        terms = champ(sk, 3).terms
+        sel = full_selection(
+            sk, tuple(rng.sample(terms, min(len(terms), rng.randint(1, 2)))))
         try:
             d = construct_derivation(a_r, 3, sel)
         except FormulaError:

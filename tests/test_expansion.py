@@ -37,6 +37,7 @@ from herbrandkit.syntax import (
     Atom,
     FormulaError,
     GammaVar,
+    bound_names,
     Not,
     Or,
     Var,
@@ -48,13 +49,14 @@ from herbrandkit.syntax import (
     print_term,
     quant_kind,
     rectify,
+    term_free_names,
     term_height,
 )
 from herbrandkit.taut import is_tautology
 
 import references
 from conftest import random_candidate
-from test_fold import random_formula
+from test_fold import TERMS, random_formula
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +180,48 @@ def test_expand_budget_guard(upper_bound):
     ch = champ(sk, 4)
     with pytest.raises(BudgetError):
         expand(sk, ch, budget=10000)
+
+
+def test_expand_agrees_with_the_reference():
+    """expand against the fold it replaced, which renamed binders away from
+    the terms' free names and then substituted after every quantifier, over
+    random formulas (Skolemized or not, with shadowed and Skolem-named
+    binders and ? variables), over champs and over term lists that use
+    names the formula binds, in both height conventions and under size
+    guards that refuse some: the same expansion, or the same error and
+    text."""
+    rng = random.Random(31)
+    outcomes = Counter()
+    for i in range(600):
+        herbrand = rng.random() < 0.5
+        if i % 3 == 2:
+            f = random_formula(rng, 4, [])
+        else:
+            f = random_candidate(rng)
+            f = outer_skolemize(f) if i % 3 else f
+        ch = champ(f, rng.randint(1, 3), herbrand=herbrand)
+        roll = rng.random()
+        if roll < 0.4:
+            terms = ch
+        elif roll < 0.8:
+            terms = list(ch.terms) + rng.sample(TERMS, rng.randint(1, 4))
+        else:
+            terms = rng.sample(TERMS, rng.randint(0, 3))
+        budget = rng.choice([8, 40, 200, 10_000_000])
+        try:
+            want = references.expand(f, terms, budget, herbrand)
+        except FormulaError as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                expand(f, terms, budget, herbrand)
+            outcomes[type(e).__name__] += 1
+            continue
+        got = expand(f, terms, budget, herbrand)
+        assert got == want and print_formula(got) == print_formula(want)
+        named = set().union(*map(term_free_names, getattr(terms, "terms", terms)))
+        outcomes["built"] += 1
+        outcomes["bound names in terms"] += bool(named & bound_names(f))
+    assert outcomes["built"] > 250 and outcomes["bound names in terms"] > 40
+    assert outcomes["BudgetError"] > 50 and outcomes["ExpansionError"] > 10
 
 
 # ---------------------------------------------------------------------------

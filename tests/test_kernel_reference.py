@@ -33,12 +33,12 @@ from herbrandkit.syntax import (
     fresh_name,
     free_names,
     print_formula,
-    sites,
     substitute,
     var_for_name,
 )
 
 from conftest import random_qf
+from references import sites
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 

@@ -35,14 +35,13 @@ from herbrandkit.syntax import (
     promote_skolem_apps,
     quantifier_positions,
     rectify,
-    sites,
     subformulas,
     substitute,
     term_height,
 )
 from herbrandkit.taut import atom_list
 
-from references import ac_flatten_equal, variant_equal_gamma
+from references import ac_flatten_equal, sites, variant_equal_gamma
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
