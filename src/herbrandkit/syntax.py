@@ -208,12 +208,17 @@ _PREC = {Or: 1, And: 2, Not: 3, Atom: 4, Forall: 0, Exists: 0}
 _NEED = {Not: (3,), And: (2, 3), Or: (1, 2)}
 
 
+def print_atom(a: Atom) -> str:
+    """The print of one atom, with a binary < written infix."""
+    if a.pred == "<" and len(a.args) == 2:
+        return f"{print_term(a.args[0])} < {print_term(a.args[1])}"
+    return a.pred + ("(" + ",".join(map(print_term, a.args)) + ")" if a.args else "")
+
+
 def _print_up(g, kids, _):
     t = type(g)
     if t is Atom:
-        if g.pred == "<" and len(g.args) == 2:
-            return f"{print_term(g.args[0])} < {print_term(g.args[1])}"
-        return g.pred + ("(" + ",".join(map(print_term, g.args)) + ")" if g.args else "")
+        return print_atom(g)
     if t is Forall or t is Exists:
         return f"{quant_kind(g)} {g.var}. " + kids[0]
     parts = [s if _PREC[type(c)] >= need else "(" + s + ")"

@@ -4,20 +4,17 @@ Atoms are identified by their full printed form, so a Skolem-named variable
 and a term that happens to print the same way name the same proposition.
 One post-order fold reads a formula into its propositional abstraction:
 atoms and junctions numbered together as they first close, each junction
-defined once per (connective, child literals).  Up to 20 distinct atoms the
-check runs a truth table of bit columns over those junctions; above that it
-refutes the negation through the structure-preserving clausal form with a
-CDCL solver (two watched literals, first-UIP clause learning and
-non-chronological backjumping).
+defined once per (connective, child literals).  The check has one route:
+it refutes the negation through the structure-preserving clausal form of
+that abstraction with a CDCL solver (two watched literals, first-UIP clause
+learning and non-chronological backjumping), whatever the atom count.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .syntax import And, Atom, Formula, FormulaError, Not, Or, fold, print_formula
-
-TABLE_LIMIT = 20
+from .syntax import And, Atom, Formula, FormulaError, Not, Or, fold, print_atom
 
 QUANTIFIER_FREE_ONLY = "tautology checking needs a quantifier-free formula"
 
@@ -38,7 +35,7 @@ def _abstract(f: Formula) -> tuple[list, int]:
     def lit(g, kids, _) -> int:
         t = type(g)
         if t is Atom:
-            key = print_formula(g)
+            key = print_atom(g)
         elif t is Not:
             return -kids[0]
         elif t is And or t is Or:
@@ -60,56 +57,6 @@ def atom_list(f: Formula) -> list[str]:
     return [node for node in _abstract(f)[0] if type(node) is str]
 
 
-def _table_tautology(nodes: list, root: int, n: int) -> bool:
-    """Truth table as bit columns over the n atoms of an abstraction: the
-    column of atom i holds, for every assignment row, its value, and a
-    junction's column is the bitwise and/or of its children's.  Each column
-    is dropped after its last use, so a wide table holds few at once."""
-    rows = 1 << n
-    full = (1 << rows) - 1
-    atom_cols: list[int] = []
-    width = 1
-    for _ in range(n):
-        atom_cols = [c | (c << width) for c in atom_cols]
-        atom_cols.append(((1 << width) - 1) << width)
-        width <<= 1
-    uses = [0] * (len(nodes) + 1)
-    for node in nodes:
-        if type(node) is tuple:
-            uses[abs(node[1])] += 1
-            uses[abs(node[2])] += 1
-    cols: list = [None] * (len(nodes) + 1)
-    next_atom = iter(atom_cols)
-    for v, node in enumerate(nodes, 1):
-        if type(node) is str:
-            cols[v] = next(next_atom)
-            continue
-        t, a, b = node
-        x = cols[a] if a > 0 else full ^ cols[-a]
-        y = cols[b] if b > 0 else full ^ cols[-b]
-        for u in (abs(a), abs(b)):
-            uses[u] -= 1
-            if not uses[u]:
-                cols[u] = None
-        cols[v] = x & y if t is And else x | y
-    return cols[abs(root)] == (full if root > 0 else 0)
-
-
-def _clauses(nodes: list, root: int) -> list[list[int]]:
-    """Definitional clauses for every junction, in variable order, plus the
-    unit clause asserting the root false."""
-    clauses: list[list[int]] = []
-    for v, node in enumerate(nodes, 1):
-        if type(node) is tuple:
-            t, a, b = node
-            if t is And:
-                clauses.extend(([-v, a], [-v, b], [v, -a, -b]))
-            else:
-                clauses.extend(([-v, a, b], [v, -a], [v, -b]))
-    clauses.append([-root])
-    return clauses
-
-
 def clausal_refutation_form(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
     """Structure-preserving clausal form whose unsatisfiability certifies
     that f is a tautology: definitional variables for every subformula of f
@@ -119,8 +66,19 @@ def clausal_refutation_form(f: Formula) -> tuple[list[list[int]], dict[str, int]
     junction is defined once per (connective, child literals), as in
     the abstraction the check reads."""
     nodes, root = _abstract(f)
-    atom_var = {n: v for v, n in enumerate(nodes, 1) if type(n) is str}
-    return _clauses(nodes, root), atom_var, len(nodes)
+    clauses: list[list[int]] = []
+    atom_var: dict[str, int] = {}
+    for v, node in enumerate(nodes, 1):
+        if type(node) is str:
+            atom_var[node] = v
+            continue
+        t, a, b = node
+        if t is And:
+            clauses.extend(([-v, a], [-v, b], [v, -a, -b]))
+        else:
+            clauses.extend(([-v, a, b], [v, -a], [v, -b]))
+    clauses.append([-root])
+    return clauses, atom_var, len(nodes)
 
 
 def _cdcl(clauses: list[list[int]], nvars: int) -> bool:
@@ -301,14 +259,10 @@ def _cdcl(clauses: list[list[int]], nvars: int) -> bool:
 
 
 def decide(f: Formula) -> tuple[bool, int]:
-    """Whether f is a tautology, and how many distinct atoms it has, from
-    one fold: by truth table up to TABLE_LIMIT atoms, above that by
-    refuting the clausal form."""
-    nodes, root = _abstract(f)
-    n = sum(type(node) is str for node in nodes)
-    if n <= TABLE_LIMIT:
-        return _table_tautology(nodes, root, n), n
-    return not _cdcl(_clauses(nodes, root), len(nodes)), n
+    """Whether f is a tautology, and how many distinct atoms it has: f is
+    one exactly when the CDCL solver refutes its clausal form."""
+    clauses, atom_var, nvars = clausal_refutation_form(f)
+    return not _cdcl(clauses, nvars), len(atom_var)
 
 
 def is_tautology(f: Formula) -> bool:

@@ -30,6 +30,7 @@ from herbrandkit.syntax import (
     locate,
     parse_formula,
     parse_term,
+    print_atom,
     print_formula,
     print_term,
     promote_skolem_apps,
@@ -75,6 +76,17 @@ def formulas():
 @given(formulas())
 def test_print_parse_round_trip(f):
     assert parse_formula(print_formula(f)) == f
+
+
+def test_an_atom_prints_alone_as_it_prints_in_a_formula():
+    x, y = Var("x"), Var("y")
+    cases = {Atom("r", ()): "r",
+             Atom("q", (x, App("f", False, (y,)))): "q(x,f(y))",
+             Atom("<", (x, App("f", False, (y,)))): "x < f(y)",
+             Atom("<", (x,)): "<(x)"}
+    for a, text in cases.items():
+        assert print_atom(a) == print_formula(a) == text
+        assert print_formula(Not(And(a, a))) == f"~({text} & {text})"
 
 
 def test_precedence_and_sugar():

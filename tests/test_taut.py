@@ -57,7 +57,7 @@ def test_quantified_input_is_an_error():
 
 
 @pytest.mark.parametrize("check", [emit_dimacs, clausal_refutation_form, decide],
-                         ids=["emit_dimacs", "clausal_refutation_form", "_table_tautology"])
+                         ids=["emit_dimacs", "clausal_refutation_form", "decide"])
 def test_a_quantifier_is_a_taut_error_on_every_route(check):
     with pytest.raises(TautError, match="quantifier-free"):
         check(parse_formula("q | forall x. p(x)"))
@@ -95,7 +95,7 @@ def test_emit_dimacs_shape():
 
 
 def test_large_atom_count_uses_refutation_search():
-    # beyond the truth-table cutoff the verdict must still be exact
+    # 22 atoms: the one route is exact whatever the atom count
     parts = [f"p{i} | ~p{i}" for i in range(22)]
     f = parse_formula("(" + ") & (".join(parts) + ")")
     assert is_tautology(f)
@@ -103,9 +103,9 @@ def test_large_atom_count_uses_refutation_search():
     assert not is_tautology(g)
 
 
-def test_the_truth_table_drops_each_column_after_its_last_use():
-    """20 atoms make columns of 128 KB; a table that kept the column of
-    every junction of this chain of 219 would hold about 30 MB."""
+def test_the_one_route_checks_a_20_atom_chain_within_12_mib():
+    """The one route decides this chain of 219 junctions over 20 atoms
+    within 12 MiB."""
     p = [Atom(f"p{i}") for i in range(20)]
     f = reduce(Or, [And(p[i % 20], Not(p[(i + 1) % 20])) for i in range(200)])
     tracemalloc.start()
@@ -283,7 +283,7 @@ def test_pigeonhole(n):
 
 
 def test_pigeonhole_formulas_take_the_clausal_route():
-    # 30 and 25 atoms, over the truth table's limit
+    # 30 and 25 atoms
     unsat, sat = as_formula(pigeonhole(6, 5)[0]), as_formula(pigeonhole(5, 5)[0])
     assert decide(Not(unsat)) == (True, 30)
     assert decide(Not(sat)) == (False, 25)
