@@ -98,15 +98,11 @@ def _build_champ(funcs, base, order, herbrand, budget) -> ChampFini:
     # of older terms alone were built in an earlier pass.  An argument of
     # height order-1 would give a term of height order, so the argument
     # pools hold only terms of height order-2 or less.  Terms are kept as
-    # (term, height, nodes) and not hashed before the final sort.
-    found: list[tuple[Term, int, int]] = []
-    for t in base:
-        h = term_height(t, herbrand)
-        if h < order:
-            found.append((t, h, 1))  # a base term counts as one node
+    # (term, nodes).
+    found = [(t, 1) for t in base if term_height(t, herbrand) < order]  # one node each
     nodes = len(found)
-    old: list[tuple[Term, int, int]] = []
-    fresh = [x for x in found if x[1] <= order - 2]
+    old: list[tuple[Term, int]] = []
+    fresh = [x for x in found if term_height(x[0], herbrand) <= order - 2]
     last = len(found)  # terms found by the last pass
     while last:
         known = len(found)
@@ -119,18 +115,18 @@ def _build_champ(funcs, base, order, herbrand, budget) -> ChampFini:
             for p in range(arity):
                 for args in itertools.product(
                         *[old] * p, fresh, *[pool] * (arity - p - 1)):
-                    ts, hs, ns = zip(*args)
+                    ts, ns = zip(*args)
                     n = 1 + sum(ns)
-                    found.append((App(name, sk, ts), 1 + max(hs), n))
+                    found.append((App(name, sk, ts), n))
                     nodes += n
                     if nodes > budget:
                         raise BudgetError(
                             f"champ enumeration exceeds the size guard of {budget} nodes")
         last = len(found) - known
         old = pool
-        fresh = [x for x in found[known:] if x[1] <= order - 2]
-    found.sort(key=lambda x: (x[1], print_term(x[0])))
-    return ChampFini(order, herbrand, tuple(t for t, _, _ in found))
+        fresh = [x for x in found[known:] if term_height(x[0], herbrand) <= order - 2]
+    return ChampFini(order, herbrand, tuple(sorted(
+        (t for t, _ in found), key=lambda t: term_order_key(t, herbrand))))
 
 
 # ---------------------------------------------------------------------------

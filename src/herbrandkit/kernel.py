@@ -253,15 +253,17 @@ def _solve_instance(scope: Formula, var: str, got: Formula):
     found: list[Term] = []
 
     def wt(a: Term, b: Term, env=None) -> bool:
-        if isinstance(a, Var) and a.name == var:
-            found.append(b)
-            return True
-        match a, b:
-            case App(s1, k1, a1), App(s2, k2, a2):
-                return (s1 == s2 and k1 == k2 and len(a1) == len(a2)
-                        and all(wt(x, y) for x, y in zip(a1, a2)))
-            case _:
-                return a == b
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            if type(a) is Var and a.name == var:
+                found.append(b)
+            elif (var in a.names and type(a) is type(b) is App and a.sym == b.sym
+                  and a.skolem == b.skolem and len(a.args) == len(b.args)):
+                stack += zip(a.args, b.args)
+            elif a is not b:
+                return False
+        return True
 
     if not paired(scope, got, wt):
         raise StepError("premise-mismatch",

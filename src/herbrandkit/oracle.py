@@ -16,9 +16,8 @@ from functools import reduce
 from operator import and_, or_
 
 from .syntax import (
-    And, App, Atom, Forall, Formula, FormulaError, GammaVar, Not,
-    SkolemNamedVar, Term, Var, collect_signature, fold, term_free_names,
-    term_var_name,
+    And, App, Atom, Forall, Formula, FormulaError, Not, Term,
+    collect_signature, fold, subterms, term_free_names,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -51,15 +50,18 @@ class Countermodel:
 
 
 def _eval_term(t: Term, funcs, env, size) -> int:
-    match t:
-        case Var() | GammaVar() | SkolemNamedVar():
-            return env[term_var_name(t)]
-        case App(sym, _, args):
-            table = funcs[sym]
-            idx = 0
-            for a in args:
-                idx = idx * size + _eval_term(a, funcs, env, size)
-            return table[idx]
+    """t's value, its subterms valued after their arguments: in reverse
+    preorder."""
+    val: dict[Term, int] = {}
+    for s in reversed(list(subterms(t))):
+        if type(s) is not App:
+            val[s] = env[s.text]
+            continue
+        idx = 0
+        for a in s.args:
+            idx = idx * size + val[a]
+        val[s] = funcs[s.sym][idx]
+    return val[t]
 
 
 def _indices(outer: list[str], inner: list[str], size: int) -> list[int]:

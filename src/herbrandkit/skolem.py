@@ -11,9 +11,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .syntax import (
-    App, Atom, Formula, FormulaError, GammaVar, Not, Quant, SkolemNamedVar,
-    Swap, Term, Var, collect_signature, first_occurrences, fold, free_names,
-    is_gamma, is_rectified, quant_kind, rebuild, substitute, term_var_name,
+    App, Atom, Formula, FormulaError, GammaVar, Not, Quant, Swap, Term, Var,
+    collect_signature, first_occurrences, fold, free_names, is_gamma,
+    is_rectified, quant_kind, rebuild, substitute, substitute_term,
+    term_var_name,
 )
 from .syntax import nameify_term  # noqa: F401  (re-exported, public here)
 
@@ -40,16 +41,12 @@ def canonical_key(scope: Formula, listed: Sequence[Term]) -> str:
     positional = {term_var_name(t): f"g{i}" for i, t in enumerate(listed)}
     counter = [0]
 
-    def pt(t: Term, env) -> str:
-        match t:
-            case Var() | GammaVar() | SkolemNamedVar():
-                nm = term_var_name(t)
-                free = "$" + nm if _PLACEHOLDER.fullmatch(nm) else nm
-                return env.get(nm, positional.get(nm, free))
-            case App(sym, _, args):
-                if not args:
-                    return sym
-                return sym + "(" + ",".join(pt(a, env) for a in args) + ")"
+    def name(nm: str, env) -> str:
+        free = "$" + nm if _PLACEHOLDER.fullmatch(nm) else nm
+        return env.get(nm, positional.get(nm, free))
+
+    def pt(t: Term, env) -> str:  # t's print, its variables renamed
+        return substitute_term(t, {nm: Var(name(nm, env)) for nm in t.names}).text
 
     def down(g, env):
         if not isinstance(g, Quant):

@@ -18,18 +18,25 @@ Formulas
 Paths are tuples of child indices: Not and quantifiers have child 0,
 And/Or have children 0 and 1.
 
+Terms are hash-consed through one weak-valued table: a structure is made
+once, so equality is identity and the hash is the id, and each term is made
+with its print, its heights in both conventions and its free names, read off
+its children.  The table lets go of a term nothing else holds.
+
 The traversal core (subformulas and quantifier_sites in preorder, locate
-along one path, fold bottom-up) runs from explicit stacks or loops, so walks
-and the comparison of two formulas (paired, on the fold) do not depend on
-the recursion limit; the parser and the term walkers still recurse.  The
-tokenizer and term parser also read selections, whose leaf _ is punctuation.
+along one path, fold bottom-up) and the term walks (subterms, rewrite_term)
+run from explicit stacks or loops, so walks and the comparison of two
+formulas (paired, on the fold) do not depend on the recursion limit; only
+the parser still recurses.  The tokenizer and term parser also read
+selections, whose leaf _ is punctuation.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 
@@ -57,26 +64,83 @@ class PathError(FormulaError):
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+# the weak-valued table: (class, *fields) -> a weak reference to the one
+# live term made of them; a term leaves it when nothing else holds the term
+_TERMS: dict[tuple, weakref.ref] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class GammaVar:
-    name: str  # printed with a leading ?
+class _Term:
+    """A hash-consed term.  Its constructor returns the live term of the
+    same class and fields when there is one, so one structure is one object:
+    equality is identity and the hash is the id.  A term is made with its
+    print (text), its height in both conventions, standard first (heights),
+    and the names of its variable occurrences, each once in order of first
+    occurrence (names), all read off its children."""
+    __slots__ = ("text", "heights", "names", "__weakref__")
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"a term is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.text}>"
+
+    def __reduce__(self):  # copies and pickles come back through the table
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
-class SkolemNamedVar:
-    encoded: Term
+def _make(key, text, heights, names):
+    """The term of class key[0] and fields key[1:], with the values it is
+    made with, entered in the table."""
+    t = object.__new__(key[0])
+    for slot, value in zip((*key[0].__match_args__, "text", "heights", "names"),
+                           (*key[1:], text, heights, names)):
+        object.__setattr__(t, slot, value)
+    _TERMS[key] = weakref.ref(
+        t, lambda ref: _TERMS.pop(key) if _TERMS.get(key) is ref else None)
+    return t
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    sym: str
-    skolem: bool
-    args: tuple[Term, ...] = ()
+class Var(_Term):
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        r = _TERMS.get(key := (cls, name))
+        return r and r() or _make(key, name, (1, 0), (name,))
+
+
+class GammaVar(_Term):
+    __slots__ = __match_args__ = ("name",)  # printed with a leading ?
+
+    def __new__(cls, name: str):
+        r = _TERMS.get(key := (cls, name))
+        return r and r() or _make(key, "?" + name, (1, 0), ("?" + name,))
+
+
+class SkolemNamedVar(_Term):
+    __slots__ = __match_args__ = ("encoded",)
+
+    def __new__(cls, encoded: Term):
+        r = _TERMS.get(key := (cls, encoded))
+        return r and r() or _make(key, encoded.text, encoded.heights, (encoded.text,))
+
+
+class App(_Term):
+    __slots__ = __match_args__ = ("sym", "skolem", "args")
+
+    def __new__(cls, sym: str, skolem: bool, args: tuple[Term, ...] = ()):
+        args = tuple(args)
+        r = _TERMS.get(key := (cls, sym, skolem, args))
+        if r and (t := r()):
+            return t
+        if not args:  # Herbrand's heights give @dot 0
+            return _make(key, sym, (1, int(sym != "@dot")), ())
+        return _make(
+            key, f"{sym}({','.join(a.text for a in args)})",
+            (1 + max(a.heights[0] for a in args), 1 + max(a.heights[1] for a in args)),
+            args[0].names if len(args) == 1
+            else tuple(dict.fromkeys(n for a in args for n in a.names)))
 
 
 Term = Var | GammaVar | SkolemNamedVar | App
@@ -90,57 +154,58 @@ def is_skolem_symbol(name: str) -> bool:
     return bool(_SKOLEM_SYM_RE.match(name))
 
 
-@lru_cache(maxsize=None)
 def print_term(t: Term) -> str:
-    match t:
-        case Var(name):
-            return name
-        case GammaVar(name):
-            return "?" + name
-        case SkolemNamedVar(encoded):
-            return print_term(encoded)
-        case App(sym, _, args):
-            if not args:
-                return sym
-            return sym + "(" + ",".join(print_term(a) for a in args) + ")"
-    raise TypeError(f"not a term: {t!r}")
+    """The print t was made with."""
+    return t.text
 
 
 def term_var_name(t: Term) -> str:
     """The name under which a variable occurrence is bound or substituted."""
-    match t:
-        case Var(name):
-            return name
-        case GammaVar(name):
-            return "?" + name
-        case SkolemNamedVar(_):
-            return print_term(t)
-    raise TypeError(f"not a variable: {t!r}")
+    if type(t) is App:
+        raise TypeError(f"not a variable: {t!r}")
+    return t.text
 
 
 def term_free_names(t: Term) -> set[str]:
     """Names of variable occurrences in t.  Skolem-named variables count as
     a single opaque name; their encoding is never entered."""
-    match t:
-        case Var() | GammaVar() | SkolemNamedVar():
-            return {term_var_name(t)}
-        case App(_, _, args):
-            out: set[str] = set()
-            for a in args:
-                out |= term_free_names(a)
-            return out
-    raise TypeError(f"not a term: {t!r}")
+    return set(t.names)
 
 
 def substitute_term(t: Term, mapping: dict[str, Term]) -> Term:
-    match t:
-        case Var() | GammaVar() | SkolemNamedVar():
-            return mapping.get(term_var_name(t), t)
-        case App(sym, sk, args):
-            if not args:
-                return t
-            return App(sym, sk, tuple(substitute_term(a, mapping) for a in args))
-    raise TypeError(f"not a term: {t!r}")
+    """t with each variable occurrence named in mapping replaced by its term."""
+    return rewrite_term(t, lambda s: s if mapping.keys().isdisjoint(s.names)
+                        else None if type(s) is App else mapping[s.text])
+
+
+def subterms(t: Term, encodings: bool = False):
+    """Every subterm of t in preorder, from an explicit stack.  A Skolem-named
+    variable is a leaf unless encodings asks for its encoding after it."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if type(s) is App:
+            stack.extend(reversed(s.args))
+        elif encodings and type(s) is SkolemNamedVar:
+            stack.append(s.encoded)
+
+
+def rewrite_term(t: Term, fn) -> Term:
+    """t with each outermost subterm s for which fn(s) is not None replaced
+    by fn(s), rebuilt from an explicit stack."""
+    out: list[Term] = []
+    stack = [(t, None)]
+    while stack:
+        s, n = stack.pop()
+        if n is not None:  # the last n terms of out are s's new arguments
+            out[len(out) - n:] = [App(s.sym, s.skolem, out[len(out) - n:])]
+        elif (r := fn(s)) is not None or type(s) is not App:
+            out.append(s if r is None else r)
+        else:
+            stack.append((s, len(s.args)))
+            stack.extend((a, None) for a in reversed(s.args))
+    return out[0]
 
 
 def term_height(t: Term, herbrand: bool = False) -> int:
@@ -148,18 +213,7 @@ def term_height(t: Term, herbrand: bool = False) -> int:
     f(t1..tk) is 1 + max height of the arguments.  Herbrand mode: plain
     variables, instantiation variables and @dot have height 0, Skolem
     constants keep height 1."""
-    match t:
-        case Var() | GammaVar():
-            return 0 if herbrand else 1
-        case SkolemNamedVar(encoded):
-            return term_height(encoded, herbrand)
-        case App(sym, skolem, args):
-            if not args:
-                if herbrand:
-                    return 0 if sym == "@dot" else 1
-                return 1
-            return 1 + max(term_height(a, herbrand) for a in args)
-    raise TypeError(f"not a term: {t!r}")
+    return t.heights[herbrand]
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +532,8 @@ def first_occurrences(f: Formula) -> list[str]:
     """Names of the variable occurrences in f, bound and free alike, each
     once in order of first occurrence (preorder, left to right through atom
     arguments).  A Skolem-named variable counts as a single opaque name."""
-    seen: dict[str, None] = {}
-
-    def walk_term(t):
-        match t:
-            case Var() | GammaVar() | SkolemNamedVar():
-                seen.setdefault(term_var_name(t))
-            case App(_, _, args):
-                for a in args:
-                    walk_term(a)
-
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            for a in g.args:
-                walk_term(a)
-    return list(seen)
+    return list(dict.fromkeys(nm for g in subformulas(f) if type(g) is Atom
+                              for a in g.args for nm in a.names))
 
 
 def free_gamma_vars(f: Formula) -> list[str]:
@@ -663,16 +704,11 @@ def equal(f: Formula, g: Formula) -> bool:
 
 def _alpha_term(s: Term, t: Term, env) -> bool:
     """Term comparison under env, which maps each side's bound names to
-    levels."""
+    levels: each side's bound variables become one variable per level, that
+    no name spells, and the two sides must then be one term."""
     envf, envg, _ = env
-    if isinstance(s, (Var, SkolemNamedVar)) and isinstance(t, (Var, SkolemNamedVar)):
-        sn, tn = term_var_name(s), term_var_name(t)
-        return envf.get(sn) == envg.get(tn) if sn in envf or tn in envg else sn == tn
-    if isinstance(s, GammaVar) and isinstance(t, GammaVar):
-        return s.name == t.name
-    return (isinstance(s, App) and isinstance(t, App) and s.sym == t.sym
-            and s.skolem == t.skolem and len(s.args) == len(t.args)
-            and all(_alpha_term(a, b, env) for a, b in zip(s.args, t.args)))
+    return (substitute_term(s, {n: Var(f"{envf[n]}.") for n in s.names if n in envf})
+            is substitute_term(t, {n: Var(f"{envg[n]}.") for n in t.names if n in envg}))
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
@@ -689,15 +725,8 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 
 def nameify_term(t: Term) -> Term:
     """Maximal Skolem-headed subterms become Skolem-named variables."""
-    match t:
-        case App(_, True, _):
-            return SkolemNamedVar(t)
-        case App(sym, sk, args):
-            if not args:
-                return t
-            return App(sym, sk, tuple(nameify_term(a) for a in args))
-        case _:
-            return t
+    return rewrite_term(t, lambda s: s if type(s) is not App
+                        else SkolemNamedVar(s) if s.skolem else None)
 
 
 def promote_skolem_apps(f: Formula) -> Formula:
@@ -726,34 +755,23 @@ def collect_signature(f: Formula) -> Signature:
     gvars: list[str] = []
     dot = False
 
-    def walk_term(t, bound):
-        nonlocal dot
-        match t:
-            case Var(name):
-                if name not in bound and name not in fvars:
-                    fvars.append(name)
-            case GammaVar(name):
-                if name not in gvars:
-                    gvars.append(name)
-            case SkolemNamedVar(_):
-                nm = print_term(t)
-                if nm not in bound and nm not in fvars:
-                    fvars.append(nm)
-            case App(sym, sk, args):
-                if sym == "@dot":
-                    dot = True
-                else:
-                    funcs[sym] = (len(args), sk)
-                for a in args:
-                    walk_term(a, bound)
-
     def down(g, bound):
+        nonlocal dot
         if isinstance(g, Quant):
             return bound | {g.var}
         if type(g) is Atom:
             preds[g.pred] = len(g.args)
-            for a in g.args:
-                walk_term(a, bound)
+            for t in (t for a in g.args for t in subterms(a)):
+                if type(t) is App:
+                    if t.sym == "@dot":
+                        dot = True
+                    else:
+                        funcs[t.sym] = (len(t.args), t.skolem)
+                elif type(t) is GammaVar:
+                    if t.name not in gvars:
+                        gvars.append(t.name)
+                elif t.text not in bound and t.text not in fvars:
+                    fvars.append(t.text)
         return bound
 
     fold(f, lambda g, kids, bound: None, down, frozenset())
@@ -857,15 +875,8 @@ def _parse_term(ts: _Tokens) -> Term:
 def _bind_named(body: Formula, name: str, var: Term) -> Formula:
     """Replace, inside the scope of a Skolem-named binder, every term that
     prints as the binder name by the bound variable itself."""
-
-    def conv(t):
-        if print_term(t) == name:
-            return var
-        if isinstance(t, App) and t.args:
-            return App(t.sym, t.skolem, tuple(conv(a) for a in t.args))
-        return t
-
-    return map_atoms(body, conv, stop=name)
+    return map_atoms(body, lambda t: rewrite_term(
+        t, lambda s: var if s.text == name else None), stop=name)
 
 
 def _parse_unary(ts: _Tokens) -> Formula:
@@ -952,21 +963,13 @@ def _check_arities(f: Formula):
             raise ParseError(
                 f"{what} {name!r} used with arities {table[name]} and {arity}")
 
-    def walk_term(t):
-        match t:
-            case App(sym, _, args) if sym != "@dot":
-                seen(funcs, preds, sym, len(args), "function")
-                for a in args:
-                    walk_term(a)
-            case SkolemNamedVar(encoded):
-                walk_term(encoded)
-
     for g in subformulas(f):
         if isinstance(g, Atom):
             if g.pred != "<":
                 seen(preds, funcs, g.pred, len(g.args), "predicate")
-            for a in g.args:
-                walk_term(a)
+            for t in (t for a in g.args for t in subterms(a, encodings=True)):
+                if type(t) is App and t.sym != "@dot":
+                    seen(funcs, preds, t.sym, len(t.args), "function")
 
 
 def parse_formula(text: str) -> Formula:

@@ -8,7 +8,9 @@ ones replaced; the DPLL search with failed-literal probing that the
 CDCL solver replaced; and the expansion that substituted after every
 quantifier, which the walk along the every-term selection replaced; and
 the walk over every position that copied its parent's path at each node,
-which the quantifier site walk replaced."""
+which the quantifier site walk replaced; and the recursive term walkers
+(print, heights, free names, first occurrences) that the values a
+hash-consed term is made with replaced."""
 
 import itertools
 from functools import reduce
@@ -578,3 +580,81 @@ def sites(f):
             accessible = False
         for i in range(len(kids) - 1, -1, -1):
             stack.append((path + (i,), kids[i], sign, accessible))
+
+
+def reference_print_term(t):
+    match t:
+        case Var(name):
+            return name
+        case GammaVar(name):
+            return "?" + name
+        case SkolemNamedVar(encoded):
+            return reference_print_term(encoded)
+        case App(sym, _, args):
+            if not args:
+                return sym
+            return sym + "(" + ",".join(reference_print_term(a) for a in args) + ")"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_term_height(t, herbrand=False):
+    match t:
+        case Var() | GammaVar():
+            return 0 if herbrand else 1
+        case SkolemNamedVar(encoded):
+            return reference_term_height(encoded, herbrand)
+        case App(sym, _, args):
+            if not args:
+                if herbrand:
+                    return 0 if sym == "@dot" else 1
+                return 1
+            return 1 + max(reference_term_height(a, herbrand) for a in args)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_term_free_names(t):
+    match t:
+        case Var(name):
+            return {name}
+        case GammaVar(name):
+            return {"?" + name}
+        case SkolemNamedVar(_):
+            return {reference_print_term(t)}
+        case App(_, _, args):
+            out = set()
+            for a in args:
+                out |= reference_term_free_names(a)
+            return out
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_first_occurrences(f):
+    seen = {}
+
+    def walk_term(t):
+        match t:
+            case Var(name):
+                seen.setdefault(name)
+            case GammaVar(name):
+                seen.setdefault("?" + name)
+            case SkolemNamedVar(_):
+                seen.setdefault(reference_print_term(t))
+            case App(_, _, args):
+                for a in args:
+                    walk_term(a)
+
+    def walk(g):
+        match g:
+            case Atom(_, args):
+                for a in args:
+                    walk_term(a)
+            case Not(sub):
+                walk(sub)
+            case And(l, r) | Or(l, r):
+                walk(l)
+                walk(r)
+            case Forall(_, body) | Exists(_, body):
+                walk(body)
+
+    walk(f)
+    return list(seen)

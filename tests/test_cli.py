@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 import herbrandkit
 from herbrandkit.cli import main
 from herbrandkit.construct import UPPER_BOUND_TEXT
-from herbrandkit.syntax import MAX_NESTING, alpha_equal, parse_formula
+from herbrandkit.skolem import outer_skolemize
+from herbrandkit.syntax import (
+    MAX_NESTING, alpha_equal, parse_formula, print_formula, rectify,
+)
 
 from conftest import DRINKER_TEXT
 
@@ -95,6 +98,53 @@ def test_a_long_negation_chain_is_decided(capsys):
     assert code == 1 and doc["tautology"] is False and doc["atoms"] == 1
     code, doc, _ = run_json(capsys, "min-order", "--max", "2", text)
     assert code == 1 and doc == {"kind": "C", "max_checked": 2, "min_order": None}
+
+
+SUCCESSOR = "p(c) & (forall x. (p(x) -> p(f(x))))"
+
+
+@pytest.mark.parametrize("order", [500, 1000])
+def test_a_champ_of_deep_terms_is_listed(capsys, order):
+    """A term is made with its print and heights, so the champ's sort
+    hashes and compares no term by walking it, at any depth."""
+    code, out, _ = run(capsys, "champ", "--order", str(order), SUCCESSOR)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"{order - 1} terms"
+    assert lines[-1] == "f(" * (order - 2) + "c" + ")" * (order - 2)
+
+
+def test_check_c_holds_over_deep_terms(capsys):
+    code, out, _ = run(capsys, "check-c", "--order", "500", f"({SUCCESSOR}) -> p(c)")
+    assert code == 0 and "status: holds" in out.splitlines()
+
+
+# runs the CLI after allocating and freeing byte strings of every small size,
+# so that the objects the run makes lie at other addresses, in another order
+PADDED = ("import runpy, sys; pad = [bytes(k % 500) for k in range(20_000)]; "
+          "del pad[::3]; sys.argv[0] = 'herbrandkit'; "
+          "runpy.run_module('herbrandkit', run_name='__main__')")
+
+
+def test_output_does_not_depend_on_the_hash_seed_or_on_addresses():
+    """String hashes vary with the hash seed, and term ids and hashes with
+    where the terms are allocated; neither orders any output."""
+    src = str(Path(herbrandkit.__file__).resolve().parent.parent)
+    skolemized = print_formula(outer_skolemize(rectify(parse_formula(UPPER_BOUND_TEXT))))
+    commands = [("champ", "--order", "4", skolemized),
+                ("min-order", "--max", "3", UPPER_BOUND_TEXT),
+                ("check-c", "--order", "3", UPPER_BOUND_TEXT),
+                ("--format", "json", "demo", "upperbound")]
+    outputs = []
+    for seed, start in (("0", ["-m", "herbrandkit"]), ("12345", ["-c", PADDED])):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        outputs.append([subprocess.run(
+            [sys.executable, *start, *argv], capture_output=True, env=env,
+            timeout=300) for argv in commands])
+    assert outputs[0][0].stdout.startswith(b"147 terms\n")
+    for first, second in zip(*outputs):
+        assert first.returncode in (0, 1)
+        assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
 
 
 def test_parse_error_exits_2(capsys):

@@ -144,19 +144,12 @@ def test_the_readme_library_table_names_definitions():
 # The formula walkers, the walks driven by a selection tree and the
 # comparisons of two formulas fold from an explicit stack (syntax.fold), and
 # the selection reader and printer run from explicit stacks of their own.
-# The SAT search is one loop.  The functions that stay recursive: the
-# formula parser, the term walkers and the CLI's printer of nested documents.
+# The SAT search is one loop.  A term is made with its print, heights and
+# free names, and the term walks run from explicit stacks (syntax.subterms,
+# syntax.rewrite_term).  The functions that stay recursive: the formula
+# parser and the CLI's printer of nested documents.
 STILL_RECURSIVE = {
-    "syntax.py": {
-        "print_term", "term_free_names", "substitute_term", "term_height",
-        "first_occurrences.walk_term", "_alpha_term",
-        "nameify_term", "collect_signature.walk_term",
-        "_parse_term", "_bind_named.conv", "_parse_unary",
-        "_check_arities.walk_term",
-    },
-    "skolem.py": {"canonical_key.pt"},
-    "kernel.py": {"_solve_instance.wt"},
-    "oracle.py": {"_eval_term"},
+    "syntax.py": {"_parse_term", "_parse_unary"},
     "cli.py": {"_lines"},
 }
 
