@@ -118,23 +118,23 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def _lines(doc: dict, indent: int = 0) -> list[str]:
+def _lines(doc: dict) -> list[str]:
+    """The text form of a nested document, from an explicit stack of
+    (indent, label, value): a key's label is "key:", a list item's "-"."""
     out = []
-    pad = "  " * indent
-    for k, v in doc.items():
+    stack = [(0, f"{k}:", v) for k, v in reversed(doc.items())]
+    while stack:
+        indent, label, v = stack.pop()
+        pad = "  " * indent
         if isinstance(v, dict):
-            out.append(f"{pad}{k}:")
-            out.extend(_lines(v, indent + 1))
+            out.append(pad + label)
+            stack.extend((indent + 1, f"{k}:", w) for k, w in reversed(v.items()))
         elif isinstance(v, (list, tuple)):
-            out.append(f"{pad}{k}:")
-            for item in v:
-                if isinstance(item, dict):
-                    out.append(f"{pad}  -")
-                    out.extend(_lines(item, indent + 2))
-                else:
-                    out.append(f"{pad}  - {_scalar(item)}")
+            out.append(pad + label)
+            stack.extend((indent + 1, "-", w if isinstance(w, dict) else _scalar(w))
+                         for w in reversed(v))
         else:
-            out.append(f"{pad}{k}: {_scalar(v)}")
+            out.append(f"{pad}{label} {_scalar(v)}")
     return out
 
 
@@ -468,8 +468,9 @@ def main(argv=None) -> int:
         code, doc, raw = run(args)
     except Exception as e:
         # Exit 1 means checked and negative, so every failure to check, be
-        # it bad input, unreadable files, input nested deeper than the
-        # recursive walkers reach or an internal fault, exits 2.
+        # it bad input, unreadable files, a formula too deep for the
+        # recursive == and hash of its frozen dataclasses or an internal
+        # fault, exits 2.
         if not isinstance(e, (FormulaError, OSError, RecursionError)):
             import traceback  # here, so that no start-up pays for it
             traceback.print_exc()

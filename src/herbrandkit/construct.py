@@ -91,7 +91,6 @@ from .syntax import (
     print_term,
     quant_kind,
     quantifier_positions,
-    quantifier_sites,
     rebuild,
     rectify,
     rename_binder,
@@ -356,11 +355,20 @@ def _execute_stages(q: Formula, plan: dict[str, Term], n: int):
     steps: list[RuleStep] = []
 
     def first(gamma: bool, stage: int):
-        """The first accessible quantifier of the wanted class, on one walk
-        of the current line."""
-        return next(((path, g) for path, g, sign, accessible in quantifier_sites(cur)
-                     if accessible and is_gamma(quant_kind(g), sign) == gamma
-                     and not (gamma and term_height(plan[g.var]) >= stage)), None)
+        """The first accessible quantifier of the wanted class, on one
+        preorder walk of the current line that descends into no quantifier:
+        nothing below one is accessible."""
+        stack = [((), cur, 1)]  # (path, node, sign)
+        while stack:
+            path, g, sign = stack.pop()
+            if not isinstance(g, Quant):
+                sign = -sign if type(g) is Not else sign
+                kids = children(g)
+                stack.extend((path + (i,), kids[i], sign)
+                             for i in range(len(kids) - 1, -1, -1))
+            elif is_gamma(quant_kind(g), sign) == gamma and not (
+                    gamma and term_height(plan[g.var]) >= stage):
+                return path, g
 
     for i in range(1, n + 1):
         while True:

@@ -24,11 +24,12 @@ with its print, its heights in both conventions and its free names, read off
 its children.  The table lets go of a term nothing else holds.
 
 The traversal core (subformulas and quantifier_sites in preorder, locate
-along one path, fold bottom-up) and the term walks (subterms, rewrite_term)
-run from explicit stacks or loops, so walks and the comparison of two
-formulas (paired, on the fold) do not depend on the recursion limit; only
-the parser still recurses.  The tokenizer and term parser also read
-selections, whose leaf _ is punctuation.
+along one path, fold bottom-up), the term walks (subterms, rewrite_term)
+and the parser (precedence climbing for formulas, a stack of open
+applications for terms) run from explicit stacks or loops, so reading,
+walking and comparing formulas (paired, on the fold) do not depend on the
+recursion limit.  The tokenizer and term parser also read selections,
+whose leaf _ is punctuation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial
 from typing import NamedTuple
 
 
@@ -792,16 +793,9 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-# the parser descends by recursion through parentheses, quantifiers and
-# function applications; input nested deeper than this is refused, well
-# inside the default recursion limit, with an error that names the depth
-MAX_NESTING = 100
-
-
 class _Tokens:
     def __init__(self, text):
         self.toks = []
-        self.depth = 0
         line, col = 1, 1
         pos = 0
         while pos < len(text):
@@ -839,37 +833,37 @@ class _Tokens:
         _, v, line, col = self.peek()
         raise ParseError(f"{msg}, found {v or 'end of input'!r}", line, col)
 
-    def nest(self, parse):
-        """parse(self), one level of nesting deeper."""
-        if self.depth == MAX_NESTING:
-            _, _, line, col = self.peek()
-            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
-                             line, col)
-        self.depth += 1
-        out = parse(self)
-        self.depth -= 1
-        return out
-
 
 def _parse_term(ts: _Tokens) -> Term:
-    kind, val, line, col = ts.next()
-    if kind == "gvar":
-        return GammaVar(val[1:])
-    if kind == "dot_const":
-        return DOT
-    if kind == "ident":
-        if ts.peek()[1] == "(":
+    """One term, read from an explicit stack of the applications still open,
+    each with the arguments read so far, so that any depth reads."""
+    stack: list[tuple[str, list[Term]]] = []
+    while True:
+        kind, val, line, col = ts.next()
+        if kind == "gvar":
+            t = GammaVar(val[1:])
+        elif kind == "dot_const":
+            t = DOT
+        elif kind != "ident":
+            raise ParseError(f"expected a term, found {val or 'end of input'!r}",
+                             line, col)
+        elif ts.peek()[1] == "(":
             ts.next()
-            args = [ts.nest(_parse_term)]
-            while ts.peek()[1] == ",":
+            stack.append((val, []))
+            continue
+        else:
+            t = App(val, True, ()) if is_skolem_symbol(val) else Var(val)
+        while stack:  # t completes an argument: read a , or close with )
+            sym, args = stack[-1]
+            args.append(t)
+            if ts.peek()[1] == ",":
                 ts.next()
-                args.append(ts.nest(_parse_term))
+                break
             ts.expect(")")
-            return App(val, is_skolem_symbol(val), tuple(args))
-        if is_skolem_symbol(val):
-            return App(val, True, ())
-        return Var(val)
-    raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+            stack.pop()
+            t = App(sym, is_skolem_symbol(sym), tuple(args))
+        else:
+            return t
 
 
 def _bind_named(body: Formula, name: str, var: Term) -> Formula:
@@ -879,77 +873,70 @@ def _bind_named(body: Formula, name: str, var: Term) -> Formula:
         t, lambda s: var if s.text == name else None), stop=name)
 
 
-def _parse_unary(ts: _Tokens) -> Formula:
-    kind, val, line, col = ts.peek()
-    if val == "~":  # counted by a loop, so a long chain parses at any depth
-        n = 0
-        while ts.peek()[1] == "~":
+# the binary connectives: precedence and the formula each makes; all group
+# to the left, and -> is desugared
+_CONNECTIVES = {"->": (0, lambda a, b: Or(Not(a), b)), "|": (1, Or), "&": (2, And)}
+
+
+def _quantify(kw: str, binder: Term, body: Formula) -> Formula:
+    if type(binder) is App:  # a Skolem-named binder
+        body = _bind_named(body, binder.text, SkolemNamedVar(binder))
+    return (Forall if kw == "forall" else Exists)(binder.text, body)
+
+
+def _parse_formula(ts: _Tokens) -> Formula:
+    """One formula, read by precedence climbing from an explicit stack, so
+    that any depth reads.  An open operator waits there as (precedence, the
+    function that closes it over its right operand): ~ above every
+    connective, a connective with its left operand at its own precedence, a
+    quantifier below them all, so that its body extends to the right over
+    every connective, and ( lowest, closed only by its )."""
+    stack: list[tuple[int, object]] = []
+    while True:
+        kind, val, line, col = ts.peek()
+        if val in ("~", "("):
             ts.next()
-            n += 1
-        return reduce(lambda f, _: Not(f), range(n), _parse_unary(ts))
-    if kind == "kw":
-        ts.next()
-        bkind, bval, bline, bcol = ts.peek()
-        if bkind not in ("ident", "gvar"):
-            ts.error("expected a binder name")
-        if bkind == "gvar":
-            raise ParseError("instantiation variables cannot be bound", bline, bcol)
-        binder_term = _parse_term(ts)
-        if isinstance(binder_term, Var):
-            name = binder_term.name
-            var = None
-        elif isinstance(binder_term, App) and binder_term.skolem:
-            name = print_term(binder_term)
-            var = SkolemNamedVar(binder_term)
-        else:
-            raise ParseError(f"bad binder {print_term(binder_term)!r}", bline, bcol)
-        ts.expect(".")
-        body = ts.nest(_parse_implication)
-        if var is not None:
-            body = _bind_named(body, name, var)
-        return Forall(name, body) if val == "forall" else Exists(name, body)
-    if val == "(":
-        ts.next()
-        f = ts.nest(_parse_implication)
-        ts.expect(")")
-        return f
-    if kind in ("ident", "gvar", "dot_const"):
+            stack.append((3, Not) if val == "~" else (-2, None))
+            continue
+        if kind == "kw":
+            ts.next()
+            bkind, _, bline, bcol = ts.peek()
+            if bkind not in ("ident", "gvar"):
+                ts.error("expected a binder name")
+            if bkind == "gvar":
+                raise ParseError("instantiation variables cannot be bound", bline, bcol)
+            binder = _parse_term(ts)
+            if not (type(binder) is Var or type(binder) is App and binder.skolem):
+                raise ParseError(f"bad binder {print_term(binder)!r}", bline, bcol)
+            ts.expect(".")
+            stack.append((-1, partial(_quantify, val, binder)))
+            continue
+        if kind not in ("ident", "gvar", "dot_const"):
+            ts.error("expected a formula")
         t = _parse_term(ts)
         if ts.peek()[1] == "<":
             ts.next()
-            rhs = _parse_term(ts)
-            return Atom("<", (t, rhs))
-        match t:
-            case App(sym, False, args) if args:
-                return Atom(sym, args)
-            case Var(name):
-                return Atom(name, ())
-        raise ParseError(f"{print_term(t)!r} is not a formula", line, col)
-    ts.error("expected a formula")
-
-
-def _parse_conjunction(ts):
-    f = _parse_unary(ts)
-    while ts.peek()[1] == "&":
-        ts.next()
-        f = And(f, _parse_unary(ts))
-    return f
-
-
-def _parse_disjunction(ts):
-    f = _parse_conjunction(ts)
-    while ts.peek()[1] == "|":
-        ts.next()
-        f = Or(f, _parse_conjunction(ts))
-    return f
-
-
-def _parse_implication(ts):
-    f = _parse_disjunction(ts)
-    while ts.peek()[1] == "->":
-        ts.next()
-        f = Or(Not(f), _parse_disjunction(ts))
-    return f
+            f = Atom("<", (t, _parse_term(ts)))
+        else:
+            match t:
+                case App(sym, False, args) if args:
+                    f = Atom(sym, args)
+                case Var(name):
+                    f = Atom(name, ())
+                case _:
+                    raise ParseError(f"{print_term(t)!r} is not a formula", line, col)
+        while True:  # f is complete: close what the next token ends
+            prec, make = _CONNECTIVES.get(ts.peek()[1], (-1, None))
+            while stack and stack[-1][0] >= prec:
+                f = stack.pop()[1](f)
+            if make is not None:
+                ts.next()
+                stack.append((prec, partial(make, f)))
+                break
+            if not stack:
+                return f
+            ts.expect(")")
+            stack.pop()
 
 
 def _check_arities(f: Formula):
@@ -974,7 +961,7 @@ def _check_arities(f: Formula):
 
 def parse_formula(text: str) -> Formula:
     ts = _Tokens(text)
-    f = _parse_implication(ts)
+    f = _parse_formula(ts)
     if ts.peek()[0] != "eof":
         ts.error("trailing input")
     _check_arities(f)

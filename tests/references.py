@@ -10,7 +10,9 @@ quantifier, which the walk along the every-term selection replaced; and
 the walk over every position that copied its parent's path at each node,
 which the quantifier site walk replaced; and the recursive term walkers
 (print, heights, free names, first occurrences) that the values a
-hash-consed term is made with replaced."""
+hash-consed term is made with replaced; and the recursive descent
+parser, with the depth guard it needs, that the parser's loop over an
+explicit stack replaced."""
 
 import itertools
 from functools import reduce
@@ -42,15 +44,22 @@ from herbrandkit.syntax import (
     And,
     App,
     Atom,
+    DOT,
     Exists,
     Forall,
+    Formula,
     GammaVar,
     Not,
     Or,
+    ParseError,
     Quant,
     SkolemNamedVar,
     Swap,
+    Term,
     Var,
+    _bind_named,
+    _check_arities,
+    _Tokens,
     all_names,
     bound_names,
     children,
@@ -59,6 +68,7 @@ from herbrandkit.syntax import (
     formula_size,
     fresh_name,
     is_quantifier_free,
+    is_skolem_symbol,
     parse_term,
     print_formula,
     print_term,
@@ -658,3 +668,132 @@ def reference_first_occurrences(f):
 
     walk(f)
     return list(seen)
+
+
+# ---------------------------------------------------------------------------
+# the recursive descent parser that the precedence-climbing loop replaced
+
+# the parser descends by recursion through parentheses, quantifiers and
+# function applications; input nested deeper than this is refused, well
+# inside the default recursion limit, with an error that names the depth
+MAX_NESTING = 100
+
+
+class _NestedTokens(_Tokens):
+    def __init__(self, text):
+        super().__init__(text)
+        self.depth = 0
+
+    def nest(self, parse):
+        """parse(self), one level of nesting deeper."""
+        if self.depth == MAX_NESTING:
+            _, _, line, col = self.peek()
+            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
+                             line, col)
+        self.depth += 1
+        out = parse(self)
+        self.depth -= 1
+        return out
+
+
+def _parse_term(ts: _Tokens) -> Term:
+    kind, val, line, col = ts.next()
+    if kind == "gvar":
+        return GammaVar(val[1:])
+    if kind == "dot_const":
+        return DOT
+    if kind == "ident":
+        if ts.peek()[1] == "(":
+            ts.next()
+            args = [ts.nest(_parse_term)]
+            while ts.peek()[1] == ",":
+                ts.next()
+                args.append(ts.nest(_parse_term))
+            ts.expect(")")
+            return App(val, is_skolem_symbol(val), tuple(args))
+        if is_skolem_symbol(val):
+            return App(val, True, ())
+        return Var(val)
+    raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+
+
+def _parse_unary(ts: _Tokens) -> Formula:
+    kind, val, line, col = ts.peek()
+    if val == "~":  # counted by a loop, so a long chain parses at any depth
+        n = 0
+        while ts.peek()[1] == "~":
+            ts.next()
+            n += 1
+        return reduce(lambda f, _: Not(f), range(n), _parse_unary(ts))
+    if kind == "kw":
+        ts.next()
+        bkind, bval, bline, bcol = ts.peek()
+        if bkind not in ("ident", "gvar"):
+            ts.error("expected a binder name")
+        if bkind == "gvar":
+            raise ParseError("instantiation variables cannot be bound", bline, bcol)
+        binder_term = _parse_term(ts)
+        if isinstance(binder_term, Var):
+            name = binder_term.name
+            var = None
+        elif isinstance(binder_term, App) and binder_term.skolem:
+            name = print_term(binder_term)
+            var = SkolemNamedVar(binder_term)
+        else:
+            raise ParseError(f"bad binder {print_term(binder_term)!r}", bline, bcol)
+        ts.expect(".")
+        body = ts.nest(_parse_implication)
+        if var is not None:
+            body = _bind_named(body, name, var)
+        return Forall(name, body) if val == "forall" else Exists(name, body)
+    if val == "(":
+        ts.next()
+        f = ts.nest(_parse_implication)
+        ts.expect(")")
+        return f
+    if kind in ("ident", "gvar", "dot_const"):
+        t = _parse_term(ts)
+        if ts.peek()[1] == "<":
+            ts.next()
+            rhs = _parse_term(ts)
+            return Atom("<", (t, rhs))
+        match t:
+            case App(sym, False, args) if args:
+                return Atom(sym, args)
+            case Var(name):
+                return Atom(name, ())
+        raise ParseError(f"{print_term(t)!r} is not a formula", line, col)
+    ts.error("expected a formula")
+
+
+def _parse_conjunction(ts):
+    f = _parse_unary(ts)
+    while ts.peek()[1] == "&":
+        ts.next()
+        f = And(f, _parse_unary(ts))
+    return f
+
+
+def _parse_disjunction(ts):
+    f = _parse_conjunction(ts)
+    while ts.peek()[1] == "|":
+        ts.next()
+        f = Or(f, _parse_conjunction(ts))
+    return f
+
+
+def _parse_implication(ts):
+    f = _parse_disjunction(ts)
+    while ts.peek()[1] == "->":
+        ts.next()
+        f = Or(Not(f), _parse_disjunction(ts))
+    return f
+
+
+def reference_parse_formula(text: str) -> Formula:
+    ts = _NestedTokens(text)
+    f = _parse_implication(ts)
+    if ts.peek()[0] != "eof":
+        ts.error("trailing input")
+    _check_arities(f)
+    return f

@@ -18,7 +18,7 @@ from herbrandkit.cli import main
 from herbrandkit.construct import UPPER_BOUND_TEXT
 from herbrandkit.skolem import outer_skolemize
 from herbrandkit.syntax import (
-    MAX_NESTING, alpha_equal, parse_formula, print_formula, rectify,
+    alpha_equal, formula_size, parse_formula, print_formula, rectify,
 )
 
 from conftest import DRINKER_TEXT
@@ -60,10 +60,10 @@ def test_parse_reads_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "~p | q"
 
 
-def test_deep_nesting_exits_2_with_json_error():
-    """Input nested past the parser's depth guard could not be checked: exit
-    2 with the JSON error document that names the depth, not a crash, not
-    the recursion limit and not the negative exit 1."""
+def test_deep_parentheses_are_read():
+    """The parser keeps its open operators on an explicit stack, so 20,000
+    nested parentheses are read in a fresh process, with no depth guard
+    and no recursion limit in the way."""
     src = str(Path(herbrandkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -71,26 +71,38 @@ def test_deep_nesting_exits_2_with_json_error():
         [sys.executable, "-m", "herbrandkit", "--format", "json", "parse", "-"],
         input="(" * 20_000 + "p" + ")" * 20_000, capture_output=True, text=True, env=env,
         timeout=120)
-    assert proc.returncode == 2
-    doc = json.loads(proc.stdout)
-    assert doc == {"error": "ParseError", "message": (
-        f"input nested deeper than {MAX_NESTING} levels "
-        f"(line 1, column {MAX_NESTING + 2})")}
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"formula": "p", "size": 1}
     assert "recursion" not in proc.stderr
 
 
-def test_nesting_up_to_the_depth_guard_is_read(capsys):
-    text = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
-    code, doc, _ = run_json(capsys, "parse", text)
-    assert code == 0 and doc["size"] == 1
-    code, _, err = run(capsys, "parse", "(" + text + ")")
-    assert code == 2 and f"nested deeper than {MAX_NESTING} levels" in err
+def test_a_deep_quantifier_nest_is_read_and_classified(capsys):
+    """A 20,000-deep forall nest is read; classify lists each quantifier
+    of a 2,000-deep one (its output grows with the square of the depth,
+    as each row prints its path)."""
+    assert formula_size(parse_formula("forall x. " * 20_000 + "p(x)")) == 20_001
+    code, doc, _ = run_json(capsys, "classify", "forall x. " * 2_000 + "p(x)")
+    rows = doc["quantifiers"]
+    assert code == 0 and len(rows) == 2_000
+    assert rows[-1]["path"] == ".".join("0" * 1_999)
+    assert [r["accessible"] for r in rows] == [True] + [False] * 1_999
+
+
+DEEP_TERM = "f(" * 2_000 + "c" + ")" * 2_000
+
+
+def test_a_deep_term_is_read_in_a_formula_and_in_a_selection(capsys):
+    code, doc, _ = run_json(capsys, "parse", f"p({DEEP_TERM})")
+    assert code == 0 and doc == {"formula": f"p({DEEP_TERM})", "size": 1}
+    code, doc, _ = run_json(capsys, "subexpand", "--selection",
+                            f"(forall x ({DEEP_TERM}) _)", "forall x. p(x)")
+    assert code == 0 and doc["sub_expansion"] == f"p({DEEP_TERM})"
 
 
 def test_a_long_negation_chain_is_decided(capsys):
-    """The parser counts a chain of ~ by a loop, so a 100,000-deep chain is
-    read and decided with the normal documents, not refused at the
-    recursion limit; --max 2 is the least bound that reaches expand."""
+    """The parser keeps each ~ on its explicit stack, so a 100,000-deep
+    chain is read and decided with the normal documents, not refused at
+    the recursion limit; --max 2 is the least bound that reaches expand."""
     text = "~" * 100_000 + "p(c)"
     code, doc, _ = run_json(capsys, "parse", text)
     assert code == 0 and doc["size"] == 100_001
@@ -538,8 +550,9 @@ def test_golden_output(capsys, name):
 # parses, no internal fault, and the same bytes from a second run in the
 # same process (the parser and the champs are shared between runs)
 
+FUZZ_DEEP_TERM = "f(" * 300 + "c" + ")" * 300
 ATOM_TEXTS = ("p(x)", "p(c)", "q(x,y)", "q(c,x)", "r", "p(sk_f(c))", "p(?g)",
-              "x < y", "p(@dot)")
+              "x < y", "p(@dot)", f"p({FUZZ_DEEP_TERM})")
 FUZZ_BUDGET = "3000"
 
 
@@ -552,7 +565,8 @@ def formula_texts():
             st.builds("({} {}. {})".format, st.sampled_from(["forall", "exists"]),
                       st.sampled_from("xya"), kids))
     leaves = st.recursive(st.sampled_from(ATOM_TEXTS), extend, max_leaves=6)
-    return st.builds(lambda n, f: "~" * n + f, st.sampled_from([0, 0, 1, 2, 3000]),
+    return st.builds(lambda n, w, f: "~" * n + "(" * w + f + ")" * w,
+                     st.sampled_from([0, 0, 1, 2, 3000]), st.sampled_from([0, 0, 1, 3000]),
                      leaves)
 
 
@@ -566,7 +580,8 @@ def selection_texts():
             st.builds("({} {} {})".format, st.sampled_from(["and", "or"]), kids, kids),
             st.builds(quant, st.sampled_from(["forall", "exists"]),
                       st.sampled_from("xya"),
-                      st.lists(st.sampled_from(["c", "x", "@dot", "sk_f(c)", "?g"]),
+                      st.lists(st.sampled_from(["c", "x", "@dot", "sk_f(c)", "?g",
+                                                FUZZ_DEEP_TERM]),
                                min_size=1, max_size=2),
                       st.lists(kids, max_size=2)))
     nodes = st.recursive(st.just("_"), extend, max_leaves=5)

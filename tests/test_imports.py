@@ -146,12 +146,10 @@ def test_the_readme_library_table_names_definitions():
 # the selection reader and printer run from explicit stacks of their own.
 # The SAT search is one loop.  A term is made with its print, heights and
 # free names, and the term walks run from explicit stacks (syntax.subterms,
-# syntax.rewrite_term).  The functions that stay recursive: the formula
-# parser and the CLI's printer of nested documents.
-STILL_RECURSIVE = {
-    "syntax.py": {"_parse_term", "_parse_unary"},
-    "cli.py": {"_lines"},
-}
+# syntax.rewrite_term).  The parser reads formulas and terms from explicit
+# stacks of open operators and applications, and the CLI prints nested
+# documents from one.  No function calls itself.
+STILL_RECURSIVE = {}
 
 
 def self_calling_functions(path: Path) -> set[str]:

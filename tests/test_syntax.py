@@ -15,6 +15,7 @@ from herbrandkit.syntax import (
     CaptureError,
     Exists,
     Forall,
+    FormulaError,
     Not,
     Or,
     ParseError,
@@ -23,6 +24,7 @@ from herbrandkit.syntax import (
     alpha_equal,
     classify_quantifier,
     collect_signature,
+    equal,
     formula_size,
     free_names,
     is_quantifier_free,
@@ -42,7 +44,9 @@ from herbrandkit.syntax import (
 )
 from herbrandkit.taut import atom_list
 
-from references import ac_flatten_equal, sites, variant_equal_gamma
+from references import (
+    ac_flatten_equal, reference_parse_formula, sites, variant_equal_gamma,
+)
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -110,6 +114,66 @@ def test_parse_errors():
     for bad in ("((", "p &", "forall. p", "p(", "exists 3. p", "p | _", "p(_)"):
         with pytest.raises(ParseError):
             parse_formula(bad)
+
+
+TERM_LEAVES = ("x", "y", "c", "?g", "@dot", "sk_a")
+EDIT_CHARACTERS = "()~&|-><.,?@_ xypqfcsk\n"
+
+
+def random_term_text(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(TERM_LEAVES)
+    sym = rng.choice(("f", "g", "sk_f"))
+    args = [random_term_text(rng, depth - 1) for _ in range(2 if sym == "g" else 1)]
+    return f"{sym}({','.join(args)})"
+
+
+def random_formula_text(rng, depth):
+    """Formula text over every connective, plain and Skolem-named binders,
+    infix and nested terms, with parentheses dropped at random."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        t, u = random_term_text(rng, 2), random_term_text(rng, 1)
+        return rng.choice((f"p({t})", f"q({t},{u})", "r", f"{t} < {u}"))
+    if roll < 0.35:
+        return "~" + random_formula_text(rng, depth - 1)
+    if roll < 0.55:
+        return (f"{rng.choice(('forall', 'exists'))} "
+                f"{rng.choice(('x', 'y', 'sk_f(c)', 'sk_a'))}. "
+                + random_formula_text(rng, depth - 1))
+    text = (f"{random_formula_text(rng, depth - 1)} {rng.choice(('&', '|', '->'))} "
+            f"{random_formula_text(rng, depth - 1)}")
+    return f"({text})" if rng.random() < 0.5 else text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormulaError as e:
+        return type(e), str(e)
+
+
+def test_the_parser_agrees_with_the_recursive_reference():
+    """Seeded random formulas of depth 6, well inside the reference's depth
+    guard, and a one-character deletion and insertion of each: both parsers
+    read the same formula, or raise the same error with the same message,
+    line and column."""
+    rng = random.Random(18)
+    parsed = failed = 0
+    for _ in range(1_500):
+        text = random_formula_text(rng, 6)
+        i, j = rng.randrange(len(text)), rng.randrange(len(text) + 1)
+        for s in (text, text[:i] + text[i + 1:],
+                  text[:j] + rng.choice(EDIT_CHARACTERS) + text[j:]):
+            f = parse_outcome(parse_formula, s)
+            g = parse_outcome(reference_parse_formula, s)
+            if isinstance(g, tuple):
+                assert f == g, s
+                failed += 1
+            else:
+                assert equal(f, g) and print_formula(f) == print_formula(g), s
+                parsed += 1
+    assert parsed > 1_000 and failed > 1_000
 
 
 def test_arity_consistency_enforced():
