@@ -58,7 +58,7 @@ from .syntax import (
     quantifier_sites,
     rectify,
 )
-from .taut import decide, emit_dimacs
+from .taut import clausal_refutation_form, decide_form, dimacs
 
 
 class CliError(FormulaError):
@@ -143,14 +143,14 @@ def _lines(doc: dict) -> list[str]:
 
 def _cmd_parse(args):
     f = _read_formula(args)
-    return 0, {"formula": print_formula(f), "size": formula_size(f)}, print_formula(f)
+    text = print_formula(f)
+    return 0, {"formula": text, "size": formula_size(f)}, text
 
 
 def _cmd_rectify(args):
     f = _read_formula(args)
-    r = rectify(f)
-    return 0, {"formula": print_formula(f), "rectified": print_formula(r)}, \
-        print_formula(r)
+    text = print_formula(rectify(f))
+    return 0, {"formula": print_formula(f), "rectified": text}, text
 
 
 def _cmd_classify(args):
@@ -168,18 +168,16 @@ def _cmd_skolemize(args):
     f = rectify(_read_formula(args))
     if args.mode == "outer":
         symbols: dict[str, str] = {}
-        out = outer_skolemize(f, record=symbols)
-        doc = {"mode": "outer", "formula": print_formula(f),
-               "skolemized": print_formula(out),
+        text = print_formula(outer_skolemize(f, record=symbols))
+        doc = {"mode": "outer", "formula": print_formula(f), "skolemized": text,
                "symbols": dict(sorted(symbols.items()))}
-        return 0, doc, print_formula(out)
+        return 0, doc, text
     reg = _load_registry(args)
-    out = deltapp_skolemize(f, reg)
+    text = print_formula(deltapp_skolemize(f, reg))
     _store_registry(args, reg)
-    doc = {"mode": "deltapp", "formula": print_formula(f),
-           "skolemized": print_formula(out),
+    doc = {"mode": "deltapp", "formula": print_formula(f), "skolemized": text,
            "symbols": sorted(reg.symbols())}
-    return 0, doc, print_formula(out)
+    return 0, doc, text
 
 
 def _cmd_champ(args):
@@ -205,24 +203,25 @@ def _cmd_expand(args):
         ch = champ(f, args.order, herbrand=args.herbrand_heights,
                    budget=args.budget)
         e = expand(f, ch, budget=args.budget)
-    doc = {"formula": print_formula(f), "expansion": print_formula(e),
-           "nodes": formula_size(e)}
-    return 0, doc, print_formula(e)
+    text = print_formula(e)
+    doc = {"formula": print_formula(f), "expansion": text, "nodes": formula_size(e)}
+    return 0, doc, text
 
 
 def _cmd_subexpand(args):
     f = _read_formula(args)
     e = build_sub_expansion(f, _read_selection(args))
-    doc = {"formula": print_formula(f), "sub_expansion": print_formula(e),
-           "nodes": formula_size(e)}
-    return 0, doc, print_formula(e)
+    text = print_formula(e)
+    doc = {"formula": print_formula(f), "sub_expansion": text, "nodes": formula_size(e)}
+    return 0, doc, text
 
 
 def _cmd_taut(args):
     f = _read_formula(args)
-    verdict, atoms = decide(f)
+    form = clausal_refutation_form(f)
+    verdict, atoms = decide_form(*form)
     doc = {"formula": print_formula(f), "tautology": verdict, "atoms": atoms}
-    raw = emit_dimacs(f) if args.emit_cnf else _scalar(verdict)
+    raw = dimacs(*form) if args.emit_cnf else _scalar(verdict)
     return (0 if verdict else 1), doc, raw
 
 
@@ -302,10 +301,10 @@ def _cmd_check_proof(args):
 
 def _cmd_passage(args):
     f = _read_formula(args)
-    out = apply_passage(f, parse_path(args.path), args.eq, args.dir)
+    text = print_formula(apply_passage(f, parse_path(args.path), args.eq, args.dir))
     doc = {"formula": print_formula(f), "path": args.path, "equation": args.eq,
-           "direction": args.dir, "result": print_formula(out)}
-    return 0, doc, print_formula(out)
+           "direction": args.dir, "result": text}
+    return 0, doc, text
 
 
 def _cmd_models(args):
@@ -468,10 +467,8 @@ def main(argv=None) -> int:
         code, doc, raw = run(args)
     except Exception as e:
         # Exit 1 means checked and negative, so every failure to check, be
-        # it bad input, unreadable files, a formula too deep for the
-        # recursive == and hash of its frozen dataclasses or an internal
-        # fault, exits 2.
-        if not isinstance(e, (FormulaError, OSError, RecursionError)):
+        # it bad input, unreadable files or an internal fault, exits 2.
+        if not isinstance(e, (FormulaError, OSError)):
             import traceback  # here, so that no start-up pays for it
             traceback.print_exc()
         if args.format == "json":

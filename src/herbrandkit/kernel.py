@@ -30,7 +30,7 @@ from .skolem import SkolemRegistry, deltapp_scope
 from .syntax import (
     And, App, CaptureError, Exists, Forall, Formula, FormulaError,
     GammaVar, Not, Or, PathError, Quant, Site, Term, Var,
-    all_names, alpha_equal, bound_names, children, collect_signature, equal,
+    all_names, alpha_equal, bound_names, children, collect_signature,
     free_names, fresh_name, is_gamma, is_quantifier_free, locate,
     nameify_term, paired, parse_formula, parse_term, print_formula,
     print_term, promote_skolem_apps, quant_kind, rename_binder,
@@ -221,7 +221,7 @@ def _gamma_quant(f, step, registry, restricted=False):
     except CaptureError as e:
         raise StepError("witness-capture", str(e))
     site = locate(f, step.path)
-    if not equal(site.node, inst):
+    if site.node != inst:
         raise StepError("premise-mismatch",
                         f"the premise at the path is not the scope instance; "
                         f"expected {print_formula(inst)[:80]}")
@@ -293,7 +293,7 @@ def _deltapp(f, step, registry: SkolemRegistry):
                             f"{len(listed)} instantiation variables")
         repl = App(sym, True, listed)
         inst = substitute(h, {step.var: repl})
-        if not equal(site.node, inst):
+        if site.node != inst:
             raise StepError("delta-term-mismatch",
                             f"the premise does not use the registry term "
                             f"{print_term(repl)}")
@@ -482,7 +482,7 @@ def _replay(d: Derivation, registry: SkolemRegistry | None) -> CheckReport:
         if step.tag in GAMMA_TAGS:
             report.witnesses.append(step.term)
         report.lines.append(cur)
-    if not equal(cur, d.end):
+    if cur != d.end:
         return refuse("end-mismatch",
                       f"derivation ends at {print_formula(cur)[:80]}, "
                       f"claimed {print_formula(d.end)[:80]}")

@@ -11,8 +11,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .syntax import (
-    App, Atom, Formula, FormulaError, GammaVar, Not, Quant, Swap, Term, Var,
-    collect_signature, first_occurrences, fold, free_names, is_gamma,
+    App, Atom, Branch, Formula, FormulaError, GammaVar, Not, Quant, Term, Var,
+    collect_signature, fold, free_names, is_gamma,
     is_rectified, quant_kind, rebuild, substitute, substitute_term,
     term_var_name,
 )
@@ -151,34 +151,41 @@ def deltapp_scope(scope: Formula, gammas: Sequence[str] = ()
     under.  Listed are the free instantiation variables of the scope and the
     names among gammas (enclosing gamma-variables) that occur free in it, in
     order of first occurrence."""
-    free = free_names(scope)
     listed = tuple(GammaVar(nm[1:]) if nm.startswith("?") else Var(nm)
-                   for nm in first_occurrences(scope)
-                   if nm in free and (nm.startswith("?") or nm in gammas))
+                   for nm in free_names(scope) if nm.startswith("?") or nm in gammas)
     return listed, canonical_key(scope, listed)
 
 
 def _skolemize(f: Formula, what: str, delta_term) -> Formula:
     """Remove every delta-quantifier of f, outermost first, replacing its
     variable by delta_term(quantifier, enclosing gamma-variables in nesting
-    order, names to avoid).  Gamma-quantifiers stay."""
+    order, names to avoid, the Skolem terms of the enclosing removed
+    variables).  Gamma-quantifiers stay.  The terms are applied at the
+    atoms, as rectify renames: f is rectified, so no binder captures them."""
     if not is_rectified(f):
         raise SkolemError(f"{what} requires a rectified formula")
     sig = collect_signature(f)
     taken = set(sig.functions) | set(sig.free_vars)
 
-    # the context is (enclosing gamma-variables, polarity)
+    # the context is (enclosing gamma-variables, polarity, removed variable
+    # -> its Skolem term); a removed quantifier's up gets None
     def down(g, ctx):
-        gammas, sign = ctx
+        gammas, sign, env = ctx
         if isinstance(g, Not):
-            return gammas, -sign
+            return gammas, -sign, env
         if not isinstance(g, Quant):
             return ctx
         if is_gamma(quant_kind(g), sign):
-            return gammas + [g.var], sign
-        return Swap(substitute(g.body, {g.var: delta_term(g, gammas, taken)}))
+            return gammas + [g.var], sign, env
+        inner = {**env, g.var: delta_term(g, gammas, taken, env)}
+        return Branch(((g.body, (gammas, sign, inner)),), None)
 
-    return fold(f, lambda g, kids, _: rebuild(g, *kids), down, ([], 1))
+    def up(g, kids, ctx):
+        if type(g) is Atom and ctx[2]:
+            return Atom(g.pred, tuple(substitute_term(a, ctx[2]) for a in g.args))
+        return rebuild(g, *kids) if ctx else kids[0]  # rebuild gives an atom back as it is
+
+    return fold(f, up, down, ([], 1, {}))
 
 
 def outer_skolemize(f: Formula, record: dict[str, str] | None = None) -> Formula:
@@ -188,7 +195,7 @@ def outer_skolemize(f: Formula, record: dict[str, str] | None = None) -> Formula
 
     When record is given it is filled with binder name -> chosen symbol."""
 
-    def delta_term(q, gammas, taken):
+    def delta_term(q, gammas, taken, _):
         sym = _fresh_symbol(q.var, taken)
         if record is not None:
             record[q.var] = sym
@@ -204,8 +211,8 @@ def deltapp_skolemize(f: Formula, registry: SkolemRegistry) -> Formula:
     reuses the same symbol for scopes equal up to bound renaming and
     bijective renaming of the argument variables."""
 
-    def delta_term(q, gammas, taken):
-        listed, key = deltapp_scope(q, gammas)
+    def delta_term(q, gammas, taken, env):
+        listed, key = deltapp_scope(substitute(q, env), gammas)
         return App(registry.bind(key, q.var, len(listed), taken), True, listed)
 
     return _skolemize(f, "delta++ Skolemization", delta_term)

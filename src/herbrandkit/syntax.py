@@ -13,7 +13,8 @@ Terms
 Formulas
     Atom, Not, And, Or, Forall, Exists.  Implication is desugared at parse
     time.  Quantifier binders are name strings; a Skolem-named binder stores
-    the printed encoding as its name.
+    the printed encoding as its name.  == is paired on the fold, and the
+    hash and repr are read off the print.
 
 Paths are tuples of child indices: Not and quantifiers have child 0,
 And/Or have children 0 and 1.
@@ -27,8 +28,9 @@ The traversal core (subformulas and quantifier_sites in preorder, locate
 along one path, fold bottom-up), the term walks (subterms, rewrite_term)
 and the parser (precedence climbing for formulas, a stack of open
 applications for terms) run from explicit stacks or loops, so reading,
-walking and comparing formulas (paired, on the fold) do not depend on the
-recursion limit.  The tokenizer and term parser also read selections,
+walking, comparing and hashing formulas do not depend on the recursion
+limit.  Free names come from one fold (_free_below), in order of first
+free occurrence.  The tokenizer and term parser also read selections,
 whose leaf _ is punctuation.
 """
 
@@ -38,7 +40,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import KeysView, NamedTuple
 
 
 class FormulaError(Exception):
@@ -220,37 +222,53 @@ def term_height(t: Term, herbrand: bool = False) -> int:
 # ---------------------------------------------------------------------------
 # formulas
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class _Formula:
+    """What the six formula classes share, none of it recursive: == is
+    paired on the fold, the hash is the hash of the print, and the repr
+    shows the print, <Or p | q>."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return paired(self, other) if isinstance(other, _Formula) else NotImplemented
+
+    def __hash__(self):
+        return hash(fold(self, _print_up))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {fold(self, _print_up)}>"
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Atom(_Formula):
     pred: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Not(_Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class And(_Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Or(_Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Forall(_Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Exists(_Formula):
     var: str
     body: Formula
 
@@ -503,44 +521,37 @@ def is_quantifier_free(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # variables, substitution
 
-def free_names(f: Formula) -> set[str]:
+def free_names(f: Formula) -> KeysView[str]:
     """Free variable names of a formula (plain names, ?names, and prints of
-    free Skolem-named variables)."""
-    return _free_below(f)[0]
+    free Skolem-named variables, each one opaque name) in order of first
+    free occurrence: preorder, left to right through atom arguments."""
+    return _free_below(f)[0].keys()
 
 
-def _free_below(f: Formula, names=()) -> tuple[set[str], dict[int, set[str]]]:
-    """f's free names and, for the id of each of its quantifier nodes, which
-    of names and the node's own variable occur free in its body, from one
-    bottom-up fold.  The ids stay the nodes' own while f lives."""
+def _free_below(f: Formula, names=()) -> tuple[dict[str, None], dict[int, set[str]]]:
+    """f's free names as the keys of a dict, in free_names' order, and, for
+    the id of each quantifier node, which of names and the node's variable
+    occur free in its body, from one fold.  The ids stay while f lives."""
     below: dict[int, set[str]] = {}
 
     def up(g, kids, _):
         if type(g) is Atom:
-            return set().union(*map(term_free_names, g.args))
-        out = kids[0]  # each node owns the set its up returned
+            return {n: None for a in g.args for n in a.names}
+        out = kids[0]  # each node owns the dict its up returned
         if len(kids) == 2:
             out |= kids[1]
         elif isinstance(g, Quant):
-            below[id(g)] = out.intersection((g.var, *names))
-            out.discard(g.var)
+            below[id(g)] = (out.keys() & names) | (out.keys() & {g.var})
+            out.pop(g.var, None)
         return out
 
     return fold(f, up), below
 
 
-def first_occurrences(f: Formula) -> list[str]:
-    """Names of the variable occurrences in f, bound and free alike, each
-    once in order of first occurrence (preorder, left to right through atom
-    arguments).  A Skolem-named variable counts as a single opaque name."""
-    return list(dict.fromkeys(nm for g in subformulas(f) if type(g) is Atom
-                              for a in g.args for nm in a.names))
-
-
 def free_gamma_vars(f: Formula) -> list[str]:
     """Free instantiation variables in order of first occurrence.  Names are
     returned bare, without the ? prefix."""
-    return [nm[1:] for nm in first_occurrences(f) if nm.startswith("?")]
+    return [nm[1:] for nm in free_names(f) if nm.startswith("?")]
 
 
 def bound_names(f: Formula) -> set[str]:
@@ -628,7 +639,8 @@ def rectify(f: Formula) -> Formula:
     binders get _1, _2, ... suffixes; names colliding with free variables are
     renamed the same way.  A quantifier whose variable does not occur in its
     body is deleted."""
-    used, below = _free_below(f)
+    free, below = _free_below(f)
+    used = set(free)
 
     # the context is (renaming, the binder name the last quantifier got)
     def down(g, ctx):
@@ -668,13 +680,13 @@ def is_rectified(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # comparing two formulas
 
-def paired(f: Formula, g: Formula, term_test=None, binder=None, env=(),
-           identity: bool = False) -> bool:
+def paired(f: Formula, g: Formula, term_test=None, binder=None, env=()) -> bool:
     """Whether g has f's shape, compared on the fold: term_test(s, t, env)
     passes each pair of atom arguments, and binder(p, q, env) each pair of
-    quantifiers by giving their bodies' env, not None; by default the
-    arguments are equal and the binders one name.  With identity, a node
-    paired with itself passes at once."""
+    quantifiers by giving their bodies' env, not None.  By default the
+    arguments are equal and the binders one name, which is f == g, and a
+    node paired with itself passes at once."""
+    identity = term_test is None and binder is None
 
     def down(p, ctx):
         q, env = ctx
@@ -696,11 +708,6 @@ def paired(f: Formula, g: Formula, term_test=None, binder=None, env=(),
         return Prune(False) if env is None else Branch(((p.body, (q.body, env)),), None)
 
     return fold(f, lambda g, kids, _: all(kids), down, (g, env))
-
-
-def equal(f: Formula, g: Formula) -> bool:
-    """f == g, compared on the fold."""
-    return paired(f, g, identity=True)
 
 
 def _alpha_term(s: Term, t: Term, env) -> bool:
@@ -750,33 +757,14 @@ class Signature:
 
 
 def collect_signature(f: Formula) -> Signature:
-    funcs: dict[str, tuple[int, bool]] = {}
-    preds: dict[str, int] = {}
-    fvars: list[str] = []
-    gvars: list[str] = []
-    dot = False
-
-    def down(g, bound):
-        nonlocal dot
-        if isinstance(g, Quant):
-            return bound | {g.var}
-        if type(g) is Atom:
-            preds[g.pred] = len(g.args)
-            for t in (t for a in g.args for t in subterms(a)):
-                if type(t) is App:
-                    if t.sym == "@dot":
-                        dot = True
-                    else:
-                        funcs[t.sym] = (len(t.args), t.skolem)
-                elif type(t) is GammaVar:
-                    if t.name not in gvars:
-                        gvars.append(t.name)
-                elif t.text not in bound and t.text not in fvars:
-                    fvars.append(t.text)
-        return bound
-
-    fold(f, lambda g, kids, bound: None, down, frozenset())
-    return Signature(funcs, preds, fvars, gvars, dot)
+    atoms = [g for g in subformulas(f) if type(g) is Atom]
+    apps = [t for g in atoms for a in g.args for t in subterms(a) if type(t) is App]
+    free = free_names(f)
+    return Signature({t.sym: (len(t.args), t.skolem) for t in apps if t.sym != "@dot"},
+                     {g.pred: len(g.args) for g in atoms},
+                     [nm for nm in free if nm[0] != "?"],
+                     [nm[1:] for nm in free if nm[0] == "?"],
+                     any(t.sym == "@dot" for t in apps))
 
 
 # ---------------------------------------------------------------------------

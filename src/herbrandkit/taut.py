@@ -261,7 +261,11 @@ def _cdcl(clauses: list[list[int]], nvars: int) -> bool:
 def decide(f: Formula) -> tuple[bool, int]:
     """Whether f is a tautology, and how many distinct atoms it has: f is
     one exactly when the CDCL solver refutes its clausal form."""
-    clauses, atom_var, nvars = clausal_refutation_form(f)
+    return decide_form(*clausal_refutation_form(f))
+
+
+def decide_form(clauses, atom_var, nvars) -> tuple[bool, int]:
+    """decide on a clausal_refutation_form, which it leaves as it is."""
     return not _cdcl(clauses, nvars), len(atom_var)
 
 
@@ -272,7 +276,11 @@ def is_tautology(f: Formula) -> bool:
 def emit_dimacs(f: Formula) -> str:
     """The clausal abstraction used for refutation, as DIMACS text with
     comment lines mapping propositional variables to atom prints."""
-    clauses, atom_var, nvars = clausal_refutation_form(f)
+    return dimacs(*clausal_refutation_form(f))
+
+
+def dimacs(clauses, atom_var, nvars) -> str:
+    """A clausal_refutation_form as the DIMACS text of emit_dimacs."""
     lines = [f"c refutation form: unsatisfiable iff the formula is a tautology"]
     for name, v in sorted(atom_var.items(), key=lambda kv: kv[1]):
         lines.append(f"c atom {v} {name}")

@@ -9,10 +9,13 @@ CDCL solver replaced; and the expansion that substituted after every
 quantifier, which the walk along the every-term selection replaced; and
 the walk over every position that copied its parent's path at each node,
 which the quantifier site walk replaced; and the recursive term walkers
-(print, heights, free names, first occurrences) that the values a
+(print, heights, free names) that the values a
 hash-consed term is made with replaced; and the recursive descent
 parser, with the depth guard it needs, that the parser's loop over an
-explicit stack replaced."""
+explicit stack replaced; and the recursive structural ==, the walk for
+free names in order that carries the bound names, the Skolemization that
+substituted into the remaining body at each removed quantifier and the
+signature walk that the one free-name fold replaced."""
 
 import itertools
 from functools import reduce
@@ -40,6 +43,7 @@ from herbrandkit.oracle import (
     OracleBudgetError,
     _eval_term,
 )
+from herbrandkit.skolem import SkolemError, _fresh_symbol, canonical_key
 from herbrandkit.syntax import (
     And,
     App,
@@ -53,6 +57,7 @@ from herbrandkit.syntax import (
     Or,
     ParseError,
     Quant,
+    Signature,
     SkolemNamedVar,
     Swap,
     Term,
@@ -66,8 +71,11 @@ from herbrandkit.syntax import (
     collect_signature,
     fold,
     formula_size,
+    free_names,
     fresh_name,
+    is_gamma,
     is_quantifier_free,
+    is_rectified,
     is_skolem_symbol,
     parse_term,
     print_formula,
@@ -75,7 +83,9 @@ from herbrandkit.syntax import (
     quant_kind,
     rebuild,
     rename_binder,
+    subformulas,
     substitute,
+    subterms,
     term_free_names,
     term_var_name,
 )
@@ -254,6 +264,22 @@ def _alpha_walk(f, g, envf, envg, depth=0):
 
 def reference_alpha_equal(f, g):
     return _alpha_walk(f, g, {}, {})
+
+
+def reference_equal(f, g):
+    """Structural equality by recursion, field by field, as the generated
+    == of the formula dataclasses compared before == was paired on the
+    fold."""
+    match f, g:
+        case Atom(p1, a1), Atom(p2, a2):
+            return p1 == p2 and a1 == a2
+        case Not(s1), Not(s2):
+            return reference_equal(s1, s2)
+        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
+            return reference_equal(l1, l2) and reference_equal(r1, r2)
+        case (Forall(v1, b1), Forall(v2, b2)) | (Exists(v1, b1), Exists(v2, b2)):
+            return v1 == v2 and reference_equal(b1, b2)
+    return False
 
 
 def selection_terms(s):
@@ -638,35 +664,40 @@ def reference_term_free_names(t):
     raise TypeError(f"not a term: {t!r}")
 
 
-def reference_first_occurrences(f):
+def reference_free_names(f):
+    """Free names in order of first free occurrence, from a recursive walk
+    that carries the names bound above each node."""
     seen = {}
 
-    def walk_term(t):
+    def walk_term(t, bound):
         match t:
-            case Var(name):
-                seen.setdefault(name)
-            case GammaVar(name):
-                seen.setdefault("?" + name)
-            case SkolemNamedVar(_):
-                seen.setdefault(reference_print_term(t))
             case App(_, _, args):
                 for a in args:
-                    walk_term(a)
+                    walk_term(a, bound)
+                return
+            case Var(name):
+                nm = name
+            case GammaVar(name):
+                nm = "?" + name
+            case SkolemNamedVar(_):
+                nm = reference_print_term(t)
+        if nm not in bound:
+            seen.setdefault(nm)
 
-    def walk(g):
+    def walk(g, bound):
         match g:
             case Atom(_, args):
                 for a in args:
-                    walk_term(a)
+                    walk_term(a, bound)
             case Not(sub):
-                walk(sub)
+                walk(sub, bound)
             case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
-            case Forall(_, body) | Exists(_, body):
-                walk(body)
+                walk(l, bound)
+                walk(r, bound)
+            case Forall(v, body) | Exists(v, body):
+                walk(body, bound | {v})
 
-    walk(f)
+    walk(f, frozenset())
     return list(seen)
 
 
@@ -797,3 +828,94 @@ def reference_parse_formula(text: str) -> Formula:
         ts.error("trailing input")
     _check_arities(f)
     return f
+
+
+# ---------------------------------------------------------------------------
+# the Skolemization that substituted into the whole remaining body at each
+# removed quantifier, with the delta++ listing that read every occurrence,
+# and the signature walk that carried the bound names, which the Skolem
+# terms applied at the atoms and the one free-name fold replaced; bodies
+# unchanged but for the names of what they call
+
+def reference_first_occurrences(f):
+    """Names of the variable occurrences in f, bound and free alike, each
+    once in order of first occurrence (preorder, left to right through atom
+    arguments).  A Skolem-named variable counts as a single opaque name."""
+    return list(dict.fromkeys(nm for g in subformulas(f) if type(g) is Atom
+                              for a in g.args for nm in a.names))
+
+
+def reference_deltapp_scope(scope, gammas=()):
+    free = free_names(scope)
+    listed = tuple(GammaVar(nm[1:]) if nm.startswith("?") else Var(nm)
+                   for nm in reference_first_occurrences(scope)
+                   if nm in free and (nm.startswith("?") or nm in gammas))
+    return listed, canonical_key(scope, listed)
+
+
+def _reference_skolemize(f, what, delta_term):
+    if not is_rectified(f):
+        raise SkolemError(f"{what} requires a rectified formula")
+    sig = reference_collect_signature(f)
+    taken = set(sig.functions) | set(sig.free_vars)
+
+    # the context is (enclosing gamma-variables, polarity)
+    def down(g, ctx):
+        gammas, sign = ctx
+        if isinstance(g, Not):
+            return gammas, -sign
+        if not isinstance(g, Quant):
+            return ctx
+        if is_gamma(quant_kind(g), sign):
+            return gammas + [g.var], sign
+        return Swap(substitute(g.body, {g.var: delta_term(g, gammas, taken)}))
+
+    return fold(f, lambda g, kids, _: rebuild(g, *kids), down, ([], 1))
+
+
+def reference_outer_skolemize(f, record=None):
+    def delta_term(q, gammas, taken):
+        sym = _fresh_symbol(q.var, taken)
+        if record is not None:
+            record[q.var] = sym
+        return App(sym, True, tuple(Var(x) for x in gammas))
+
+    return _reference_skolemize(f, "outer Skolemization", delta_term)
+
+
+def reference_deltapp_skolemize(f, registry):
+    def delta_term(q, gammas, taken):
+        listed, key = reference_deltapp_scope(q, gammas)
+        return App(registry.bind(key, q.var, len(listed), taken), True, listed)
+
+    return _reference_skolemize(f, "delta++ Skolemization", delta_term)
+
+
+def reference_collect_signature(f):
+    funcs = {}
+    preds = {}
+    fvars = []
+    gvars = []
+    dot = False
+
+    def down(g, bound):
+        nonlocal dot
+        if isinstance(g, Quant):
+            return bound | {g.var}
+        if type(g) is Atom:
+            preds[g.pred] = len(g.args)
+            for t in (t for a in g.args for t in subterms(a)):
+                if type(t) is App:
+                    if t.sym == "@dot":
+                        dot = True
+                    else:
+                        funcs[t.sym] = (len(t.args), t.skolem)
+                elif type(t) is GammaVar:
+                    if t.name not in gvars:
+                        gvars.append(t.name)
+                elif t.text not in bound and t.text not in fvars:
+                    fvars.append(t.text)
+        return bound
+
+    fold(f, lambda g, kids, bound: None, down, frozenset())
+    return Signature(funcs, preds, fvars, gvars, dot)

@@ -171,8 +171,9 @@ def test_json_error_doc(capsys):
     assert doc["error"] and doc["message"]
 
 
-@pytest.mark.parametrize("exc", [ValueError("internal fault"),
-                                 OSError("disk gone")], ids=["ValueError", "OSError"])
+@pytest.mark.parametrize("exc", [ValueError("internal fault"), OSError("disk gone"),
+                                 RecursionError("too deep")],
+                         ids=["ValueError", "OSError", "RecursionError"])
 def test_every_failure_to_check_exits_2_with_json_error(capsys, monkeypatch, exc):
     """Exit 1 is a negative verdict, so an internal fault or an I/O error
     exits 2 with the JSON error document like any other failure to check."""
@@ -313,6 +314,25 @@ def test_taut_emit_cnf(capsys):
     assert code == 0
     body = [ln for ln in out.splitlines() if not ln.startswith("c")]
     assert any(ln.startswith("p cnf ") for ln in body)
+
+
+def test_taut_emit_cnf_builds_the_clausal_form_once(capsys, monkeypatch):
+    """The verdict and the DIMACS text read one clausal form, and the text
+    is the one emit_dimacs gives."""
+    from herbrandkit import cli, taut
+    built = []
+    build = taut.clausal_refutation_form
+
+    def counted(f):
+        built.append(f)
+        return build(f)
+
+    for module in (cli, taut):
+        monkeypatch.setattr(module, "clausal_refutation_form", counted)
+    text = "((p -> q) & (q -> r)) -> (p -> r)"
+    code, out, _ = run(capsys, "taut", "--emit-cnf", text)
+    assert code == 0 and len(built) == 1
+    assert out == taut.emit_dimacs(parse_formula(text)) + "\n"
 
 
 def test_check_c_trichotomy(capsys):

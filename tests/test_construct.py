@@ -482,7 +482,9 @@ def test_malformed_selection_reads_the_same_in_a_sub_expansion(drinker, case):
 # an explicit stack: under a recursion limit of 120, a 300-way disjunction
 # (exists x0. p(x0)) | ... | ~p(c) with the witness c at each quantifier is
 # expanded, checked and derived both ways, and a 5,000-deep formula compares
-# equal up to bound renaming with a copy built under other binder names.
+# equal up to bound renaming with a copy built under other binder names, and
+# equal by == with a second build of itself, with the same hash, one entry in
+# a set and a repr that shows its print.
 LOW_LIMIT_SCRIPT = """
 import json, sys
 from functools import reduce
@@ -491,7 +493,7 @@ from herbrandkit.expansion import LEAF, SelOr, SelQuant, build_sub_expansion
 from herbrandkit.kernel import check_derivation
 from herbrandkit.skolem import SkolemRegistry
 from herbrandkit.syntax import (App, Atom, Exists, Forall, Not, Or, Var,
-                                alpha_equal, is_quantifier_free)
+                                alpha_equal, is_quantifier_free, print_formula)
 
 c = App("c", False, ())
 f = Or(reduce(Or, [Exists(f"x{i}", Atom("p", (Var(f"x{i}"),))) for i in range(300)]),
@@ -509,7 +511,7 @@ def deep(name):
             g = (Forall if i % 2 else Exists)(v, Or(g, Atom("q", (Var(v),))))
     return g
 
-a, b = deep("y"), deep("z")
+a, b, a2 = deep("y"), deep("z"), deep("y")
 sys.setrecursionlimit(120)
 out = {}
 
@@ -528,6 +530,10 @@ run("property_c", lambda: property_c(f, 2, sel=sel).status)
 run("derivation", lambda: check_derivation(construct_derivation(f, 2, sel)).ok)
 run("fv_derivation", fv)
 run("alpha_equal", lambda: alpha_equal(a, b))
+run("==", lambda: a == a2 and a is not a2 and a != b)
+run("hash", lambda: hash(a) == hash(a2))
+run("repr", lambda: repr(a) == "<Not " + print_formula(a) + ">")
+run("set", lambda: len({a, a2}))
 print(json.dumps(out))
 """
 
@@ -541,4 +547,5 @@ def test_selection_walks_and_comparisons_run_under_a_low_recursion_limit():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == {
         "sub_expansion": True, "property_c": "holds", "derivation": True,
-        "fv_derivation": True, "alpha_equal": True}
+        "fv_derivation": True, "alpha_equal": True, "==": True, "hash": True,
+        "repr": True, "set": 1}

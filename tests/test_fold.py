@@ -33,7 +33,6 @@ from herbrandkit.syntax import (
     bound_names,
     children,
     classify_quantifier,
-    equal,
     fold,
     fresh_name,
     free_names,
@@ -58,7 +57,7 @@ from herbrandkit.syntax import (
 )
 from herbrandkit.taut import clausal_refutation_form, is_tautology
 
-from references import reference_alpha_equal, sites
+from references import reference_alpha_equal, reference_equal, sites
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def test_substitute_is_linear_in_the_quantifier_depth():
     start = time.perf_counter()
     got = substitute(f, {"z": c})
     assert time.perf_counter() - start < 1.0
-    assert equal(got, want)
+    assert got == want
 
 
 def test_bound_names_is_linear_in_the_depth():
@@ -445,9 +444,10 @@ def test_alpha_equal_gives_a_shadowing_binder_a_level_of_its_own():
 
 
 def test_comparisons_agree_with_the_references():
-    """alpha_equal against the recursive walk it replaced, and equal against
-    ==, on random formulas paired with bound renamings of themselves, with
-    copies built again, and with other random formulas."""
+    """alpha_equal against the recursive walk it replaced, and == against
+    the recursive structural comparison it replaced, with equal hashes for
+    equal formulas, on random formulas paired with bound renamings of
+    themselves, with copies built again, and with other random formulas."""
     rng = random.Random(13)
     outcomes = Counter()
     for _ in range(1500):
@@ -457,7 +457,8 @@ def test_comparisons_agree_with_the_references():
             want = reference_alpha_equal(f, g)
             assert alpha_equal(f, g) == want
             assert alpha_equal(g, f) == reference_alpha_equal(g, f)
-            assert equal(f, g) == (f == g)
+            assert (f == g) == reference_equal(f, g) == (g == f)
+            assert f != g or hash(f) == hash(g)
             outcomes["alpha", want] += 1
             outcomes["equal", f == g] += 1
     assert min(outcomes.values()) > 500
@@ -524,7 +525,7 @@ def check_positions(f, stride=1):
         assert len(site.above) == len(path)
         assert all(chain[k + 1] is children(g)[i] for k, (g, i) in enumerate(zip(chain, path)))
         assert (site.sign, site.accessible) == (sign, accessible)
-        assert equal(site.plug(node), f)
+        assert site.plug(node) == f
         assert locate(site.plug(hole), path).node is hole
     return shadowing
 

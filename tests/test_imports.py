@@ -142,7 +142,8 @@ def test_the_readme_library_table_names_definitions():
 
 
 # The formula walkers, the walks driven by a selection tree and the
-# comparisons of two formulas fold from an explicit stack (syntax.fold), and
+# comparisons of two formulas, == among them, fold from an explicit stack
+# (syntax.fold); a formula's hash and repr read its print, also a fold; and
 # the selection reader and printer run from explicit stacks of their own.
 # The SAT search is one loop.  A term is made with its print, heights and
 # free names, and the term walks run from explicit stacks (syntax.subterms,

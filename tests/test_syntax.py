@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from herbrandkit.kernel import StepError, apply_passage
 from herbrandkit.oracle import valid_up_to
 from herbrandkit.syntax import (
+    DOT,
     And,
     App,
     Atom,
@@ -24,7 +25,6 @@ from herbrandkit.syntax import (
     alpha_equal,
     classify_quantifier,
     collect_signature,
-    equal,
     formula_size,
     free_names,
     is_quantifier_free,
@@ -45,8 +45,10 @@ from herbrandkit.syntax import (
 from herbrandkit.taut import atom_list
 
 from references import (
-    ac_flatten_equal, reference_parse_formula, sites, variant_equal_gamma,
+    ac_flatten_equal, reference_collect_signature, reference_parse_formula,
+    sites, variant_equal_gamma,
 )
+from test_fold import random_formula
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -171,7 +173,7 @@ def test_the_parser_agrees_with_the_recursive_reference():
                 assert f == g, s
                 failed += 1
             else:
-                assert equal(f, g) and print_formula(f) == print_formula(g), s
+                assert f == g and print_formula(f) == print_formula(g), s
                 parsed += 1
     assert parsed > 1_000 and failed > 1_000
 
@@ -436,6 +438,27 @@ def test_collect_signature():
     assert set(sig.predicates) == {"p", "q"}
     assert set(sig.free_vars) == {"x", "c"}
     assert set(sig.gamma_vars) == {"z"}
+
+
+def test_collect_signature_agrees_with_the_walk_that_carried_the_bound_names():
+    """Seeded random formulas, rectified or not, with shadowing and
+    Skolem-named binders, Skolem-named variables, a ? name and @dot in place
+    of y: every field in the same order, free names read off the free-name
+    fold against the reference's set of the names bound above each atom."""
+    def shown(sig):
+        return (list(sig.functions.items()), list(sig.predicates.items()),
+                sig.free_vars, sig.gamma_vars, sig.uses_dot)
+
+    rng = random.Random(19)
+    free = gammas = dots = 0
+    for _ in range(1500):
+        f = random_formula(rng, 6, [])
+        for g in (f, rectify(f), substitute(f, {"y": DOT})):
+            sig = collect_signature(g)
+            assert shown(sig) == shown(reference_collect_signature(g))
+            free, gammas = free + len(sig.free_vars), gammas + len(sig.gamma_vars)
+            dots += sig.uses_dot
+    assert min(free, gammas, dots) > 400
 
 
 def test_promote_skolem_apps_names_heights():

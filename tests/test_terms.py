@@ -11,6 +11,7 @@ from herbrandkit import expansion, syntax
 from herbrandkit.expansion import champ
 from herbrandkit.syntax import (
     DOT,
+    And,
     App,
     Atom,
     Exists,
@@ -20,7 +21,7 @@ from herbrandkit.syntax import (
     Or,
     SkolemNamedVar,
     Var,
-    first_occurrences,
+    free_names,
     parse_formula,
     print_term,
     substitute_term,
@@ -30,7 +31,7 @@ from herbrandkit.syntax import (
 from herbrandkit.taut import atom_list, is_tautology
 
 from references import (
-    reference_first_occurrences,
+    reference_free_names,
     reference_print_term,
     reference_term_free_names,
     reference_term_height,
@@ -68,16 +69,22 @@ def build(spec):
 
 
 @settings(max_examples=150, deadline=None)
-@given(term_specs(), term_specs())
-def test_the_stored_values_agree_with_the_recursive_walkers(a, b):
+@given(term_specs(), term_specs(), st.data())
+def test_the_stored_values_agree_with_the_recursive_walkers(a, b, data):
+    """The free names of a formula over both terms come in the order of a
+    recursive walk that carries the bound names; its binders are drawn from
+    x and y, which may shadow each other, a ? name and the terms' own
+    names, which may be the print of a Skolem-named variable."""
     s, t = build(a), build(b)
     for u in (s, t):
         assert print_term(u) == reference_print_term(u)
         assert term_height(u) == reference_term_height(u)
         assert term_height(u, herbrand=True) == reference_term_height(u, True)
         assert term_free_names(u) == reference_term_free_names(u)
-    f = Forall("x", Or(Atom("p", (s,)), Not(Exists("y", Atom("q", (t, s))))))
-    assert first_occurrences(f) == reference_first_occurrences(f)
+    binder = st.sampled_from(["x", "y", "?u", *s.names, *t.names])
+    f = Forall(data.draw(binder), Or(Atom("p", (s,)), Not(Exists(data.draw(binder), And(
+        Atom("q", (t, s)), Forall(data.draw(binder), Atom("q", (Var("x"), t))))))))
+    assert list(free_names(f)) == reference_free_names(f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,7 +134,7 @@ def test_a_5000_deep_term_is_hashed_compared_and_read_within_the_recursion_limit
     assert print_term(t) == "f(" * 5000 + "x" + ")" * 5000
     assert term_height(t) == 5001 and term_height(t, herbrand=True) == 5000
     assert term_free_names(t) == {"x"}
-    assert first_occurrences(Atom("p", (t, GammaVar("z")))) == ["x", "?z"]
+    assert list(free_names(Atom("p", (t, GammaVar("z"))))) == ["x", "?z"]
     c = substitute_term(t, {"x": App("c", False, ())})
     assert print_term(c) == "f(" * 5000 + "c" + ")" * 5000
     assert term_free_names(c) == set() and term_height(c) == 5001
