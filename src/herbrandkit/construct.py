@@ -2,11 +2,13 @@
 
 The pipeline from a first-order formula to a checkable derivation:
 
-  * ``property_c`` Skolemizes a formula (outer or delta-plus-plus), expands
-    it over the height-bounded term domain of a given order, and asks the
-    tautology checker; a selection tree restricts the expansion to chosen
-    witnesses, which can only confirm, never refute.
-  * ``min_order`` scans orders upward for the least one that works.
+  * ``property_c`` Skolemizes a formula (outer or delta-plus-plus), grounds
+    its expansion over the height-bounded term domain of a given order into
+    the propositional abstraction, and refutes its clausal form; a
+    selection tree restricts the expansion to chosen witnesses, which can
+    only confirm, never refute.
+  * ``min_order`` Skolemizes once and scans orders upward for the least
+    one that works.
   * ``construct_derivation`` turns a confirmed order plus a selection into
     a derivation in the single-premise calculus: name the removed-quantifier
     variables by their Skolem terms, duplicate quantifiers once per chosen
@@ -32,9 +34,9 @@ from .expansion import (
     SelOr,
     SelQuant,
     Selection,
+    abstraction,
     build_sub_expansion,
     champ,
-    expand,
     expansion_leaf_count,
     expansion_node_count,
     full_selection,
@@ -100,7 +102,7 @@ from .syntax import (
     term_height,
     var_for_name,
 )
-from .taut import is_tautology
+from .taut import decide_form, is_tautology, refutation_clauses
 
 
 class ConstructError(FormulaError):
@@ -142,21 +144,29 @@ def _as_selection(sel) -> Selection:
     return parse_selection(sel) if isinstance(sel, str) else sel
 
 
+def skolemized(a: Formula, star: bool = False,
+               registry: SkolemRegistry | None = None) -> Formula:
+    """a rectified and Skolemized as property C reads it: delta-plus-plus
+    into registry (a fresh one by default) under star, else outer."""
+    if not star:
+        return outer_skolemize(rectify(a))
+    return deltapp_skolemize(rectify(a), registry if registry is not None else SkolemRegistry())
+
+
 def property_c(a: Formula, n: int, star: bool = False, sel=None,
                herbrand_heights: bool = False, budget: int = DEFAULT_BUDGET,
-               registry: SkolemRegistry | None = None) -> PropertyCResult:
+               registry: SkolemRegistry | None = None,
+               sk: Formula | None = None) -> PropertyCResult:
     """Does the order-n expansion of a's Skolemized form come out
     tautological?  With a selection, only the chosen sub-expansion is
     built; a positive answer is then still conclusive, a negative one is
-    not."""
+    not.  sk, when given, is skolemized(a, star, registry), made once by a
+    caller that asks at several orders.  The expansion is grounded straight
+    into the propositional abstraction, which the CDCL solver refutes."""
     if n < 1:
         raise ConstructError(f"the order must be at least 1, got {n}")
-    a_r = rectify(a)
-    if star:
-        reg = registry if registry is not None else SkolemRegistry()
-        sk = deltapp_skolemize(a_r, reg)
-    else:
-        sk = outer_skolemize(a_r)
+    if sk is None:
+        sk = skolemized(a, star, registry)
     ch = champ(sk, n, herbrand=herbrand_heights, budget=budget)
     base = dict(order=n, star=star, herbrand_heights=herbrand_heights,
                 skolemized=sk, term_count=len(ch.terms))
@@ -167,8 +177,9 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
             shown = ", ".join(print_term(t) for t in offenders[:5])
             raise ConstructError(
                 f"the selection uses terms outside the order-{n} domain: {shown}")
-        e = build_sub_expansion(sk, sel_tree, budget)
-        taut = is_tautology(e)
+        # champ terms use only sk's free names, which rectification keeps
+        # apart from its binders: build_sub_expansion's clash check holds
+        taut = decide_form(*refutation_clauses(*abstraction(sk, sel_tree, budget)))[0]
         if taut:
             return PropertyCResult("holds", witness="sub-expansion selection",
                                    tautology=True, **base)
@@ -192,8 +203,8 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
         raise BudgetError(
             f"the order-{n} expansion has {count} formula nodes, "
             f"over the size guard of {budget}")
-    e = expand(sk, ch, budget=budget)
-    taut = is_tautology(e)
+    nodes, root = abstraction(sk, full_selection(sk, ch.terms), budget)
+    taut = decide_form(*refutation_clauses(nodes, root))[0]
     return PropertyCResult("holds" if taut else "fails",
                            witness="full-expansion" if taut else "none",
                            tautology=taut, node_count=count, **base)
@@ -204,12 +215,14 @@ def min_order(a: Formula, star: bool = False, n_max: int = 8,
               budget: int = DEFAULT_BUDGET) -> int | None:
     """Least order up to n_max at which the full expansion is tautological,
     or None.  Selections play no part here; this is the search the
-    round-trip theorems quantify over."""
+    round-trip theorems quantify over.  a is Skolemized once for every
+    order."""
     if n_max < 1:
         raise ConstructError(f"the largest order must be at least 1, got {n_max}")
+    sk = skolemized(a, star)
     for n in range(1, n_max + 1):
         r = property_c(a, n, star=star, herbrand_heights=herbrand_heights,
-                       budget=budget)
+                       budget=budget, sk=sk)
         if r.holds:
             return n
     return None

@@ -6,24 +6,36 @@ existential quantifier by the disjunction of the instances and a universal
 quantifier by the conjunction; a sub-expansion expands every quantifier over
 a chosen nonempty subset of terms, chosen per branch via a selection tree
 mirroring the quantifier skeleton.  The full expansion is the sub-expansion
-along full_selection, which chooses every term at every quantifier; both are
-built by one walk along a selection that makes each instance once, at the
-quantifier-free leaves, under the environment of the chosen terms.
+along full_selection, which chooses every term at every quantifier.
+
+Both are made by one walk along a selection (_walk), from an explicit
+stack, with a builder passed in.  Each instance is made once, at the
+quantifier-free leaves, under the environment of the chosen terms, and each
+quantifier's instances are joined, left nested, as they close.  The formula
+builder makes Formula objects (expand, build_sub_expansion).  The literal
+builder (abstraction, which property_c reads) grounds straight into taut's
+propositional abstraction: each leaf is compiled once, its atoms into print
+templates filled from the term prints of the environment, so no Atom, Term
+or substitute is made per instance.
+
+Selections compare, hash and print from explicit stacks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
+from operator import neg
 
 from .syntax import (
-    And, App, Atom, Branch, DOT, Forall, Formula, FormulaError, GammaVar,
-    Not, Or, Prune, Quant, Term, Var, _parse_term, _Tokens, bound_names,
-    children, collect_signature, fold, formula_size, is_quantifier_free,
-    parse_term, print_term, quant_kind, rebuild, substitute, term_free_names,
-    term_height, var_for_name,
+    And, App, Atom, DOT, Forall, Formula, FormulaError, GammaVar, Not, Or,
+    Quant, Term, Var, _parse_term, _Tokens, bound_names, children,
+    collect_signature, fold, formula_size, is_quantifier_free, parse_term,
+    print_term, quant_kind, substitute, term_free_names, term_height,
+    var_for_name,
 )
+from .taut import numbering
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -184,30 +196,60 @@ def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
 # ---------------------------------------------------------------------------
 # selection trees
 
-@dataclass(frozen=True)
-class SelLeaf:
+class _Sel:
+    """What the selection classes share, none of it recursive: == compares
+    two trees node by node from an explicit stack, and the hash and repr
+    read the print."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Sel):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or type(a) is SelQuant and (
+                    (a.kind, a.var, a.terms) != (b.kind, b.var, b.terms)):
+                return False
+            ka, kb = _sel_children(a), _sel_children(b)
+            if len(ka) != len(kb):
+                return False
+            stack += zip(ka, kb)
+        return True
+
+    def __hash__(self):
+        return hash(print_selection(self))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {print_selection(self)}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SelLeaf(_Sel):
     pass
 
 
-@dataclass(frozen=True)
-class SelNot:
+@dataclass(frozen=True, eq=False, repr=False)
+class SelNot(_Sel):
     sub: "Selection"
 
 
-@dataclass(frozen=True)
-class SelAnd:
+@dataclass(frozen=True, eq=False, repr=False)
+class SelAnd(_Sel):
     left: "Selection"
     right: "Selection"
 
 
-@dataclass(frozen=True)
-class SelOr:
+@dataclass(frozen=True, eq=False, repr=False)
+class SelOr(_Sel):
     left: "Selection"
     right: "Selection"
 
 
-@dataclass(frozen=True)
-class SelQuant:
+@dataclass(frozen=True, eq=False, repr=False)
+class SelQuant(_Sel):
     kind: str  # forall | exists
     var: str
     terms: tuple[Term, ...]
@@ -417,42 +459,134 @@ def build_sub_expansion(f: Formula, sel: Selection,
     return _walk(f, sel, budget)
 
 
-def _walk(f: Formula, sel: Selection, budget: int) -> Formula:
-    """The sub-expansion of f along sel, folded with (selection, environment):
-    a quantifier folds its body once per chosen term, the environment sending
-    its variable to the term, and joins the instances; a quantifier-free
-    subformula under a leaf is instantiated once, by the environment.  Every
-    node built is counted as it is built."""
+def abstraction(f: Formula, sel: Selection,
+                budget: int = DEFAULT_BUDGET) -> tuple[list, int]:
+    """taut's propositional abstraction (nodes, root) of the sub-expansion
+    of f along sel, grounded by the walk's literal builder without building
+    the expansion: equal to taut._abstract of build_sub_expansion(f, sel,
+    budget), and guarded alike.  Unlike build_sub_expansion it does not
+    check sel's terms against f's binders."""
+    nodes, number = numbering()
+    return nodes, _walk(f, sel, budget, _literals(number))
+
+
+# the walk's formula builder: a leaf is instantiated by substitute, and
+# instances join by their connective
+_FORMULAS = (lambda g, env: substitute(g, env) if env else g,
+             Not, lambda cls, a, b: cls(a, b), lambda t: t)
+
+
+def _literals(number):
+    """The walk's literal builder: it gives a leaf instance's literal in the
+    numbering of taut.numbering, with no Atom, Term or substitute made.  Each
+    distinct leaf is compiled once into its nodes in postorder, an atom as
+    its print split around its variable occurrences, whose names the odd
+    pieces hold, to fill from the environment, which holds term prints.  A
+    test holds the pieces to print_atom."""
+    compiled: dict[int, list] = {}
+
+    def compile_leaf(g):
+        ops, stack = [], [g]
+        while stack:  # root, right, left: the reverse of the postorder
+            h = stack.pop()
+            if type(h) is not Atom:
+                ops.append(type(h))
+                stack += children(h)
+                continue
+            if h.pred == "<" and len(h.args) == 2:
+                items = [h.args[1], " < ", h.args[0]]
+            else:
+                items = [")", *_commas(h.args), h.pred + "("] if h.args else [h.pred]
+            parts = [""]
+            while items:  # print_atom's pieces, last first, made no term
+                x = items.pop()
+                if type(x) is str or not x.names:
+                    parts[-1] += x if type(x) is str else x.text
+                elif type(x) is App:
+                    items += [")", *_commas(x.args), x.sym + "("]
+                else:
+                    parts += [x.text, ""]
+            ops.append(parts[0] if len(parts) == 1 else parts)
+        ops.reverse()
+        return ops
+
+    def leaf(g, env):
+        ops = compiled.get(id(g))
+        if ops is None:
+            ops = compiled[id(g)] = compile_leaf(g)
+        out = []
+        for op in ops:
+            if op is Not:
+                out[-1] = -out[-1]
+            elif op is And or op is Or:
+                b = out.pop()
+                out[-1] = number((op, out[-1], b))
+            elif type(op) is str:
+                out.append(number(op))
+            else:
+                parts = op.copy()
+                for i in range(1, len(parts), 2):
+                    parts[i] = env.get(parts[i], parts[i])
+                out.append(number("".join(parts)))
+        return out[0]
+
+    return leaf, neg, lambda cls, a, b: number((cls, a, b)), print_term
+
+
+def _commas(args) -> list:
+    """args, last first, with a comma between each two."""
+    return [x for a in reversed(args) for x in (",", a)][1:]
+
+
+def _walk(f: Formula, sel: Selection, budget: int, builder=_FORMULAS):
+    """The sub-expansion of f along sel, walked from an explicit stack and
+    built by builder (leaf, neg, join, value), by default _FORMULAS: a
+    quantifier walks its body once per chosen term, the environment sending
+    its variable to value(term), and joins each instance as it closes, left
+    nested; a quantifier-free subformula under a leaf is instantiated once,
+    by leaf(g, env).  Every node is counted: a negation or junction as it is
+    entered, a leaf instance as it is made, and a quantifier's joins
+    together at its last join."""
+    leaf, negate, join, value = builder
     count = 0
     sizes: dict[int, int | None] = {}  # id(g) -> g's size if quantifier-free
-
-    def grow(nodes: int) -> None:
-        nonlocal count
-        count += nodes
+    out: list = []
+    # (node, selection, environment), or (None, connective, n) to negate or
+    # join the last results and count n nodes
+    stack: list = [(f, sel, {})]
+    while stack:
+        g, s, env = stack.pop()
+        if g is None:
+            count += env
+            if s is Not:
+                out[-1] = negate(out[-1])
+            else:
+                b = out.pop()
+                out[-1] = join(s, out[-1], b)
+        else:
+            size = None
+            if type(s) is SelLeaf:
+                key = id(g)
+                if key not in sizes:
+                    sizes[key] = formula_size(g) if is_quantifier_free(g) else None
+                size = sizes[key]
+            if size is not None:
+                count += size
+                out.append(leaf(g, env))
+            else:
+                subs = match_selection(g, s)
+                if isinstance(g, Quant):
+                    cls, last = And if isinstance(g, Forall) else Or, len(subs) - 1
+                    seq = [(g.body, subs[0], {**env, g.var: value(s.terms[0])})]
+                    for i in range(1, last + 1):
+                        seq += ((g.body, subs[i], {**env, g.var: value(s.terms[i])}),
+                                (None, cls, last if i == last else 0))
+                else:
+                    seq = [(c, cs, env) for c, cs in zip(children(g), subs)]
+                    seq.append((None, type(g), 0))
+                    count += 1
+                stack += reversed(seq)
         if count > budget:
             raise BudgetError(
                 f"sub-expansion exceeds the size guard of {budget} nodes")
-
-    def down(g, ctx):
-        s, env = ctx
-        if isinstance(s, SelLeaf):
-            key = id(g)
-            if key not in sizes:
-                sizes[key] = formula_size(g) if is_quantifier_free(g) else None
-            if (size := sizes[key]) is not None:
-                grow(size)
-                return Prune(substitute(g, env) if env else g)
-        subs = match_selection(g, s)
-        if isinstance(g, Quant):
-            return Branch(tuple((g.body, (br, {**env, g.var: t}))
-                                for t, br in zip(s.terms, subs)), s)
-        grow(1)
-        return Branch(tuple((c, (cs, env)) for c, cs in zip(children(g), subs)), s)
-
-    def up(g, kids, s):
-        if not isinstance(g, Quant):
-            return rebuild(g, *kids)
-        grow(len(kids) - 1)
-        return reduce(And if isinstance(g, Forall) else Or, kids)
-
-    return fold(f, up, down, (sel, {}))
+    return out[0]

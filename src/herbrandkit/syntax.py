@@ -757,14 +757,33 @@ class Signature:
 
 
 def collect_signature(f: Formula) -> Signature:
-    atoms = [g for g in subformulas(f) if type(g) is Atom]
-    apps = [t for g in atoms for a in g.args for t in subterms(a) if type(t) is App]
-    free = free_names(f)
-    return Signature({t.sym: (len(t.args), t.skolem) for t in apps if t.sym != "@dot"},
-                     {g.pred: len(g.args) for g in atoms},
-                     [nm for nm in free if nm[0] != "?"],
-                     [nm[1:] for nm in free if nm[0] == "?"],
-                     any(t.sym == "@dot" for t in apps))
+    """f's signature from one preorder walk on an explicit stack, which
+    counts the binders of each name open above the node: free names in
+    free_names' order, functions and predicates in order of first
+    occurrence."""
+    funcs: dict[str, tuple[int, bool]] = {}
+    preds: dict[str, int] = {}
+    free: dict[str, None] = {}
+    bound: dict[str, int] = {}
+    dot = False
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is str:  # leaving the scope of a binder of this name
+            bound[g] -= 1
+        elif type(g) is Atom:
+            preds[g.pred] = len(g.args)
+            free.update((n, None) for a in g.args for n in a.names if not bound.get(n))
+            apps = [s for a in g.args for s in subterms(a) if type(s) is App]
+            funcs.update((s.sym, (len(s.args), s.skolem)) for s in apps if s.sym != "@dot")
+            dot = dot or any(s.sym == "@dot" for s in apps)
+        elif isinstance(g, Quant):
+            bound[g.var] = bound.get(g.var, 0) + 1
+            stack += (g.var, g.body)
+        else:
+            stack.extend(reversed(children(g)))
+    return Signature(funcs, preds, [n for n in free if n[0] != "?"],
+                     [n[1:] for n in free if n[0] == "?"], dot)
 
 
 # ---------------------------------------------------------------------------

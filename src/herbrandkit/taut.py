@@ -2,12 +2,15 @@
 
 Atoms are identified by their full printed form, so a Skolem-named variable
 and a term that happens to print the same way name the same proposition.
-One post-order fold reads a formula into its propositional abstraction:
-atoms and junctions numbered together as they first close, each junction
-defined once per (connective, child literals).  The check has one route:
-it refutes the negation through the structure-preserving clausal form of
-that abstraction with a CDCL solver (two watched literals, first-UIP clause
-learning and non-chronological backjumping), whatever the atom count.
+The propositional abstraction numbers atoms and junctions together as they
+first close, each junction defined once per (connective, child literals),
+through one numbering helper (numbering).  A formula is read into it by one
+post-order fold (_abstract); the expansion walk's literal builder numbers
+the instances of an expansion straight into it.  The check has one route:
+it refutes the negation through the structure-preserving clausal form of an
+abstraction (refutation_clauses) with a CDCL solver (two watched literals,
+first-UIP clause learning and non-chronological backjumping), whatever the
+atom count.
 """
 
 from __future__ import annotations
@@ -23,30 +26,40 @@ class TautError(FormulaError):
     pass
 
 
-def _abstract(f: Formula) -> tuple[list, int]:
-    """The propositional abstraction of f, from one fold: its nodes, where
-    node v - 1 is variable v (an atom's print, or a junction (And or Or,
-    left literal, right literal)), and the literal of f's root.  Subformulas
-    equal up to double negations and atom prints share one variable, and
-    none is hashed whole.  Raises TautError at a quantifier."""
+def numbering() -> tuple[list, object]:
+    """A fresh numbering of abstraction nodes: (nodes, number), where
+    number(key) gives the variable of key (an atom's print, or a junction
+    (And or Or, left literal, right literal)), appending key to nodes when
+    it is new, so node v - 1 is variable v."""
     nodes: list = []
     var: dict = {}
 
-    def lit(g, kids, _) -> int:
-        t = type(g)
-        if t is Atom:
-            key = print_atom(g)
-        elif t is Not:
-            return -kids[0]
-        elif t is And or t is Or:
-            key = (t, *kids)
-        else:
-            raise TautError(QUANTIFIER_FREE_ONLY)
+    def number(key) -> int:
         v = var.get(key)
         if v is None:
             nodes.append(key)
             v = var[key] = len(nodes)
         return v
+
+    return nodes, number
+
+
+def _abstract(f: Formula) -> tuple[list, int]:
+    """The propositional abstraction of f, from one fold: its nodes, as
+    numbering gives them, and the literal of f's root.  Subformulas equal up
+    to double negations and atom prints share one variable, and none is
+    hashed whole.  Raises TautError at a quantifier."""
+    nodes, number = numbering()
+
+    def lit(g, kids, _) -> int:
+        t = type(g)
+        if t is Atom:
+            return number(print_atom(g))
+        if t is Not:
+            return -kids[0]
+        if t is And or t is Or:
+            return number((t, *kids))
+        raise TautError(QUANTIFIER_FREE_ONLY)
 
     return nodes, fold(f, lit)
 
@@ -59,13 +72,16 @@ def atom_list(f: Formula) -> list[str]:
 
 def clausal_refutation_form(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
     """Structure-preserving clausal form whose unsatisfiability certifies
-    that f is a tautology: definitional variables for every subformula of f
-    plus the unit clause asserting the root false.
+    that f is a tautology: refutation_clauses of f's abstraction."""
+    return refutation_clauses(*_abstract(f))
 
-    Returns (clauses, atom name -> variable, number of variables).  A
-    junction is defined once per (connective, child literals), as in
-    the abstraction the check reads."""
-    nodes, root = _abstract(f)
+
+def refutation_clauses(nodes: list, root: int) -> tuple[list[list[int]], dict[str, int], int]:
+    """The clausal form of an abstraction (nodes, root): definitional
+    clauses for every junction, defined once per (connective, child
+    literals), plus the unit clause asserting the root false.
+
+    Returns (clauses, atom name -> variable, number of variables)."""
     clauses: list[list[int]] = []
     atom_var: dict[str, int] = {}
     for v, node in enumerate(nodes, 1):

@@ -1,14 +1,19 @@
 """Term domains, expansions, sub-expansions, and selection trees."""
 
 import ast
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from herbrandkit.construct import UPPER_BOUND_SELECTION, property_c
+import herbrandkit
+from herbrandkit.construct import UPPER_BOUND_SELECTION, min_order, property_c, skolemized
 from herbrandkit.expansion import (
     LEAF,
     BudgetError,
@@ -19,11 +24,13 @@ from herbrandkit.expansion import (
     SelQuant,
     SelectionError,
     _sel_children,
+    abstraction,
     build_sub_expansion,
     champ,
     expand,
     expansion_leaf_count,
     expansion_node_count,
+    full_selection,
     parse_selection,
     print_selection,
     selection_terms,
@@ -49,13 +56,14 @@ from herbrandkit.syntax import (
     print_term,
     quant_kind,
     rectify,
+    subformulas,
     term_free_names,
     term_height,
 )
-from herbrandkit.taut import is_tautology
+from herbrandkit.taut import _abstract, decide_form, is_tautology, refutation_clauses
 
 import references
-from conftest import random_candidate
+from conftest import DRINKER_TEXT, TWO_DISJUNCT_TEXT, random_candidate
 from test_fold import TERMS, random_formula
 
 
@@ -514,3 +522,185 @@ def test_sub_expansion_agrees_with_the_reference():
         outcomes["built"] += 1
     assert outcomes["built"] > 300 and outcomes["BudgetError"] > 50
     assert outcomes["SelectionError"] > 100
+
+
+# ---------------------------------------------------------------------------
+# the literal builder: the walk grounds straight into taut's abstraction
+
+def succ_text(k: int, twin: bool) -> str:
+    goal = "d" if twin else "c"
+    for _ in range(k):
+        goal = f"f({goal})"
+    return f"(p(c) & (forall x. (p(x) -> p(f(x))))) -> p({goal})"
+
+
+UPPER2_TEXT = ("((forall x. forall y. exists m. (x < m & y < m)) & "
+               "(forall c. forall b. forall a. ((a < b & b < c) -> a < c))) -> "
+               "(forall u. forall v. exists z. (u < z & v < z))")
+
+
+def transitivity_text(n: int, rng) -> str:
+    """A chain k0 -> ... -> k(n-1) with one extra edge, asking for a pair
+    the closure has or has not."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(rng.randrange(n), rng.randrange(n))]
+    facts = " & ".join(f"r(k{s},k{t})" for s, t in edges)
+    s, t = rng.sample(range(n), 2)
+    return (f"((forall a. forall b. forall c. ((r(a,b) & r(b,c)) -> r(a,c))) & {facts})"
+            f" -> r(k{s},k{t})")
+
+
+def orders_family_texts():
+    rng = random.Random(20)
+    return ([succ_text(k, twin) for k in range(1, 7) for twin in (False, True)]
+            + [DRINKER_TEXT, TWO_DISJUNCT_TEXT, TWO_DISJUNCT_MOVED_TEXT, UPPER2_TEXT]
+            + [transitivity_text(n, rng) for n in range(3, 7) for _ in range(2)])
+
+
+TWO_DISJUNCT_MOVED_TEXT = ("(exists a. (~(exists b. p(b)) | q(a))) | "
+                           "((exists x. p(x)) & ~(exists y. q(y)))")
+
+
+def assert_grounds_alike(f, sel, budget=10_000_000):
+    """abstraction(f, sel) is the abstraction of the built sub-expansion, and
+    the verdict read off it is the one is_tautology gives."""
+    built = build_sub_expansion(f, sel, budget)
+    got = abstraction(f, sel, budget)
+    assert got == _abstract(built)
+    assert decide_form(*refutation_clauses(*got))[0] == is_tautology(built)
+    return got
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
+def test_literal_builder_agrees_on_the_orders_families(star):
+    """Every orders family at every order up to one past its least, on both
+    Skolemizations: the same (nodes, root) as taut._abstract of expand, and
+    the verdict property_c gives."""
+    seen = Counter()
+    for text in orders_family_texts():
+        sk = skolemized(parse_formula(text), star)
+        least = min_order(parse_formula(text), star=star)
+        for n in range(2, (least or 3) + 2):
+            ch = champ(sk, n)
+            if not ch.terms or expansion_node_count(sk, len(ch)) > 200_000:
+                continue
+            sel = full_selection(sk, ch.terms)
+            got = assert_grounds_alike(sk, sel)
+            assert got == _abstract(expand(sk, ch))
+            assert property_c(parse_formula(text), n, star=star).holds == (
+                is_tautology(expand(sk, ch)))
+            seen[n == least] += 1
+    assert seen[True] >= 15 and seen[False] >= 30
+
+
+def test_literal_builder_agrees_on_the_order_3_upper_bound(upper_bound):
+    sk = skolemized(upper_bound)
+    ch = champ(sk, 3)
+    nodes, root = assert_grounds_alike(sk, full_selection(sk, ch.terms))
+    assert (nodes, root) == _abstract(expand(sk, ch))
+    assert expansion_node_count(sk, len(ch)) == 12_744
+    assert sum(type(node) is str for node in nodes) == 405
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
+def test_literal_builder_agrees_along_the_upper_bound_selection(upper_bound, star):
+    sk = skolemized(upper_bound, star)
+    nodes, _ = assert_grounds_alike(sk, parse_selection(UPPER_BOUND_SELECTION))
+    assert sum(type(node) is str for node in nodes) == 6
+
+
+def test_literal_builder_agrees_on_random_candidates():
+    rng = random.Random(2020)
+    for _ in range(150):
+        a = random_candidate(rng)
+        for star in (False, True):
+            sk = skolemized(a, star)
+            for n in (2, 3):
+                ch = champ(sk, n)
+                if ch.terms:
+                    assert_grounds_alike(sk, full_selection(sk, ch.terms))
+
+
+def test_literal_builder_agrees_on_random_selections_and_guards():
+    """Random formulas and selections, some of them faulty, under random
+    size guards: the abstraction of the built sub-expansion, or the same
+    error and text, wherever the selection's terms avoid the binders."""
+    rng = random.Random(2021)
+    outcomes = Counter()
+    for i in range(600):
+        f = random_candidate(rng)
+        f = outer_skolemize(f) if i % 2 else f
+        sel = random_selection(rng, f, list(champ(f, 3).terms))
+        if bound_names(f) & set().union(*map(term_free_names, selection_terms(sel))):
+            continue
+        budget = rng.choice([4, 8, 16, 40, 10_000_000])
+        try:
+            want = _abstract(build_sub_expansion(f, sel, budget))
+        except (SelectionError, BudgetError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                abstraction(f, sel, budget)
+            outcomes[type(e).__name__] += 1
+            continue
+        assert abstraction(f, sel, budget) == want
+        outcomes["built"] += 1
+    assert min(outcomes.values()) > 50 and len(outcomes) == 3
+
+
+def test_leaf_templates_print_as_print_atom():
+    """Every quantifier-free subformula of seeded random formulas, with
+    Skolem terms, Skolem-named variables, ? names and @dot, grounded under
+    the empty environment: its holes fill with their own names, and the
+    literals are _abstract's."""
+    rng = random.Random(2022)
+    leaves = 0
+    for _ in range(300):
+        for g in subformulas(random_formula(rng, 5, [])):
+            if is_quantifier_free(g):
+                assert abstraction(g, LEAF) == _abstract(g)
+                leaves += 1
+    assert leaves > 1000
+
+
+@pytest.mark.parametrize("text", [UPPER2_TEXT, succ_text(3, False), DRINKER_TEXT],
+                         ids=["upper2", "succ3", "drinker"])
+def test_both_builders_refuse_one_node_under_the_count(text):
+    sk = skolemized(parse_formula(text))
+    ch = champ(sk, 3)
+    sel = full_selection(sk, ch.terms)
+    count = expansion_node_count(sk, len(ch))
+    assert formula_size(build_sub_expansion(sk, sel, count)) == count
+    abstraction(sk, sel, count)
+    for build in (build_sub_expansion, abstraction):
+        with pytest.raises(BudgetError, match=f"size guard of {count - 1} nodes"):
+            build(sk, sel, count - 1)
+
+
+# ---------------------------------------------------------------------------
+# selections compare, hash and print from explicit stacks
+
+SELECTION_CHAIN_SCRIPT = """
+import json, sys
+from herbrandkit.expansion import LEAF, SelNot, print_selection
+
+def chain():
+    s = LEAF
+    for _ in range(5000):
+        s = SelNot(s)
+    return s
+
+a, b, c = chain(), chain(), SelNot(chain())
+sys.setrecursionlimit(120)
+print(json.dumps({"==": a == b and a is not b and a != c,
+                  "hash": hash(a) == hash(b),
+                  "repr": repr(a) == "<SelNot " + print_selection(a) + ">",
+                  "set": len({a, b, c})}))
+"""
+
+
+def test_a_deep_selection_compares_hashes_and_prints_under_a_low_recursion_limit():
+    src = str(Path(herbrandkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SELECTION_CHAIN_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"==": True, "hash": True, "repr": True, "set": 2}
