@@ -36,9 +36,9 @@ from .expansion import (
     Selection,
     abstraction,
     build_sub_expansion,
+    ExpansionError,
     champ,
-    expansion_leaf_count,
-    expansion_node_count,
+    expansion_counts,
     full_selection,
     match_selection,
     parse_selection,
@@ -102,7 +102,7 @@ from .syntax import (
     term_height,
     var_for_name,
 )
-from .taut import decide_form, is_tautology, refutation_clauses
+from .taut import decide_form, refutation_clauses
 
 
 class ConstructError(FormulaError):
@@ -187,27 +187,24 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
             "inconclusive", witness="none", tautology=False,
             detail="the chosen sub-expansion is not a tautology; "
                    "the full expansion may still be", **base)
-    if not ch.terms:
-        if is_quantifier_free(sk):
-            taut = is_tautology(sk)
-            return PropertyCResult(
-                "holds" if taut else "fails",
-                witness="full-expansion" if taut else "none", tautology=taut,
-                detail="empty term domain; the quantifier-free form itself decides",
-                **base)
+    try:
+        count = expansion_counts(sk, len(ch.terms))[0]
+    except ExpansionError:  # no terms, and quantifiers remain
         return PropertyCResult(
             "fails", witness="none",
             detail=f"no terms of height below {n} but quantifiers remain", **base)
-    count = expansion_node_count(sk, len(ch.terms))
     if count > budget:
         raise BudgetError(
             f"the order-{n} expansion has {count} formula nodes, "
             f"over the size guard of {budget}")
     nodes, root = abstraction(sk, full_selection(sk, ch.terms), budget)
     taut = decide_form(*refutation_clauses(nodes, root))[0]
+    # over no terms the expansion is the quantifier-free sk itself
+    extra = (dict(node_count=count) if ch.terms else dict(
+        detail="empty term domain; the quantifier-free form itself decides"))
     return PropertyCResult("holds" if taut else "fails",
                            witness="full-expansion" if taut else "none",
-                           tautology=taut, node_count=count, **base)
+                           tautology=taut, **extra, **base)
 
 
 def min_order(a: Formula, star: bool = False, n_max: int = 8,
@@ -675,7 +672,7 @@ def demo_upper_bound() -> dict:
     sel_ok, _ = selection_within(sel, ch)
     j = build_sub_expansion(f_sk, sel)
     res = property_c(a, 4, star=False, sel=sel)
-    full_nodes = expansion_node_count(f_sk, n_terms)
+    full_nodes, leaves = expansion_counts(f_sk, n_terms)
 
     d = construct_derivation(a, 4, sel)
     report = check_derivation(d)
@@ -698,9 +695,9 @@ def demo_upper_bound() -> dict:
             "order": 4,
             "computed_size": n_terms,
             "documented_size": DOCUMENTED_DOMAIN_SIZE,
-            "leaf_count_at_computed_size": expansion_leaf_count(f_sk, n_terms),
-            "leaf_count_at_documented_size": expansion_leaf_count(
-                f_sk, DOCUMENTED_DOMAIN_SIZE),
+            "leaf_count_at_computed_size": leaves,
+            "leaf_count_at_documented_size": expansion_counts(
+                f_sk, DOCUMENTED_DOMAIN_SIZE)[1],
             "full_expansion_nodes": full_nodes,
             "full_expansion_within_guard": full_nodes <= DEFAULT_BUDGET,
         },

@@ -11,12 +11,13 @@ along full_selection, which chooses every term at every quantifier.
 Both are made by one walk along a selection (_walk), from an explicit
 stack, with a builder passed in.  Each instance is made once, at the
 quantifier-free leaves, under the environment of the chosen terms, and each
-quantifier's instances are joined, left nested, as they close.  The formula
+quantifier's instances are joined, left nested, as they close.  Each
+distinct leaf is compiled once per walk (taut.compile_leaf).  The formula
 builder makes Formula objects (expand, build_sub_expansion).  The literal
 builder (abstraction, which property_c reads) grounds straight into taut's
-propositional abstraction: each leaf is compiled once, its atoms into print
-templates filled from the term prints of the environment, so no Atom, Term
-or substitute is made per instance.
+propositional abstraction (taut.ground), filling the leaf's atom templates
+from the term prints of the environment, so no Atom, Term or substitute is
+made per instance.  The node and leaf counts are one fold (expansion_counts).
 
 Selections compare, hash and print from explicit stacks.
 """
@@ -31,11 +32,10 @@ from operator import neg
 from .syntax import (
     And, App, Atom, DOT, Forall, Formula, FormulaError, GammaVar, Not, Or,
     Quant, Term, Var, _parse_term, _Tokens, bound_names, children,
-    collect_signature, fold, formula_size, is_quantifier_free, parse_term,
-    print_term, quant_kind, substitute, term_free_names, term_height,
-    var_for_name,
+    collect_signature, fold, parse_term, print_term, quant_kind, substitute,
+    term_free_names, term_height, var_for_name,
 )
-from .taut import numbering
+from .taut import compile_leaf, ground, numbering
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -144,31 +144,31 @@ def _build_champ(funcs, base, order, herbrand, budget) -> ChampFini:
 # ---------------------------------------------------------------------------
 # full expansion
 
-def expansion_node_count(f: Formula, n_terms: int) -> int:
-    """Exact node count of the expansion of f over n_terms terms."""
+def expansion_counts(f: Formula, n_terms: int) -> tuple[int, int]:
+    """The exact node count of the expansion of f over n_terms terms, and
+    its number of instances of f's maximal quantifier-free subformulas,
+    from one fold that builds nothing.  Over no terms, a quantifier raises
+    expand's ExpansionError."""
 
+    # (nodes, leaves); 0 leaves marks a quantifier-free subformula, one leaf
     def up(g, kids, _):
-        if isinstance(g, Quant):
-            return n_terms * kids[0] + (n_terms - 1)
-        return 1 + sum(kids)
+        t = type(g)
+        if t is Atom:
+            return 1, 0
+        if t is Not:
+            nodes, leaves = kids[0]
+            return nodes + 1, leaves
+        if t is And or t is Or:
+            (a, x), (b, y) = kids
+            return a + b + 1, (x or 1) + (y or 1) if x or y else 0
+        if not n_terms:
+            raise ExpansionError("expansion over an empty term list is "
+                                 "undefined for a formula with quantifiers")
+        nodes, leaves = kids[0]
+        return n_terms * nodes + n_terms - 1, n_terms * (leaves or 1)
 
-    return fold(f, up)
-
-
-def expansion_leaf_count(f: Formula, n_terms: int) -> int:
-    """Number of instances of the maximal quantifier-free subformulas in the
-    expansion of f over n_terms terms, computed without building anything."""
-
-    # None stands for a quantifier-free subformula, a single leaf
-    def up(g, kids, _):
-        if isinstance(g, Quant):
-            return n_terms * (1 if kids[0] is None else kids[0])
-        if all(k is None for k in kids):
-            return None
-        return sum(1 if k is None else k for k in kids)
-
-    count = fold(f, up)
-    return 1 if count is None else count
+    nodes, leaves = fold(f, up)
+    return nodes, leaves or 1
 
 
 def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
@@ -181,12 +181,9 @@ def expand(f: Formula, terms, budget: int = DEFAULT_BUDGET,
         terms = terms.terms  # distinct and in canonical order already
     else:
         terms = tuple(sorted(set(terms), key=lambda t: term_order_key(t, herbrand)))
+    total = expansion_counts(f, len(terms))[0]
     if not terms:
-        if is_quantifier_free(f):
-            return f
-        raise ExpansionError("expansion over an empty term list is undefined "
-                             "for a formula with quantifiers")
-    total = expansion_node_count(f, len(terms))
+        return f
     if total > budget:
         raise BudgetError(
             f"expansion would have {total} nodes, over the size guard of {budget}")
@@ -467,75 +464,15 @@ def abstraction(f: Formula, sel: Selection,
     budget), and guarded alike.  Unlike build_sub_expansion it does not
     check sel's terms against f's binders."""
     nodes, number = numbering()
-    return nodes, _walk(f, sel, budget, _literals(number))
+    return nodes, _walk(f, sel, budget, (
+        lambda g, ops, env: ground(ops, env, number), neg,
+        lambda cls, a, b: number((cls, a, b)), print_term))
 
 
 # the walk's formula builder: a leaf is instantiated by substitute, and
 # instances join by their connective
-_FORMULAS = (lambda g, env: substitute(g, env) if env else g,
+_FORMULAS = (lambda g, ops, env: substitute(g, env) if env else g,
              Not, lambda cls, a, b: cls(a, b), lambda t: t)
-
-
-def _literals(number):
-    """The walk's literal builder: it gives a leaf instance's literal in the
-    numbering of taut.numbering, with no Atom, Term or substitute made.  Each
-    distinct leaf is compiled once into its nodes in postorder, an atom as
-    its print split around its variable occurrences, whose names the odd
-    pieces hold, to fill from the environment, which holds term prints.  A
-    test holds the pieces to print_atom."""
-    compiled: dict[int, list] = {}
-
-    def compile_leaf(g):
-        ops, stack = [], [g]
-        while stack:  # root, right, left: the reverse of the postorder
-            h = stack.pop()
-            if type(h) is not Atom:
-                ops.append(type(h))
-                stack += children(h)
-                continue
-            if h.pred == "<" and len(h.args) == 2:
-                items = [h.args[1], " < ", h.args[0]]
-            else:
-                items = [")", *_commas(h.args), h.pred + "("] if h.args else [h.pred]
-            parts = [""]
-            while items:  # print_atom's pieces, last first, made no term
-                x = items.pop()
-                if type(x) is str or not x.names:
-                    parts[-1] += x if type(x) is str else x.text
-                elif type(x) is App:
-                    items += [")", *_commas(x.args), x.sym + "("]
-                else:
-                    parts += [x.text, ""]
-            ops.append(parts[0] if len(parts) == 1 else parts)
-        ops.reverse()
-        return ops
-
-    def leaf(g, env):
-        ops = compiled.get(id(g))
-        if ops is None:
-            ops = compiled[id(g)] = compile_leaf(g)
-        out = []
-        for op in ops:
-            if op is Not:
-                out[-1] = -out[-1]
-            elif op is And or op is Or:
-                b = out.pop()
-                out[-1] = number((op, out[-1], b))
-            elif type(op) is str:
-                out.append(number(op))
-            else:
-                parts = op.copy()
-                for i in range(1, len(parts), 2):
-                    parts[i] = env.get(parts[i], parts[i])
-                out.append(number("".join(parts)))
-        return out[0]
-
-    return leaf, neg, lambda cls, a, b: number((cls, a, b)), print_term
-
-
-def _commas(args) -> list:
-    """args, last first, with a comma between each two."""
-    return [x for a in reversed(args) for x in (",", a)][1:]
 
 
 def _walk(f: Formula, sel: Selection, budget: int, builder=_FORMULAS):
@@ -543,13 +480,13 @@ def _walk(f: Formula, sel: Selection, budget: int, builder=_FORMULAS):
     built by builder (leaf, neg, join, value), by default _FORMULAS: a
     quantifier walks its body once per chosen term, the environment sending
     its variable to value(term), and joins each instance as it closes, left
-    nested; a quantifier-free subformula under a leaf is instantiated once,
-    by leaf(g, env).  Every node is counted: a negation or junction as it is
-    entered, a leaf instance as it is made, and a quantifier's joins
-    together at its last join."""
+    nested; a quantifier-free subformula under a leaf is compiled once per
+    call and instantiated from its ops by leaf(g, ops, env).  Every node is
+    counted: a negation or junction as it is entered, a leaf instance as it
+    is made, and a quantifier's joins together at its last join."""
     leaf, negate, join, value = builder
     count = 0
-    sizes: dict[int, int | None] = {}  # id(g) -> g's size if quantifier-free
+    compiled: dict[int, list | None] = {}  # id(g) -> compile_leaf(g)
     out: list = []
     # (node, selection, environment), or (None, connective, n) to negate or
     # join the last results and count n nodes
@@ -564,15 +501,15 @@ def _walk(f: Formula, sel: Selection, budget: int, builder=_FORMULAS):
                 b = out.pop()
                 out[-1] = join(s, out[-1], b)
         else:
-            size = None
+            ops = None
             if type(s) is SelLeaf:
                 key = id(g)
-                if key not in sizes:
-                    sizes[key] = formula_size(g) if is_quantifier_free(g) else None
-                size = sizes[key]
-            if size is not None:
-                count += size
-                out.append(leaf(g, env))
+                if key not in compiled:
+                    compiled[key] = compile_leaf(g)
+                ops = compiled[key]
+            if ops is not None:
+                count += len(ops)
+                out.append(leaf(g, ops, env))
             else:
                 subs = match_selection(g, s)
                 if isinstance(g, Quant):

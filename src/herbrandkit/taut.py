@@ -4,9 +4,12 @@ Atoms are identified by their full printed form, so a Skolem-named variable
 and a term that happens to print the same way name the same proposition.
 The propositional abstraction numbers atoms and junctions together as they
 first close, each junction defined once per (connective, child literals),
-through one numbering helper (numbering).  A formula is read into it by one
-post-order fold (_abstract); the expansion walk's literal builder numbers
-the instances of an expansion straight into it.  The check has one route:
+through one numbering helper (numbering).  One compiler (compile_leaf)
+turns a quantifier-free formula into its nodes in postorder, each atom as
+its print split around its variable occurrences, and one reader (ground)
+numbers them under an environment of term prints: a formula is read with
+the empty environment (_abstract), and the expansion walk grounds every
+instance of a leaf from the leaf's one compile.  The check has one route:
 it refutes the negation through the structure-preserving clausal form of an
 abstraction (refutation_clauses) with a CDCL solver (two watched literals,
 first-UIP clause learning and non-chronological backjumping), whatever the
@@ -17,10 +20,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .syntax import And, Atom, Formula, FormulaError, Not, Or, fold, print_atom
-
-QUANTIFIER_FREE_ONLY = "tautology checking needs a quantifier-free formula"
-
+from .syntax import And, App, Atom, Formula, FormulaError, Not, Or, children
 
 class TautError(FormulaError):
     pass
@@ -44,24 +44,77 @@ def numbering() -> tuple[list, object]:
     return nodes, number
 
 
+def compile_leaf(g: Formula) -> list | None:
+    """The nodes of a quantifier-free g in postorder, one op per node, so
+    len(ops) is g's size; None at a quantifier.  A negation or junction is
+    its class, an atom its print, split around any variable occurrences
+    into a list whose odd pieces hold their names, for ground to fill.  No
+    term is made: the pieces are the terms' own prints, as in print_atom."""
+    ops, stack = [], [g]
+    while stack:  # root, right, left: the reverse of the postorder
+        h = stack.pop()
+        t = type(h)
+        if t is not Atom:
+            if t is not Not and t is not And and t is not Or:
+                return None
+            ops.append(t)
+            stack += children(h)
+            continue
+        a = h.args
+        items = ([a[1], " < ", a[0]] if h.pred == "<" and len(a) == 2
+                 else [(h.pred, a)] if a else [h.pred])
+        parts = [""]
+        while items:  # print_atom's pieces, last first
+            x = items.pop()
+            if type(x) is str:
+                parts[-1] += x
+            elif type(x) is tuple or type(x) is App and x.names:
+                sym, args = x if type(x) is tuple else (x.sym, x.args)
+                items.append(")")
+                for arg in reversed(args):
+                    items += (arg, ",")
+                items[-1] = sym + "("
+            elif x.names:
+                parts += [x.text, ""]
+            else:
+                parts[-1] += x.text
+        ops.append(parts[0] if len(parts) == 1 else parts)
+    ops.reverse()
+    return ops
+
+
+def ground(ops: list, env: dict, number) -> int:
+    """The literal of compile_leaf's ops, each atom's holes filled from env,
+    which sends variable names to term prints (a name it does not hold
+    stands for itself), and every node numbered by number, of numbering."""
+    out = []
+    for op in ops:
+        if op is Not:
+            out[-1] = -out[-1]
+        elif op is And or op is Or:
+            b = out.pop()
+            out[-1] = number((op, out[-1], b))
+        elif type(op) is str:
+            out.append(number(op))
+        else:
+            parts = op.copy()
+            for i in range(1, len(parts), 2):
+                parts[i] = env.get(parts[i], parts[i])
+            out.append(number("".join(parts)))
+    return out[0]
+
+
 def _abstract(f: Formula) -> tuple[list, int]:
-    """The propositional abstraction of f, from one fold: its nodes, as
-    numbering gives them, and the literal of f's root.  Subformulas equal up
-    to double negations and atom prints share one variable, and none is
-    hashed whole.  Raises TautError at a quantifier."""
+    """The propositional abstraction of f, its compile grounded under the
+    empty environment: its nodes, as numbering gives them, and the literal
+    of f's root.  Subformulas equal up to double negations and atom prints
+    share one variable, and none is hashed whole.  Raises TautError at a
+    quantifier."""
+    ops = compile_leaf(f)
+    if ops is None:
+        raise TautError("tautology checking needs a quantifier-free formula")
     nodes, number = numbering()
-
-    def lit(g, kids, _) -> int:
-        t = type(g)
-        if t is Atom:
-            return number(print_atom(g))
-        if t is Not:
-            return -kids[0]
-        if t is And or t is Or:
-            return number((t, *kids))
-        raise TautError(QUANTIFIER_FREE_ONLY)
-
-    return nodes, fold(f, lit)
+    return nodes, ground(ops, {}, number)
 
 
 def atom_list(f: Formula) -> list[str]:
@@ -274,19 +327,14 @@ def _cdcl(clauses: list[list[int]], nvars: int) -> bool:
             heapify(heap)
 
 
-def decide(f: Formula) -> tuple[bool, int]:
-    """Whether f is a tautology, and how many distinct atoms it has: f is
-    one exactly when the CDCL solver refutes its clausal form."""
-    return decide_form(*clausal_refutation_form(f))
-
-
 def decide_form(clauses, atom_var, nvars) -> tuple[bool, int]:
-    """decide on a clausal_refutation_form, which it leaves as it is."""
+    """Whether the formula of a clausal form is a tautology, and its atom
+    count: it is one exactly when the CDCL solver refutes the form."""
     return not _cdcl(clauses, nvars), len(atom_var)
 
 
 def is_tautology(f: Formula) -> bool:
-    return decide(f)[0]
+    return decide_form(*clausal_refutation_form(f))[0]
 
 
 def emit_dimacs(f: Formula) -> str:

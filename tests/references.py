@@ -15,7 +15,9 @@ parser, with the depth guard it needs, that the parser's loop over an
 explicit stack replaced; and the recursive structural ==, the walk for
 free names in order that carries the bound names, the Skolemization that
 substituted into the remaining body at each removed quantifier and the
-signature walk that the one free-name fold replaced."""
+signature walk that the one free-name fold replaced; and the abstraction
+fold that printed each atom, and the two count folds, that the one leaf
+compiler and the one count fold replaced."""
 
 import itertools
 from functools import reduce
@@ -33,7 +35,6 @@ from herbrandkit.expansion import (
     SelQuant,
     Selection,
     SelectionError,
-    expansion_node_count,
     match_selection,
     term_order_key,
 )
@@ -44,6 +45,7 @@ from herbrandkit.oracle import (
     _eval_term,
 )
 from herbrandkit.skolem import SkolemError, _fresh_symbol, canonical_key
+from herbrandkit.taut import TautError, numbering
 from herbrandkit.syntax import (
     And,
     App,
@@ -78,6 +80,7 @@ from herbrandkit.syntax import (
     is_rectified,
     is_skolem_symbol,
     parse_term,
+    print_atom,
     print_formula,
     print_term,
     quant_kind,
@@ -919,3 +922,53 @@ def reference_collect_signature(f):
 
     fold(f, lambda g, kids, bound: None, down, frozenset())
     return Signature(funcs, preds, fvars, gvars, dot)
+
+
+# ---------------------------------------------------------------------------
+# the abstraction fold and the count folds that the one leaf compiler
+# (taut.compile_leaf, read by taut.ground) and expansion_counts replaced
+
+def reference_abstract(f):
+    """The propositional abstraction of f, from one fold: its nodes, as
+    numbering gives them, and the literal of f's root, each atom numbered
+    by print_atom.  Raises TautError at a quantifier."""
+    nodes, number = numbering()
+
+    def lit(g, kids, _) -> int:
+        t = type(g)
+        if t is Atom:
+            return number(print_atom(g))
+        if t is Not:
+            return -kids[0]
+        if t is And or t is Or:
+            return number((t, *kids))
+        raise TautError("tautology checking needs a quantifier-free formula")
+
+    return nodes, fold(f, lit)
+
+
+def expansion_node_count(f, n_terms):
+    """Exact node count of the expansion of f over n_terms terms."""
+
+    def up(g, kids, _):
+        if isinstance(g, Quant):
+            return n_terms * kids[0] + (n_terms - 1)
+        return 1 + sum(kids)
+
+    return fold(f, up)
+
+
+def expansion_leaf_count(f, n_terms):
+    """Number of instances of the maximal quantifier-free subformulas in the
+    expansion of f over n_terms terms, computed without building anything."""
+
+    # None stands for a quantifier-free subformula, a single leaf
+    def up(g, kids, _):
+        if isinstance(g, Quant):
+            return n_terms * (1 if kids[0] is None else kids[0])
+        if all(k is None for k in kids):
+            return None
+        return sum(1 if k is None else k for k in kids)
+
+    count = fold(f, up)
+    return 1 if count is None else count

@@ -27,7 +27,7 @@ from herbrandkit.expansion import (
     BudgetError,
     build_sub_expansion,
     champ,
-    expansion_leaf_count,
+    expansion_counts,
     parse_selection,
     selection_within,
 )
@@ -118,7 +118,7 @@ def test_criterion_01_domain_count_at_order_4():
 def test_criterion_02_leaf_count_arithmetic():
     _, f_sk, _ = _walkthrough()
     n = 156
-    count = expansion_leaf_count(f_sk, n)
+    count = expansion_counts(f_sk, n)[1]
     assert count == n ** 2 + n ** 3 + n
     assert count == 3_820_908
 

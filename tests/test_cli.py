@@ -345,6 +345,44 @@ def test_check_c_trichotomy(capsys):
     assert code == 2 and "status: inconclusive" in out
 
 
+EMPTY_DOMAIN_CASES = [
+    ("forall y. (p(y) | ~p(y))", 0, {
+        "status": "holds", "witness": "full-expansion", "tautology": True,
+        "skolemized": "p(sk_y) | ~p(sk_y)",
+        "detail": "empty term domain; the quantifier-free form itself decides"}),
+    ("forall y. p(y)", 1, {
+        "status": "fails", "witness": "none", "tautology": False,
+        "skolemized": "p(sk_y)",
+        "detail": "empty term domain; the quantifier-free form itself decides"}),
+    ("(exists x. p(x)) | forall y. ~p(y)", 1, {
+        "status": "fails", "witness": "none", "tautology": None,
+        "skolemized": "(exists x. p(x)) | ~p(sk_y)",
+        "detail": "no terms of height below 1 but quantifiers remain"}),
+]
+
+
+@pytest.mark.parametrize("text, code, doc", EMPTY_DOMAIN_CASES,
+                         ids=["holds", "fails", "quantifiers-remain"])
+def test_check_c_over_an_empty_term_domain(capsys, text, code, doc):
+    """Under Herbrand heights a Skolem constant has height 1, so the order-1
+    champ of a formula with no other symbol is empty: a quantifier-free
+    Skolemized form decides itself, with no node count, and one with
+    quantifiers left fails."""
+    got = run_json(capsys, "check-c", "--order", "1", "--herbrand-heights", text)
+    assert got[:2] == (code, {**doc, "kind": "C", "order": 1, "term_count": 0})
+
+
+def test_check_c_holds_an_empty_term_domain_to_the_size_guard(capsys):
+    """Over no terms the expansion is the Skolemized form itself, held to
+    --budget as the same form is over one term."""
+    for text, heights in [("forall y. (p(y) | ~p(y))", ["--herbrand-heights"]),
+                          ("p | ~p", [])]:
+        code, _, err = run(capsys, "check-c", "--order", "1", *heights,
+                           "--budget", "3", text)
+        assert code == 2
+        assert "the order-1 expansion has 4 formula nodes, over the size guard of 3" in err
+
+
 def test_check_c_holds_a_selection_to_the_size_guard(capsys):
     """The sub-expansion of a selection is held to --budget like the full
     expansion, whose 24 nodes are refused under a guard of 20."""

@@ -28,8 +28,7 @@ from herbrandkit.expansion import (
     build_sub_expansion,
     champ,
     expand,
-    expansion_leaf_count,
-    expansion_node_count,
+    expansion_counts,
     full_selection,
     parse_selection,
     print_selection,
@@ -47,7 +46,9 @@ from herbrandkit.syntax import (
     bound_names,
     Not,
     Or,
+    Quant,
     Var,
+    children,
     formula_size,
     is_quantifier_free,
     parse_formula,
@@ -60,7 +61,8 @@ from herbrandkit.syntax import (
     term_free_names,
     term_height,
 )
-from herbrandkit.taut import _abstract, decide_form, is_tautology, refutation_clauses
+import herbrandkit.taut as taut
+from herbrandkit.taut import decide_form, is_tautology, refutation_clauses
 
 import references
 from conftest import DRINKER_TEXT, TWO_DISJUNCT_TEXT, random_candidate
@@ -172,15 +174,36 @@ def test_expansion_counts_match_built_expansion():
         f = parse_formula(text)
         terms = [parse_term(t) for t in ["c", "d", "f(c)"][:rng.randrange(1, 4)]]
         e = expand(f, terms)
-        assert formula_size(e) == expansion_node_count(f, len(terms))
-        leaves = expansion_leaf_count(f, len(terms))
-        assert leaves == len(terms) ** n_quants
+        assert expansion_counts(f, len(terms)) == (formula_size(e), len(terms) ** n_quants)
 
 
 def test_leaf_count_arithmetic_without_building(upper_bound):
     sk = outer_skolemize(rectify(upper_bound))
-    assert expansion_leaf_count(sk, 4) == 4**2 + 4**3 + 4
-    assert expansion_node_count(sk, 1000000) > 10**12
+    assert expansion_counts(sk, 4)[1] == 4**2 + 4**3 + 4
+    assert expansion_counts(sk, 1000000)[0] > 10**12
+
+
+def test_expansion_counts_agree_with_the_two_folds_they_replaced():
+    """On seeded random formulas: the node and leaf counts of the two
+    reference folds, at every term count but 0; over no terms, the same
+    counts for a quantifier-free formula and expand's error for any other."""
+    rng = random.Random(21)
+    formulas = [random_formula(rng, 5, []) for _ in range(300)]
+    formulas += [random_candidate(rng) for _ in range(100)]
+    seen = Counter()
+    for f in formulas + [parse_formula("forall x. p(x)"),
+                         parse_formula("(forall x. p(x)) & q")]:
+        for n in (0, 1, 2, 3, 147, 156):
+            if n == 0 and not is_quantifier_free(f):
+                with pytest.raises(ExpansionError, match="^expansion over an empty "
+                                   "term list is undefined for a formula with quantifiers$"):
+                    expansion_counts(f, n)
+                seen["raised"] += 1
+                continue
+            assert expansion_counts(f, n) == (references.expansion_node_count(f, n),
+                                              references.expansion_leaf_count(f, n))
+            seen[is_quantifier_free(f), n == 0] += 1
+    assert min(seen.values()) > 50 and len(seen) == 4
 
 
 def test_expand_budget_guard(upper_bound):
@@ -565,7 +588,7 @@ def assert_grounds_alike(f, sel, budget=10_000_000):
     the verdict read off it is the one is_tautology gives."""
     built = build_sub_expansion(f, sel, budget)
     got = abstraction(f, sel, budget)
-    assert got == _abstract(built)
+    assert got == references.reference_abstract(built)
     assert decide_form(*refutation_clauses(*got))[0] == is_tautology(built)
     return got
 
@@ -573,7 +596,8 @@ def assert_grounds_alike(f, sel, budget=10_000_000):
 @pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
 def test_literal_builder_agrees_on_the_orders_families(star):
     """Every orders family at every order up to one past its least, on both
-    Skolemizations: the same (nodes, root) as taut._abstract of expand, and
+    Skolemizations: the same (nodes, root) as the reference abstraction of
+    expand, and
     the verdict property_c gives."""
     seen = Counter()
     for text in orders_family_texts():
@@ -581,11 +605,11 @@ def test_literal_builder_agrees_on_the_orders_families(star):
         least = min_order(parse_formula(text), star=star)
         for n in range(2, (least or 3) + 2):
             ch = champ(sk, n)
-            if not ch.terms or expansion_node_count(sk, len(ch)) > 200_000:
+            if not ch.terms or expansion_counts(sk, len(ch))[0] > 200_000:
                 continue
             sel = full_selection(sk, ch.terms)
             got = assert_grounds_alike(sk, sel)
-            assert got == _abstract(expand(sk, ch))
+            assert got == references.reference_abstract(expand(sk, ch))
             assert property_c(parse_formula(text), n, star=star).holds == (
                 is_tautology(expand(sk, ch)))
             seen[n == least] += 1
@@ -596,8 +620,8 @@ def test_literal_builder_agrees_on_the_order_3_upper_bound(upper_bound):
     sk = skolemized(upper_bound)
     ch = champ(sk, 3)
     nodes, root = assert_grounds_alike(sk, full_selection(sk, ch.terms))
-    assert (nodes, root) == _abstract(expand(sk, ch))
-    assert expansion_node_count(sk, len(ch)) == 12_744
+    assert (nodes, root) == references.reference_abstract(expand(sk, ch))
+    assert expansion_counts(sk, len(ch))[0] == 12_744
     assert sum(type(node) is str for node in nodes) == 405
 
 
@@ -634,7 +658,7 @@ def test_literal_builder_agrees_on_random_selections_and_guards():
             continue
         budget = rng.choice([4, 8, 16, 40, 10_000_000])
         try:
-            want = _abstract(build_sub_expansion(f, sel, budget))
+            want = references.reference_abstract(build_sub_expansion(f, sel, budget))
         except (SelectionError, BudgetError) as e:
             with pytest.raises(type(e), match=re.escape(str(e))):
                 abstraction(f, sel, budget)
@@ -649,15 +673,59 @@ def test_leaf_templates_print_as_print_atom():
     """Every quantifier-free subformula of seeded random formulas, with
     Skolem terms, Skolem-named variables, ? names and @dot, grounded under
     the empty environment: its holes fill with their own names, and the
-    literals are _abstract's."""
+    literals are the reference abstraction's."""
     rng = random.Random(2022)
     leaves = 0
     for _ in range(300):
         for g in subformulas(random_formula(rng, 5, [])):
             if is_quantifier_free(g):
-                assert abstraction(g, LEAF) == _abstract(g)
+                assert abstraction(g, LEAF) == references.reference_abstract(g)
                 leaves += 1
     assert leaves > 1000
+
+
+def count_compiles(monkeypatch) -> Counter:
+    """Counts, by the id of the formula compiled, every call of
+    taut.compile_leaf, in each module that holds it."""
+    calls = Counter()
+    compile_leaf = taut.compile_leaf
+
+    def counted(g):
+        calls[id(g)] += 1
+        return compile_leaf(g)
+
+    for module in (taut, sys.modules["herbrandkit.expansion"]):
+        if getattr(module, "compile_leaf", None) is compile_leaf:
+            monkeypatch.setattr(module, "compile_leaf", counted)
+    return calls
+
+
+def maximal_quantifier_free(f) -> set[int]:
+    """The ids of f's maximal quantifier-free subformulas."""
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if is_quantifier_free(g):
+            out.add(id(g))
+        else:
+            stack += [g.body] if isinstance(g, Quant) else children(g)
+    return out
+
+
+@pytest.mark.parametrize("text", [UPPER2_TEXT, succ_text(3, False), DRINKER_TEXT],
+                         ids=["upper2", "succ3", "drinker"])
+def test_one_walk_compiles_each_distinct_leaf_once(monkeypatch, text):
+    """One abstraction call and one expand call each compile every
+    distinct leaf of the full selection once, and nothing else."""
+    sk = skolemized(parse_formula(text))
+    ch = champ(sk, 3)
+    leaves = maximal_quantifier_free(sk)
+    for walk in (lambda: abstraction(sk, full_selection(sk, ch.terms)),
+                 lambda: expand(sk, ch)):
+        calls = count_compiles(monkeypatch)
+        walk()
+        assert set(calls) == leaves and set(calls.values()) == {1}
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("text", [UPPER2_TEXT, succ_text(3, False), DRINKER_TEXT],
@@ -666,7 +734,7 @@ def test_both_builders_refuse_one_node_under_the_count(text):
     sk = skolemized(parse_formula(text))
     ch = champ(sk, 3)
     sel = full_selection(sk, ch.terms)
-    count = expansion_node_count(sk, len(ch))
+    count = expansion_counts(sk, len(ch))[0]
     assert formula_size(build_sub_expansion(sk, sel, count)) == count
     abstraction(sk, sel, count)
     for build in (build_sub_expansion, abstraction):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from herbrandkit.expansion import expansion_leaf_count, expansion_node_count
+from herbrandkit.expansion import expansion_counts
 from herbrandkit.syntax import (
     And,
     App,
@@ -276,8 +276,7 @@ def test_walkers_finish_on_a_deep_negation_chain():
     f = not_chain(Atom("p", (X,)))
     assert free_names(f) == {"x"}
     assert print_formula(substitute(f, {"x": App("c", False, ())})) == "~" * 5000 + "p(c)"
-    assert expansion_node_count(f, 3) == 5001
-    assert expansion_leaf_count(f, 3) == 1
+    assert expansion_counts(f, 3) == (5001, 1)
     assert not is_tautology(f)
     assert is_tautology(Or(f, Not(f)))
 
@@ -285,8 +284,7 @@ def test_walkers_finish_on_a_deep_negation_chain():
 def test_expansion_counts_finish_on_a_deep_chain_over_a_quantifier():
     f = not_chain(Forall("x", Or(Atom("p", (X,)), Atom("r"))))
     assert free_names(f) == set()
-    assert expansion_node_count(f, 3) == 5000 + 3 * 3 + 2
-    assert expansion_leaf_count(f, 3) == 3
+    assert expansion_counts(f, 3) == (5000 + 3 * 3 + 2, 3)
 
 
 def test_rectify_is_linear_in_the_quantifier_depth():

@@ -9,7 +9,9 @@ imports count as uses.
 """
 
 import ast
+import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "herbrandkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -178,3 +181,26 @@ def self_calling_functions(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_formula_walkers_do_not_recurse(path):
     assert self_calling_functions(path) == STILL_RECURSIVE.get(path.name, set())
+
+
+@pytest.mark.parametrize("name", ["tracing", "workloads"])
+def test_the_benchmark_imports_and_reads_only_names_src_defines(monkeypatch, name):
+    """The benchmark's tracer looks src functions up as it is imported, and
+    its workloads call them as module attributes: both import from their
+    paths, and every herbrandkit.<module>.<name> they read is defined, so
+    deleting or renaming a name the benchmark uses fails here."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    tree = ast.parse(path.read_text())
+    imported = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "herbrandkit"
+                for a in n.names}
+    assert imported
+    missing = [f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+               and n.value.id in imported
+               and not hasattr(getattr(module, n.value.id), n.attr)]
+    assert missing == []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from herbrandkit.construct import min_order
 from herbrandkit.oracle import (
     OracleBudgetError,
     OracleError,
@@ -175,3 +176,34 @@ def test_oracle_agrees_with_the_brute_force_search():
                      "budget" if want[0] == "budget" else "countermodel"] += 1
     assert sum(seen.values()) == len(formulas) * 6 >= 3000
     assert min(seen.values()) > 100, seen
+
+
+INVALID_TEXTS = [
+    "(forall x. exists y. q(x,y)) -> exists y. forall x. q(x,y)",  # quantifier swap
+    "(exists x. p(x)) -> forall x. p(x)",
+    "(exists x. p(x)) -> p(c)",
+    "exists x. (p(x) -> forall y. q(x,y))",
+    "(forall x. forall y. (q(x,y) -> q(y,x))) -> q(a,b)",
+]
+
+
+def test_a_formula_that_holds_has_no_countermodel():
+    """Property C is sound: a seeded formula that holds at some order up to
+    3, under either Skolemization and either height convention, is false in
+    no interpretation of size 1 or 2.  Formulas with a countermodel hold at
+    no order up to 4."""
+    rng = random.Random(13)
+    held = 0
+    for i in range(1000):
+        a = random_candidate(rng)
+        star, herbrand = i % 2 == 1, i % 4 >= 2
+        if min_order(a, star=star, n_max=3, herbrand_heights=herbrand) is not None:
+            held += 1
+            assert find_countermodel(a, max_size=2) is None, (i, a)
+    assert 500 < held < 1000
+    for text in INVALID_TEXTS:
+        a = parse_formula(text)
+        assert find_countermodel(a, max_size=2) is not None
+        for star in (False, True):
+            for herbrand in (False, True):
+                assert min_order(a, star=star, n_max=4, herbrand_heights=herbrand) is None
