@@ -88,7 +88,6 @@ from .syntax import (
     locate,
     nameify_term,
     parse_formula,
-    parse_term,
     print_formula,
     print_term,
     quant_kind,
@@ -391,7 +390,7 @@ def _execute_stages(q: Formula, plan: dict[str, Term], n: int):
                     enc = _encoded_binder(rvar)
                     if enc is None or var not in term_free_names(enc):
                         continue
-                    new_name = print_term(substitute_term(parse_term(rvar), {var: t}))
+                    new_name = print_term(substitute_term(enc, {var: t}))
                     steps.append(RuleStep(RENAME, path=path + (0,) + rel,
                                           var=new_name, new=rvar))
                     site = locate(body, rel)

@@ -475,6 +475,14 @@ _FORMULAS = (lambda g, ops, env: substitute(g, env) if env else g,
              Not, lambda cls, a, b: cls(a, b), lambda t: t)
 
 
+def _note_quantifiers(g, kids, marks) -> bool:
+    """fold's up: whether g holds a quantifier, and if so noted in marks."""
+    if isinstance(g, Quant) or any(kids):
+        marks[id(g)] = None
+        return True
+    return False
+
+
 def _walk(f: Formula, sel: Selection, budget: int, builder=_FORMULAS):
     """The sub-expansion of f along sel, walked from an explicit stack and
     built by builder (leaf, neg, join, value), by default _FORMULAS: a
@@ -506,6 +514,9 @@ def _walk(f: Formula, sel: Selection, budget: int, builder=_FORMULAS):
                 key = id(g)
                 if key not in compiled:
                     compiled[key] = compile_leaf(g)
+                    if compiled[key] is None:  # note each node of g that holds
+                        # a quantifier, so the walk down compiles none again
+                        fold(g, _note_quantifiers, None, compiled)
                 ops = compiled[key]
             if ops is not None:
                 count += len(ops)

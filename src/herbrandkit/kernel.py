@@ -16,7 +16,8 @@ root, which the dispatcher checks before the rule runs; the rules of
 passage move quantifiers in their place.  delta-minus needs its variable
 absent from the context; delta++ replaces the variable by a registry
 Skolem term over the free instantiation variables of the scope and has no
-context condition.
+context condition.  A gamma premise is checked by one paired walk against
+the scope, with no instance built.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from typing import Callable, NamedTuple
 
 from .skolem import SkolemRegistry, deltapp_scope
 from .syntax import (
-    And, App, CaptureError, Exists, Forall, Formula, FormulaError,
-    GammaVar, Not, Or, PathError, Quant, Site, Term, Var,
-    all_names, alpha_equal, bound_names, children, collect_signature,
-    free_names, fresh_name, is_gamma, is_quantifier_free, locate,
-    nameify_term, paired, parse_formula, parse_term, print_formula,
-    print_term, promote_skolem_apps, quant_kind, rename_binder,
-    substitute, term_free_names, var_for_name,
+    And, App, Exists, Forall, Formula, FormulaError, GammaVar, Not, Or,
+    PathError, Quant, Site, Term, Var, all_names, alpha_equal, bound_names,
+    children, collect_signature, free_names, fresh_name, is_gamma,
+    is_quantifier_free, locate, nameify_term, occurs_free, paired,
+    parse_formula, parse_term, print_formula, print_term,
+    promote_skolem_apps, quant_kind, rename_binder, substitute,
+    substitute_term, term_free_names, var_for_name,
 )
 from .taut import is_tautology
 
@@ -146,13 +147,13 @@ def _passage_rewrite(sub: Formula, eq: int, direction: str, avoid: set[str]) -> 
             q, b = _placed(side, sub.left, sub.right)
             if isinstance(q, quant):
                 x, a = q.var, q.body
-                if x in free_names(b):  # rename x away from b
+                if occurs_free(x, b):  # rename x away from b
                     x2 = fresh_name(x, avoid | all_names(a) | free_names(b))
                     x, a = x2, substitute(a, {x: var_for_name(x2)})
                 return quant(x, Or(*_placed(side, a, b)))
     elif isinstance(sub, quant) and isinstance(sub.body, Or):
         a, b = _placed(side, sub.body.left, sub.body.right)
-        if sub.var in free_names(b):
+        if occurs_free(sub.var, b):
             raise StepError("passage-free-violation",
                             f"{sub.var} is free in the {('right', 'left')[side]} disjunct")
         return Or(*_placed(side, quant(sub.var, a), b))
@@ -216,15 +217,16 @@ def _gamma_quant(f, step, registry, restricted=False):
                         "the witness uses " + ", ".join(sorted(captured)) +
                         " bound by quantifiers of the scope")
     wrapped = _wrap(step, h, bound)
-    try:
-        inst = substitute(h, {step.var: t}, strict=True)
-    except CaptureError as e:
-        raise StepError("witness-capture", str(e))
+    # no binder of h is step.var (_wrap) or a name of t (witness-capture
+    # above), so the instance substitutes every atom of h and renames no
+    # binder: strict substitution could raise no CaptureError here, and the
+    # premise is the instance when it pairs with h atom by atom
     site = locate(f, step.path)
-    if site.node != inst:
+    m = {step.var: t}
+    if not paired(h, site.node, lambda a, b, env: substitute_term(a, m) is b):
         raise StepError("premise-mismatch",
                         f"the premise at the path is not the scope instance; "
-                        f"expected {print_formula(inst)[:80]}")
+                        f"expected {print_formula(substitute(h, m))[:80]}")
     _check_class(site, step.quant, "gamma")
     return site.plug(wrapped), None
 
@@ -237,7 +239,7 @@ def _delta_minus(f, step, registry):
                         f"{step.var} is bound by an enclosing quantifier")
     # no binder on the path takes the variable, so the context has it free
     # exactly when a sibling of the path has it free
-    if any(step.var in free_names(children(g)[1 - i])
+    if any(occurs_free(step.var, children(g)[1 - i])
            for g, i in zip(site.above, step.path) if isinstance(g, (And, Or))):
         raise StepError("context-capture",
                         f"{step.var} occurs free in the context")
@@ -372,7 +374,7 @@ def _rename(f, step, registry):
     except FormulaError as e:
         raise StepError("bad-binder-name", str(e))
     if step.new != step.var:
-        if step.new in free_names(node.body):
+        if occurs_free(step.new, node.body):
             raise StepError("rename-collision",
                             f"{step.new} already occurs free in the scope")
         if step.new in bound_names(node.body):

@@ -30,8 +30,10 @@ and the parser (precedence climbing for formulas, a stack of open
 applications for terms) run from explicit stacks or loops, so reading,
 walking, comparing and hashing formulas do not depend on the recursion
 limit.  Free names come from one fold (_free_below), in order of first
-free occurrence.  The tokenizer and term parser also read selections,
-whose leaf _ is punctuation.
+free occurrence; substitute takes it only at a binder that could capture,
+and occurs_free asks after one name.  A Skolem-named binder name is parsed
+once while its variable lives.  The tokenizer and term parser also read
+selections, whose leaf _ is punctuation.
 """
 
 from __future__ import annotations
@@ -548,6 +550,19 @@ def _free_below(f: Formula, names=()) -> tuple[dict[str, None], dict[int, set[st
     return fold(f, up), below
 
 
+def occurs_free(name: str, f: Formula) -> bool:
+    """Whether name occurs free in f, from a stack that enters no scope of a
+    binder of name and makes no dict."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Atom and any(name in a.names for a in g.args):
+            return True
+        if not isinstance(g, Quant) or g.var != name:
+            stack += children(g)
+    return False
+
+
 def free_gamma_vars(f: Formula) -> list[str]:
     """Free instantiation variables in order of first occurrence.  Names are
     returned bare, without the ? prefix."""
@@ -575,16 +590,24 @@ def fresh_name(base: str, used: set[str]) -> str:
     return f"{base}_{i}"
 
 
+# Skolem-named binder name -> its live variable, so that a name is read once
+# while the variable lives; an entry leaves when its variable dies
+_NAMED: weakref.WeakValueDictionary[str, Term] = weakref.WeakValueDictionary()
+
+
 def var_for_name(name: str) -> Term:
     """The variable term a binder of this name binds.  A name that reads as
     a Skolem application denotes a Skolem-named variable."""
     if name.startswith("?"):
         raise FormulaError(f"instantiation variable {name} cannot be bound")
     if "(" in name or is_skolem_symbol(name):
+        if (v := _NAMED.get(name)) is not None:
+            return v
         t = parse_term(name)
         if not (isinstance(t, App) and t.skolem):
             raise FormulaError(f"binder name {name!r} is not a Skolem encoding")
-        return SkolemNamedVar(t)
+        v = _NAMED[name] = SkolemNamedVar(t)
+        return v
     return Var(name)
 
 
@@ -593,8 +616,12 @@ def substitute(f: Formula, mapping: dict[str, Term], strict: bool = False) -> Fo
     as printed (?names for instantiation variables, full prints for
     Skolem-named variables).
 
-    Lenient mode renames a binder that would capture a variable of an
-    incoming term; strict mode raises CaptureError instead."""
+    A binder outside the names of the incoming terms captures nothing: the
+    walk drops it from the mapping and stops where the mapping is empty.
+    Only a binder that could capture asks which keys its body has free, and
+    lenient mode renames it, strict mode raises CaptureError.  A node that
+    nothing changes is returned as itself."""
+    reach = {n for t in mapping.values() for n in t.names}
     below = None  # from one fold over f, taken when a quantifier first needs it
 
     def down(g, mp):
@@ -602,13 +629,14 @@ def substitute(f: Formula, mapping: dict[str, Term], strict: bool = False) -> Fo
         if not isinstance(g, Quant):
             return mp
         v, b = g.var, g.body
-        live = ()
-        if mp.keys() - {v}:
-            if below is None:
-                below = _free_below(f, mapping.keys())[1]
-            live = below.get(id(g))
-            if live is None:  # a binder renamed on the way is not in f
-                live = free_names(b)
+        if v not in reach:
+            if v in mp:
+                mp = {k: t for k, t in mp.items() if k != v}
+            return mp or Prune(g)
+        if below is None:
+            below = _free_below(f, mapping.keys())[1]
+        # a binder renamed on the way is not in f
+        live = below[id(g)] if id(g) in below else free_names(b)
         inner = {k: t for k, t in mp.items() if k != v and k in live}
         if not inner:
             return Prune(g)
@@ -623,8 +651,9 @@ def substitute(f: Formula, mapping: dict[str, Term], strict: bool = False) -> Fo
 
     def up(g, kids, mp):
         if type(g) is Atom:
-            return Atom(g.pred, tuple(substitute_term(a, mp) for a in g.args))
-        return rebuild(g, *kids)
+            args = tuple(substitute_term(a, mp) for a in g.args)
+            return g if args == g.args else Atom(g.pred, args)
+        return g if all(k is c for k, c in zip(kids, children(g))) else rebuild(g, *kids)
 
     return fold(f, up, down, dict(mapping))
 

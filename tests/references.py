@@ -17,7 +17,10 @@ free names in order that carries the bound names, the Skolemization that
 substituted into the remaining body at each removed quantifier and the
 signature walk that the one free-name fold replaced; and the abstraction
 fold that printed each atom, and the two count folds, that the one leaf
-compiler and the one count fold replaced."""
+compiler and the one count fold replaced; and the kernel's gamma premise
+check that built the strict instance and compared it, and its delta
+context check that took the free names of each sibling, that one paired
+walk and occurs_free replaced."""
 
 import itertools
 from functools import reduce
@@ -38,6 +41,7 @@ from herbrandkit.expansion import (
     match_selection,
     term_order_key,
 )
+from herbrandkit.kernel import StepError, _check_class, _wrap
 from herbrandkit.oracle import (
     DEFAULT_BUDGET,
     Countermodel,
@@ -50,6 +54,7 @@ from herbrandkit.syntax import (
     And,
     App,
     Atom,
+    CaptureError,
     DOT,
     Exists,
     Forall,
@@ -79,6 +84,7 @@ from herbrandkit.syntax import (
     is_quantifier_free,
     is_rectified,
     is_skolem_symbol,
+    locate,
     parse_term,
     print_atom,
     print_formula,
@@ -972,3 +978,53 @@ def expansion_leaf_count(f, n_terms):
 
     count = fold(f, up)
     return 1 if count is None else count
+
+
+# ---------------------------------------------------------------------------
+# the kernel's gamma premise and delta context checks that one paired walk
+# (kernel._gamma_quant) and occurs_free (kernel._delta_minus) replaced
+
+def reference_gamma_quant(f, step, registry, restricted=False):
+    """The gamma-quant rule that built the strict instance of the scope and
+    compared it with the premise."""
+    if step.scope is None or step.term is None:
+        raise StepError("bad-step", "gamma quantification needs scope and term")
+    h, t = step.scope, step.term
+    if restricted and not isinstance(t, GammaVar):
+        raise StepError("witness-not-gamma-var",
+                        f"restricted gamma needs an instantiation variable, "
+                        f"got {print_term(t)}")
+    bound = bound_names(h)
+    captured = term_free_names(t) & bound
+    if captured:
+        raise StepError("witness-capture",
+                        "the witness uses " + ", ".join(sorted(captured)) +
+                        " bound by quantifiers of the scope")
+    wrapped = _wrap(step, h, bound)
+    try:
+        inst = substitute(h, {step.var: t}, strict=True)
+    except CaptureError as e:
+        raise StepError("witness-capture", str(e))
+    site = locate(f, step.path)
+    if site.node != inst:
+        raise StepError("premise-mismatch",
+                        f"the premise at the path is not the scope instance; "
+                        f"expected {print_formula(inst)[:80]}")
+    _check_class(site, step.quant, "gamma")
+    return site.plug(wrapped), None
+
+
+def reference_delta_minus(f, step, registry):
+    """The delta-minus rule that took the free names of each sibling of the
+    path."""
+    site = locate(f, step.path)
+    wrapped = _wrap(step, site.node, bound_names(site.node))
+    if any(isinstance(g, Quant) and g.var == step.var for g in site.above):
+        raise StepError("context-capture",
+                        f"{step.var} is bound by an enclosing quantifier")
+    if any(step.var in free_names(children(g)[1 - i])
+           for g, i in zip(site.above, step.path) if isinstance(g, (And, Or))):
+        raise StepError("context-capture",
+                        f"{step.var} occurs free in the context")
+    _check_class(site, step.quant, "delta")
+    return site.plug(wrapped), None

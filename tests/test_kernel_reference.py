@@ -1,44 +1,58 @@
 """The kernel's rule table against references: the passage rewrite against
-the twelve-arm version it replaced, and the report conditions of proof
+the twelve-arm version it replaced, the gamma premise and delta context
+checks against the ones they replaced, and the report conditions of proof
 scripts under one-line deletions and single-field mutations, pinned."""
 
+import dataclasses
 import random
 import re
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from herbrandkit import kernel
 from herbrandkit.kernel import (
     MODES,
     Derivation,
     RuleStep,
     ScriptError,
     StepError,
+    _delta_minus,
+    _gamma_quant,
     _passage_rewrite,
     check_derivation,
     check_step,
     parse_script,
     print_script,
 )
+from herbrandkit.skolem import SkolemRegistry
 from herbrandkit.syntax import (
     And,
+    App,
     Atom,
     Exists,
     Forall,
+    GammaVar,
     Not,
     Or,
+    PathError,
+    SkolemNamedVar,
     Var,
     all_names,
+    bound_names,
     fresh_name,
     free_names,
+    locate,
     print_formula,
     substitute,
     var_for_name,
 )
 
 from conftest import random_qf
-from references import sites
+from references import reference_delta_minus, reference_gamma_quant, sites
+from test_fold import BINDERS, TERMS, X, Y, random_formula
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -143,6 +157,168 @@ def test_passage_rewrite_agrees_with_the_reference():
                              else "moved"] += 1
     assert seen == {"passage-shape": 27600, "moved": 654,
                     "passage-free-violation": 402, "renamed": 144}
+
+
+# ---------------------------------------------------------------------------
+# the gamma premise and delta context checks against the ones they replaced
+
+# rule tag -> (the kernel's check, the reference check)
+_CHECKS = {
+    "gamma-quant": (_gamma_quant, reference_gamma_quant),
+    "nongen-gamma": (_gamma_quant, reference_gamma_quant),
+    "restricted-gamma": (partial(_gamma_quant, restricted=True),
+                         partial(reference_gamma_quant, restricted=True)),
+    "delta-minus": (_delta_minus, reference_delta_minus),
+    "nongen-delta": (_delta_minus, reference_delta_minus),
+}
+
+
+def _check_outcome(check, line, step):
+    """The next line, or the condition and message of the StepError; a path
+    that leaves the line is the kernel's bad-path."""
+    try:
+        return check(line, step, SkolemRegistry())[0]
+    except StepError as e:
+        return e.condition, str(e)
+    except PathError as e:
+        return "bad-path", str(e)
+
+
+def _outcome_name(outcome):
+    return outcome[0] if isinstance(outcome, tuple) else "accepted"
+
+
+def _agree(line, step):
+    """The outcome of step on line under the kernel's check, after asserting
+    that the reference gives the same next line or the same error."""
+    check, reference = _CHECKS[step.tag]
+    got = _check_outcome(check, line, step)
+    want = _check_outcome(reference, line, step)
+    assert type(got) is type(want) and got == want, (print_formula(line), step)
+    if not isinstance(got, tuple):
+        assert print_formula(got) == print_formula(want)
+    return got
+
+
+_SK_XY = SkolemNamedVar(App("sk_m", True, (X, Y)))
+
+
+def _step_mutations(step, line, d):
+    """step, then step with one of its witness term, path, binder name or
+    quantifier kind changed: to the value of another step of d, or to an
+    instantiation variable, a Skolem-named variable or name, a name bound in
+    the scope or free in the line."""
+    yield step
+    others = [s for s in d.steps if s.tag in _CHECKS]
+    scope = step.scope if step.scope is not None else _node_or_none(line, step.path)
+    inside = sorted(bound_names(scope)) if scope is not None else []
+    terms = {s.term for s in others if s.term is not None}
+    terms |= {Var("c"), GammaVar("z"), _SK_XY} | {var_for_name(n) for n in inside}
+    paths = {s.path for s in others} | {(), (7,), step.path + (0,), step.path[:-1]}
+    names = {s.var for s in others} | set(inside) | set(free_names(line))
+    names |= {"w", "?z", "sk_m(x,y)", "sk_q", "f(x)"}
+    for field, values in (("term", terms), ("path", paths), ("var", names),
+                          ("quant", {"forall", "exists", "some"})):
+        if field == "term" and step.term is None:
+            continue
+        for v in sorted(values, key=str):
+            if v != getattr(step, field):
+                yield dataclasses.replace(step, **{field: v})
+
+
+def _node_or_none(line, path):
+    try:
+        return locate(line, path).node
+    except PathError:
+        return None
+
+
+# the outcomes each family's mutations reach
+_REACHED = {
+    "derive_upper": {"accepted", "premise-mismatch", "witness-capture",
+                     "context-capture", "binder-collision", "bad-binder-name",
+                     "bad-path", "not-a-gamma", "not-a-delta"},
+    "derive_upper_fv": {"accepted", "premise-mismatch", "witness-not-gamma-var",
+                        "binder-collision", "bad-binder-name", "bad-path",
+                        "not-a-gamma"},
+    "herbrand-original": {"accepted", "premise-mismatch", "witness-capture",
+                          "binder-collision", "bad-binder-name", "bad-path",
+                          "not-a-gamma", "not-a-delta"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_REACHED))
+def test_premise_and_context_checks_agree_with_the_reference(family):
+    """Every gamma and delta step of the scripts, and each with one field
+    changed, on the line it was made for."""
+    seen = Counter()
+    for text in _script_family(family):
+        d = parse_script(text)
+        line, registry = d.axiom, SkolemRegistry()
+        for step in d.steps:
+            if step.tag in _CHECKS:
+                for mutated in _step_mutations(step, line, d):
+                    seen[_outcome_name(_agree(line, mutated))] += 1
+            line = check_step(line, step, registry)
+    assert _REACHED[family] <= set(seen)
+
+
+def test_premise_and_context_checks_agree_on_shadowing_binders():
+    """Random scopes and lines whose binders shadow one another and include
+    a Skolem-named one, with witnesses that are plain, instantiation and
+    Skolem-named variables: a gamma premise is the scope's instance, or now
+    and then another formula; a delta sits at a random position."""
+    rng = random.Random(22)
+    seen = Counter()
+    for _ in range(1500):
+        h = random_formula(rng, 4, [])
+        var = rng.choice(BINDERS + ["w", "?g"])
+        t = rng.choice(TERMS)
+        premise = (substitute(h, {var: t}) if rng.random() < 0.8
+                   else random_formula(rng, 3, []))
+        line, path = rng.choice([
+            (premise, ()), (Or(Atom("r"), premise), (1,)),
+            (Not(And(premise, Atom("p", (X,)))), (0, 0)),
+            (Forall("y", Or(premise, Atom("q", (X, Y)))), (0, 0))])
+        quant = rng.choice(["forall", "exists"])
+        tag = rng.choice(["gamma-quant", "restricted-gamma"])
+        seen[_outcome_name(_agree(line, RuleStep(
+            tag, path, quant=quant, var=var, scope=h, term=t)))] += 1
+        line = random_formula(rng, 5, [])
+        path = rng.choice([p for p, _, _, _ in sites(line)])
+        seen[_outcome_name(_agree(line, RuleStep(
+            "delta-minus", path, quant=quant,
+            var=rng.choice(BINDERS + ["w", "?g"]))))] += 1
+    assert {"accepted", "premise-mismatch", "witness-capture",
+            "binder-collision", "bad-binder-name", "witness-not-gamma-var",
+            "context-capture", "not-a-gamma", "not-a-delta",
+            "gamma-not-accessible"} <= set(seen)
+
+
+@pytest.mark.parametrize("family", sorted(_REACHED))
+def test_reports_over_mutated_scripts_agree_with_the_reference_checks(
+        family, monkeypatch):
+    """The report of every mutated script that parses, replayed by the
+    kernel and by the kernel with the reference gamma and delta checks."""
+    reference_rules = {tag: rule._replace(check=_CHECKS[tag][1])
+                       if tag in _CHECKS else rule
+                       for tag, rule in kernel._RULES.items()}
+
+    def report(d):
+        r = kernel._replay(d, None)
+        return (r.ok, r.error, r.error_message, r.step_index,
+                r.final and print_formula(r.final))
+
+    for text in _script_family(family):
+        for m in mutants(text):
+            try:
+                d = parse_script("\n".join(m) + "\n")
+            except ScriptError:
+                continue
+            got = report(d)
+            with monkeypatch.context() as patched:
+                patched.setattr(kernel, "_RULES", reference_rules)
+                assert got == report(d), m
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from herbrandkit.syntax import (
     is_quantifier_free,
     is_rectified,
     locate,
+    occurs_free,
     parse_formula,
     parse_term,
     print_atom,
@@ -48,7 +49,7 @@ from references import (
     ac_flatten_equal, reference_collect_signature, reference_parse_formula,
     sites, variant_equal_gamma,
 )
-from test_fold import random_formula
+from test_fold import KEYS, random_formula
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -229,6 +230,24 @@ def test_substitute_strict_raises_on_capture():
 def test_substitute_ignores_bound_occurrences():
     f = parse_formula("forall z. p(z)")
     assert substitute(f, {"z": App("c", False, ())}) == f
+
+
+def test_substitute_returns_what_it_does_not_change():
+    f = parse_formula("forall x. p(x) | q(x, y) & (exists y. r(y, x))")
+    c = App("c", False, ())
+    assert substitute(f, {"z": c}) is f
+    assert substitute(f, {"x": c}) is f
+    g = substitute(f, {"y": c})
+    assert print_formula(g) == "forall x. p(x) | q(x,c) & (exists y. r(y,x))"
+    assert g.body.left is f.body.left and g.body.right.right is f.body.right.right
+
+
+def test_occurs_free_agrees_with_free_names():
+    rng = random.Random(22)
+    for _ in range(500):
+        f = random_formula(rng, 5, [])
+        for name in KEYS:
+            assert occurs_free(name, f) == (name in free_names(f))
 
 
 # ---------------------------------------------------------------------------

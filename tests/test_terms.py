@@ -2,6 +2,7 @@
 heights and free names, none of which recurses at any depth."""
 
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from herbrandkit.syntax import (
     substitute_term,
     term_free_names,
     term_height,
+    var_for_name,
 )
 from herbrandkit.taut import atom_list, is_tautology
 
@@ -158,3 +160,24 @@ def test_the_term_table_lets_go_of_a_dropped_champ():
     expansion._build_champ.cache_clear()
     gc.collect()
     assert len(syntax._TERMS) == before
+
+
+def test_a_skolem_named_binder_name_is_read_once_while_its_variable_lives(
+        monkeypatch):
+    v = var_for_name("sk_zr(sk_u,y_1)")
+    monkeypatch.setattr(syntax, "parse_term", None)  # a second read would fail
+    assert var_for_name("sk_zr(sk_u,y_1)") is v
+    assert v == SkolemNamedVar(App("sk_zr", True, (App("sk_u", True), Var("y_1"))))
+
+
+def test_the_name_table_lets_go_of_dropped_variables():
+    """The table holds its variables weakly, and an entry leaves it when its
+    variable dies."""
+    gc.collect()
+    before = len(syntax._NAMED)
+    held = [var_for_name(f"sk_zq{i}(x)") for i in range(10_000)]
+    assert len(syntax._NAMED) == before + 10_000
+    assert all(isinstance(r, weakref.ref) for r in syntax._NAMED.data.values())
+    del held
+    gc.collect()
+    assert len(syntax._NAMED) == before
