@@ -56,12 +56,7 @@ from .kernel import (
     apply_passage,
     check_derivation,
 )
-from .skolem import (
-    SkolemRegistry,
-    deltapp_scope,
-    deltapp_skolemize,
-    outer_skolemize,
-)
+from .skolem import SkolemRegistry, deltapp_skolemize, outer_skolemize
 from .syntax import (
     And,
     App,
@@ -79,7 +74,6 @@ from .syntax import (
     Var,
     all_names,
     children,
-    collect_signature,
     fold,
     free_gamma_vars,
     fresh_name,
@@ -160,8 +154,9 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
     tautological?  With a selection, only the chosen sub-expansion is
     built; a positive answer is then still conclusive, a negative one is
     not.  sk, when given, is skolemized(a, star, registry), made once by a
-    caller that asks at several orders.  The expansion is grounded straight
-    into the propositional abstraction, which the CDCL solver refutes."""
+    caller that asks at several orders or reads its symbols.  The expansion
+    is grounded straight into the propositional abstraction, which the CDCL
+    solver refutes."""
     if n < 1:
         raise ConstructError(f"the order must be at least 1, got {n}")
     if sk is None:
@@ -312,13 +307,12 @@ def _copy_pass(g: Quant, ctx, st: _CopyState):
                     (branches[0], sign, path + (0,), gammas + (name,))),), named)
 
 
-def _named_copies(a_r: Formula, sel: Selection) -> tuple[Formula, _CopyState]:
-    """The copy pass over the rectified a_r: the duplicated named form, and
-    the state holding its witness plan, copy chains and original names."""
-    sym_map: dict[str, str] = {}
-    outer_skolemize(a_r, record=sym_map)
-    st = _CopyState(used=set(all_names(a_r)) | set(sym_map.values()),
-                    sym_map=sym_map)
+def _named_copies(a_r: Formula, sel: Selection,
+                  syms: dict[str, str]) -> tuple[Formula, _CopyState]:
+    """The copy pass over the rectified a_r, whose outer Skolemization
+    recorded syms: the duplicated named form, and the state holding its
+    witness plan, copy chains and original names."""
+    st = _CopyState(used=set(all_names(a_r)) | set(syms.values()), sym_map=syms)
     return _along(a_r, sel, partial(_copy_pass, st=st), ()), st
 
 
@@ -418,7 +412,9 @@ def _execute_stages(q: Formula, plan: dict[str, Term], n: int):
 def procedure1_order(a: Formula, sel, n: int) -> Procedure1Plan:
     """The staged removal plan of the order-n derivation of a along the
     selection: which quantifier falls at which stage, in removal order."""
-    q, st = _named_copies(rectify(a), _as_selection(sel))
+    a_r, syms = rectify(a), {}
+    outer_skolemize(a_r, syms)
+    q, st = _named_copies(a_r, _as_selection(sel), syms)
     _, entries, _ = _execute_stages(q, st.plan, n)
     return Procedure1Plan(n, entries)
 
@@ -453,19 +449,20 @@ def _final_renames(merged: Formula, original: dict[str, str]) -> list[RuleStep]:
 
 def _established(a: Formula, n: int, sel, star: bool, budget: int,
                  registry: SkolemRegistry | None = None):
-    """The rectified a and the selection to construct along, once property_c
-    confirms order n: sel as given, or else the full selection."""
-    a_r = rectify(a)
+    """The rectified a, the selection to construct along and the binder ->
+    symbol record of a's Skolemization, once property_c confirms order n:
+    sel as given, or else the full selection."""
+    a_r, syms = rectify(a), {}
+    sk = deltapp_skolemize(a_r, registry, syms) if star else outer_skolemize(a_r, syms)
     sel = None if sel is None else _as_selection(sel)
-    pre = property_c(a_r, n, star=star, sel=sel, budget=budget, registry=registry)
+    pre = property_c(a_r, n, star=star, sel=sel, budget=budget, sk=sk)
     if not pre.holds:
         raise ConstructError(
             f"order {n}{' (starred)' if star else ''} is not established for "
             f"this formula ({pre.status}{': ' + pre.detail if pre.detail else ''})")
     if sel is None:
-        sk = pre.skolemized
         sel = full_selection(sk, champ(sk, n, budget=budget).terms)
-    return a_r, sel
+    return a_r, sel, syms
 
 
 def construct_derivation(a: Formula, n: int, sel=None,
@@ -475,8 +472,8 @@ def construct_derivation(a: Formula, n: int, sel=None,
     variables to their Skolem terms, duplicate per witness, remove in
     stages; the recorded steps run the other way, from the tautology up to
     a."""
-    a_r, sel_tree = _established(a, n, sel, False, budget)
-    q, st = _named_copies(a_r, sel_tree)
+    a_r, sel_tree, syms = _established(a, n, sel, False, budget)
+    q, st = _named_copies(a_r, sel_tree, syms)
     axiom, _, removal = _execute_stages(q, st.plan, n)
     merged, merge_steps = _merge_chains(q, st.copies)
     steps = (tuple(reversed(removal)) + tuple(merge_steps)
@@ -501,14 +498,14 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
     order in height.
 
     Quantifiers are processed outside-in, and a removable quantifier is
-    duplicated only after everything above it is gone; each registry scope
-    is therefore keyed exactly as the Skolemization pass keyed it, so the
+    duplicated only after everything above it is gone; each delta++ scope
+    is therefore the one the Skolemization pass keyed, up to the renaming
+    its key ignores, and its symbol is read off that pass's record, so the
     opening line carries the same symbols as the starred form and the
     witness substitution recovers the chosen sub-expansion."""
     if registry is None:
         registry = SkolemRegistry()
-    a_r, sel_tree = _established(a, n, sel, True, budget, registry)
-    avoid = set(collect_signature(a_r).functions)
+    a_r, sel_tree, syms = _established(a, n, sel, True, budget, registry)
     claim = _CopyState(used=set(all_names(a_r)), sym_map={}).claim
     source: dict[str, str] = {}  # copy binder -> binder it is a variant of
     sigma: dict[str, Term] = {}
@@ -534,10 +531,9 @@ def construct_fv_derivation(a: Formula, n: int, sel=None,
         v, bd = g.var, g.body
         src = source.get(v, v)
         if not is_gamma(kind, sign):
-            listed, key = deltapp_scope(g)
-            sym = registry.bind(key, src, len(listed), avoid)
+            listed = tuple(map(GammaVar, free_gamma_vars(g)))
             down.append(RuleStep(DELTAPP, path=path, quant=kind, var=v, scope=bd))
-            return Swap(substitute(bd, {v: App(sym, True, listed)}))
+            return Swap(substitute(bd, {v: App(syms[src], True, listed)}))
         branches = match_selection(g, s, var=src)
         k = len(s.terms)
         if not placed:

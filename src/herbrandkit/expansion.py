@@ -283,16 +283,16 @@ def parse_selection(text: str) -> Selection:
     ts = _Tokens("\n".join(line.partition(";")[0] for line in text.split("\n")))
 
     def take():
-        kind, val, _, _ = ts.next()
+        kind, val, _ = ts.next()
         if kind == "eof":
             raise SelectionError("unexpected end of selection")
         return val
 
     def term():
         # a term ends at whitespace: in "x (c)" the list is not x's arguments
-        _, val, line, col = ts.peek()
+        _, val, pos = ts.peek()
         after = ts.toks[min(ts.i + 1, len(ts.toks) - 1)]
-        if after[1] == "(" and after[2:] != (line, col + len(val)):
+        if after[1] == "(" and after[2] != pos + len(val):
             return parse_term(ts.next()[1])
         return _parse_term(ts)
 

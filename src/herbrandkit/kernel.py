@@ -217,18 +217,24 @@ def _gamma_quant(f, step, registry, restricted=False):
                         "the witness uses " + ", ".join(sorted(captured)) +
                         " bound by quantifiers of the scope")
     wrapped = _wrap(step, h, bound)
-    # no binder of h is step.var (_wrap) or a name of t (witness-capture
-    # above), so the instance substitutes every atom of h and renames no
-    # binder: strict substitution could raise no CaptureError here, and the
-    # premise is the instance when it pairs with h atom by atom
     site = locate(f, step.path)
-    m = {step.var: t}
-    if not paired(h, site.node, lambda a, b, env: substitute_term(a, m) is b):
+    if not _is_instance(h, step.var, t, site.node):
         raise StepError("premise-mismatch",
                         f"the premise at the path is not the scope instance; "
-                        f"expected {print_formula(substitute(h, m))[:80]}")
+                        f"expected {print_formula(substitute(h, {step.var: t}))[:80]}")
     _check_class(site, step.quant, "gamma")
     return site.plug(wrapped), None
+
+
+def _is_instance(h: Formula, var: str, t: Term, got: Formula) -> bool:
+    """Whether got is h with t for var.  No binder of h is var (_wrap) or
+    a name of t: a gamma witness passed witness-capture, and a delta++ term
+    lists instantiation variables, which neither the parser nor a
+    construction lets a binder take.  So the instance
+    substitutes every atom of h and renames no binder, and got is the
+    instance when it pairs with h atom by atom."""
+    m = {var: t}
+    return paired(h, got, lambda a, b, env: substitute_term(a, m) is b)
 
 
 def _delta_minus(f, step, registry):
@@ -294,8 +300,7 @@ def _deltapp(f, step, registry: SkolemRegistry):
                             f"registry has {sym}/{arity}, scope lists "
                             f"{len(listed)} instantiation variables")
         repl = App(sym, True, listed)
-        inst = substitute(h, {step.var: repl})
-        if site.node != inst:
+        if not _is_instance(h, step.var, repl, site.node):
             raise StepError("delta-term-mismatch",
                             f"the premise does not use the registry term "
                             f"{print_term(repl)}")

@@ -1,6 +1,8 @@
 """Skolemization: the outer form and the delta++ form with its symbol
 registry, two conventions for the Skolem term that replaces a
-delta-quantifier over one polarity walk.
+delta-quantifier over one polarity walk.  Both fill an optional ``record``
+with each removed binder's name -> its symbol: the choices made, reported
+so that a caller reads them rather than making them again.
 """
 
 from __future__ import annotations
@@ -156,12 +158,14 @@ def deltapp_scope(scope: Formula, gammas: Sequence[str] = ()
     return listed, canonical_key(scope, listed)
 
 
-def _skolemize(f: Formula, what: str, delta_term) -> Formula:
+def _skolemize(f: Formula, what: str, delta_term,
+               record: dict[str, str] | None) -> Formula:
     """Remove every delta-quantifier of f, outermost first, replacing its
     variable by delta_term(quantifier, enclosing gamma-variables in nesting
     order, names to avoid, the Skolem terms of the enclosing removed
-    variables).  Gamma-quantifiers stay.  The terms are applied at the
-    atoms, as rectify renames: f is rectified, so no binder captures them."""
+    variables), and note its symbol in record.  Gamma-quantifiers stay.
+    The terms are applied at the atoms, as rectify renames: f is rectified,
+    so no binder captures them."""
     if not is_rectified(f):
         raise SkolemError(f"{what} requires a rectified formula")
     sig = collect_signature(f)
@@ -177,8 +181,10 @@ def _skolemize(f: Formula, what: str, delta_term) -> Formula:
             return ctx
         if is_gamma(quant_kind(g), sign):
             return gammas + [g.var], sign, env
-        inner = {**env, g.var: delta_term(g, gammas, taken, env)}
-        return Branch(((g.body, (gammas, sign, inner)),), None)
+        term = delta_term(g, gammas, taken, env)
+        if record is not None:
+            record[g.var] = term.sym
+        return Branch(((g.body, (gammas, sign, {**env, g.var: term})),), None)
 
     def up(g, kids, ctx):
         if type(g) is Atom and ctx[2]:
@@ -191,20 +197,16 @@ def _skolemize(f: Formula, what: str, delta_term) -> Formula:
 def outer_skolemize(f: Formula, record: dict[str, str] | None = None) -> Formula:
     """Remove every delta-quantifier, replacing its variable by a fresh
     Skolem function applied to the variables of all enclosing
-    gamma-quantifiers, in nesting order.  Gamma-quantifiers stay.
-
-    When record is given it is filled with binder name -> chosen symbol."""
+    gamma-quantifiers, in nesting order.  Gamma-quantifiers stay."""
 
     def delta_term(q, gammas, taken, _):
-        sym = _fresh_symbol(q.var, taken)
-        if record is not None:
-            record[q.var] = sym
-        return App(sym, True, tuple(Var(x) for x in gammas))
+        return App(_fresh_symbol(q.var, taken), True, tuple(Var(x) for x in gammas))
 
-    return _skolemize(f, "outer Skolemization", delta_term)
+    return _skolemize(f, "outer Skolemization", delta_term, record)
 
 
-def deltapp_skolemize(f: Formula, registry: SkolemRegistry) -> Formula:
+def deltapp_skolemize(f: Formula, registry: SkolemRegistry,
+                      record: dict[str, str] | None = None) -> Formula:
     """Remove every delta-quantifier outermost-first, replacing its variable
     by a registry symbol applied to exactly the gamma-variables that occur in
     the quantifier's scope, in order of first occurrence.  The registry
@@ -215,4 +217,4 @@ def deltapp_skolemize(f: Formula, registry: SkolemRegistry) -> Formula:
         listed, key = deltapp_scope(substitute(q, env), gammas)
         return App(registry.bind(key, q.var, len(listed), taken), True, listed)
 
-    return _skolemize(f, "delta++ Skolemization", delta_term)
+    return _skolemize(f, "delta++ Skolemization", delta_term, record)

@@ -826,31 +826,27 @@ _TOKEN_RE = re.compile(r"""
   | (?P<kw>\b(?:forall|exists)\b)
   | (?P<ident>[a-z][a-zA-Z0-9_]*)
   | (?P<punct>[().,~&|<_])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class _Tokens:
+    """The tokens of a text, each (kind, text, offset), then an eof token;
+    a ParseError gets its line and column from its offset."""
+
     def __init__(self, text):
-        self.toks = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            val = m.group()
-            if kind != "ws":
-                self.toks.append((kind, val, line, col))
-            nl = val.count("\n")
-            if nl:
-                line += nl
-                col = len(val) - val.rfind("\n")
-            else:
-                col += len(val)
-            pos = m.end()
-        self.toks.append(("eof", "", line, col))
+        self.text = text
+        self.toks = [(m.lastgroup, m.group(), m.start())
+                     for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+        for kind, val, pos in self.toks:
+            if kind == "bad":
+                raise self.error_at(f"unexpected character {val!r}", pos)
+        self.toks.append(("eof", "", len(text)))
         self.i = 0
+
+    def error_at(self, msg: str, pos: int) -> ParseError:
+        line = self.text.count("\n", 0, pos) + 1
+        return ParseError(msg, line, pos - self.text.rfind("\n", 0, pos))
 
     def peek(self):
         return self.toks[self.i]
@@ -861,13 +857,13 @@ class _Tokens:
         return tok
 
     def expect(self, val):
-        kind, v, line, col = self.next()
+        _, v, pos = self.next()
         if v != val:
-            raise ParseError(f"expected {val!r}, found {v or 'end of input'!r}", line, col)
+            raise self.error_at(f"expected {val!r}, found {v or 'end of input'!r}", pos)
 
     def error(self, msg):
-        _, v, line, col = self.peek()
-        raise ParseError(f"{msg}, found {v or 'end of input'!r}", line, col)
+        _, v, pos = self.peek()
+        raise self.error_at(f"{msg}, found {v or 'end of input'!r}", pos)
 
 
 def _parse_term(ts: _Tokens) -> Term:
@@ -875,14 +871,13 @@ def _parse_term(ts: _Tokens) -> Term:
     each with the arguments read so far, so that any depth reads."""
     stack: list[tuple[str, list[Term]]] = []
     while True:
-        kind, val, line, col = ts.next()
+        kind, val, pos = ts.next()
         if kind == "gvar":
             t = GammaVar(val[1:])
         elif kind == "dot_const":
             t = DOT
         elif kind != "ident":
-            raise ParseError(f"expected a term, found {val or 'end of input'!r}",
-                             line, col)
+            raise ts.error_at(f"expected a term, found {val or 'end of input'!r}", pos)
         elif ts.peek()[1] == "(":
             ts.next()
             stack.append((val, []))
@@ -929,21 +924,21 @@ def _parse_formula(ts: _Tokens) -> Formula:
     every connective, and ( lowest, closed only by its )."""
     stack: list[tuple[int, object]] = []
     while True:
-        kind, val, line, col = ts.peek()
+        kind, val, pos = ts.peek()
         if val in ("~", "("):
             ts.next()
             stack.append((3, Not) if val == "~" else (-2, None))
             continue
         if kind == "kw":
             ts.next()
-            bkind, _, bline, bcol = ts.peek()
+            bkind, _, bpos = ts.peek()
             if bkind not in ("ident", "gvar"):
                 ts.error("expected a binder name")
             if bkind == "gvar":
-                raise ParseError("instantiation variables cannot be bound", bline, bcol)
+                raise ts.error_at("instantiation variables cannot be bound", bpos)
             binder = _parse_term(ts)
             if not (type(binder) is Var or type(binder) is App and binder.skolem):
-                raise ParseError(f"bad binder {print_term(binder)!r}", bline, bcol)
+                raise ts.error_at(f"bad binder {print_term(binder)!r}", bpos)
             ts.expect(".")
             stack.append((-1, partial(_quantify, val, binder)))
             continue
@@ -960,7 +955,7 @@ def _parse_formula(ts: _Tokens) -> Formula:
                 case Var(name):
                     f = Atom(name, ())
                 case _:
-                    raise ParseError(f"{print_term(t)!r} is not a formula", line, col)
+                    raise ts.error_at(f"{print_term(t)!r} is not a formula", pos)
         while True:  # f is complete: close what the next token ends
             prec, make = _CONNECTIVES.get(ts.peek()[1], (-1, None))
             while stack and stack[-1][0] >= prec:

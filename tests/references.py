@@ -20,7 +20,9 @@ fold that printed each atom, and the two count folds, that the one leaf
 compiler and the one count fold replaced; and the kernel's gamma premise
 check that built the strict instance and compared it, and its delta
 context check that took the free names of each sibling, that one paired
-walk and occurs_free replaced."""
+walk and occurs_free replaced; and the delta++ rule that built the
+registry term's instance of the scope and compared it with the premise,
+which the same paired walk replaced."""
 
 import itertools
 from functools import reduce
@@ -41,14 +43,14 @@ from herbrandkit.expansion import (
     match_selection,
     term_order_key,
 )
-from herbrandkit.kernel import StepError, _check_class, _wrap
+from herbrandkit.kernel import StepError, _check_class, _solve_instance, _wrap
 from herbrandkit.oracle import (
     DEFAULT_BUDGET,
     Countermodel,
     OracleBudgetError,
     _eval_term,
 )
-from herbrandkit.skolem import SkolemError, _fresh_symbol, canonical_key
+from herbrandkit.skolem import SkolemError, _fresh_symbol, canonical_key, deltapp_scope
 from herbrandkit.taut import TautError, numbering
 from herbrandkit.syntax import (
     And,
@@ -62,7 +64,6 @@ from herbrandkit.syntax import (
     GammaVar,
     Not,
     Or,
-    ParseError,
     Quant,
     Signature,
     SkolemNamedVar,
@@ -727,9 +728,8 @@ class _NestedTokens(_Tokens):
     def nest(self, parse):
         """parse(self), one level of nesting deeper."""
         if self.depth == MAX_NESTING:
-            _, _, line, col = self.peek()
-            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
-                             line, col)
+            raise self.error_at(f"input nested deeper than {MAX_NESTING} levels",
+                                self.peek()[2])
         self.depth += 1
         out = parse(self)
         self.depth -= 1
@@ -737,7 +737,7 @@ class _NestedTokens(_Tokens):
 
 
 def _parse_term(ts: _Tokens) -> Term:
-    kind, val, line, col = ts.next()
+    kind, val, pos = ts.next()
     if kind == "gvar":
         return GammaVar(val[1:])
     if kind == "dot_const":
@@ -754,11 +754,11 @@ def _parse_term(ts: _Tokens) -> Term:
         if is_skolem_symbol(val):
             return App(val, True, ())
         return Var(val)
-    raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+    raise ts.error_at(f"expected a term, found {val or 'end of input'!r}", pos)
 
 
 def _parse_unary(ts: _Tokens) -> Formula:
-    kind, val, line, col = ts.peek()
+    kind, val, pos = ts.peek()
     if val == "~":  # counted by a loop, so a long chain parses at any depth
         n = 0
         while ts.peek()[1] == "~":
@@ -767,11 +767,11 @@ def _parse_unary(ts: _Tokens) -> Formula:
         return reduce(lambda f, _: Not(f), range(n), _parse_unary(ts))
     if kind == "kw":
         ts.next()
-        bkind, bval, bline, bcol = ts.peek()
+        bkind, bval, bpos = ts.peek()
         if bkind not in ("ident", "gvar"):
             ts.error("expected a binder name")
         if bkind == "gvar":
-            raise ParseError("instantiation variables cannot be bound", bline, bcol)
+            raise ts.error_at("instantiation variables cannot be bound", bpos)
         binder_term = _parse_term(ts)
         if isinstance(binder_term, Var):
             name = binder_term.name
@@ -780,7 +780,7 @@ def _parse_unary(ts: _Tokens) -> Formula:
             name = print_term(binder_term)
             var = SkolemNamedVar(binder_term)
         else:
-            raise ParseError(f"bad binder {print_term(binder_term)!r}", bline, bcol)
+            raise ts.error_at(f"bad binder {print_term(binder_term)!r}", bpos)
         ts.expect(".")
         body = ts.nest(_parse_implication)
         if var is not None:
@@ -802,7 +802,7 @@ def _parse_unary(ts: _Tokens) -> Formula:
                 return Atom(sym, args)
             case Var(name):
                 return Atom(name, ())
-        raise ParseError(f"{print_term(t)!r} is not a formula", line, col)
+        raise ts.error_at(f"{print_term(t)!r} is not a formula", pos)
     ts.error("expected a formula")
 
 
@@ -982,7 +982,8 @@ def expansion_leaf_count(f, n_terms):
 
 # ---------------------------------------------------------------------------
 # the kernel's gamma premise and delta context checks that one paired walk
-# (kernel._gamma_quant) and occurs_free (kernel._delta_minus) replaced
+# (kernel._gamma_quant) and occurs_free (kernel._delta_minus) replaced, and
+# the delta++ premise check for a known scope that the same walk replaced
 
 def reference_gamma_quant(f, step, registry, restricted=False):
     """The gamma-quant rule that built the strict instance of the scope and
@@ -1028,3 +1029,48 @@ def reference_delta_minus(f, step, registry):
                         f"{step.var} occurs free in the context")
     _check_class(site, step.quant, "delta")
     return site.plug(wrapped), None
+
+
+def reference_deltapp(f, step, registry):
+    """The delta++ rule that, for a scope the registry knows, built the
+    instance of the scope with the registry term and compared it with the
+    premise."""
+    if step.scope is None:
+        raise StepError("bad-step", "delta++ needs the quantifier scope")
+    h = step.scope
+    wrapped = _wrap(step, h, bound_names(h))
+    listed, key = deltapp_scope(wrapped)
+    site = locate(f, step.path)
+    known = registry.lookup(key)
+    if known is not None:
+        sym, arity = known
+        if arity != len(listed):
+            raise StepError("registry-mismatch",
+                            f"registry has {sym}/{arity}, scope lists "
+                            f"{len(listed)} instantiation variables")
+        repl = App(sym, True, listed)
+        inst = substitute(h, {step.var: repl})
+        if site.node != inst:
+            raise StepError("delta-term-mismatch",
+                            f"the premise does not use the registry term "
+                            f"{print_term(repl)}")
+    else:
+        t = _solve_instance(h, step.var, site.node)
+        if t is None:
+            sym = registry.bind(key, step.var, len(listed),
+                                avoid=set(collect_signature(f).functions))
+        else:
+            if not (isinstance(t, App) and t.skolem and t.args == listed):
+                raise StepError(
+                    "delta-term-mismatch",
+                    f"the premise replaces {step.var} by {print_term(t)}, not a "
+                    f"Skolem application of exactly the scope's instantiation "
+                    f"variables "
+                    f"({', '.join(map(print_term, listed)) or 'none'})")
+            sym = t.sym
+            if sym in registry.symbols():
+                raise StepError("registry-mismatch",
+                                f"{sym} is already bound to a different scope")
+            registry.record(key, sym, len(listed))
+    _check_class(site, step.quant, "delta")
+    return site.plug(wrapped), sym

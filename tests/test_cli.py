@@ -598,8 +598,11 @@ def test_json_output_is_sorted_and_stable(capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden output: the README examples and the upper-bound scripts, byte for
-# byte as tests/data/golden holds them
+# golden output: the README examples, the upper-bound scripts and registry
+# dump, and both demo documents, byte for byte as tests/data/golden holds
+# them; a command that saves a registry is judged by the registry it saves
+
+SAVED_REGISTRY = "<saved registry>"
 
 GOLDEN = {
     "taut": ["taut", "p(c) | ~p(c)"],
@@ -615,13 +618,24 @@ GOLDEN = {
                      str(DATA / "upper_bound.sel"), UPPER_BOUND_TEXT],
     "derive_upper_fv": ["derive", "--fv", "--order", "4", "--selection",
                         str(DATA / "upper_bound.sel"), UPPER_BOUND_TEXT],
+    "derive_upper_fv_registry": ["derive", "--fv", "--order", "4", "--selection",
+                                 str(DATA / "upper_bound.sel"), "--save-registry",
+                                 SAVED_REGISTRY, UPPER_BOUND_TEXT],
+    "demo_upperbound": ["demo", "upperbound"],
+    "demo_upperbound_json": ["--format", "json", "demo", "upperbound"],
+    "demo_false_lemma": ["demo", "false-lemma"],
+    "demo_false_lemma_json": ["--format", "json", "demo", "false-lemma"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_output(capsys, name):
-    code, out, _ = run(capsys, *GOLDEN[name])
+def test_golden_output(capsys, tmp_path, name):
+    saved = tmp_path / "registry.txt"
+    argv = [str(saved) if a == SAVED_REGISTRY else a for a in GOLDEN[name]]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
+    if SAVED_REGISTRY in GOLDEN[name]:
+        out = saved.read_text()
     assert out == (DATA / "golden" / f"{name}.txt").read_text()
 
 

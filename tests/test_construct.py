@@ -25,7 +25,7 @@ from herbrandkit.construct import (
     property_c,
 )
 import herbrandkit
-from herbrandkit import construct
+from herbrandkit import construct, kernel, skolem
 from herbrandkit.expansion import (
     LEAF,
     BudgetError,
@@ -42,11 +42,17 @@ from herbrandkit.expansion import (
     selection_within,
 )
 from herbrandkit.kernel import check_derivation
-from herbrandkit.skolem import SkolemRegistry, deltapp_skolemize, outer_skolemize
+from herbrandkit.skolem import (
+    SkolemRegistry, deltapp_scope, deltapp_skolemize, outer_skolemize,
+)
 from herbrandkit.syntax import (
+    App,
+    Exists,
+    Forall,
     FormulaError,
     free_gamma_vars,
     is_quantifier_free,
+    locate,
     parse_formula,
     print_formula,
     parse_term,
@@ -225,6 +231,69 @@ def test_fv_drinker(drinker):
     assert print_formula(b) == "~p(sk_b) | p(?a)"
     assert {k: print_term(t) for k, t in sigma.items()} == {"?a": "sk_b"}
     assert check_derivation(d, SkolemRegistry()).ok
+
+
+def _count_calls(monkeypatch, calls, owner, name):
+    """Count each call of owner.name under (name, the calling module)."""
+    f = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name, sys._getframe(1).f_globals["__name__"].rpartition(".")[2]] += 1
+        return f(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_each_construction_rectifies_and_skolemizes_once(
+        monkeypatch, upper_bound, upper_bound_selection):
+    """construct_derivation and construct_fv_derivation each rectify once
+    and Skolemize once, the property C check included, and read the delta++
+    symbols off that Skolemization: only the Skolemizer and the kernel's
+    replay key a scope, and only the Skolemizer binds a symbol."""
+    calls = Counter()
+    for owner, name in ((construct, "rectify"), (construct, "outer_skolemize"),
+                        (construct, "deltapp_skolemize"), (skolem, "deltapp_scope"),
+                        (kernel, "deltapp_scope"), (SkolemRegistry, "bind")):
+        _count_calls(monkeypatch, calls, owner, name)
+    construct_derivation(upper_bound, 4, upper_bound_selection)
+    assert calls == {("rectify", "construct"): 1, ("outer_skolemize", "construct"): 1}
+    calls.clear()
+    construct_fv_derivation(upper_bound, 4, upper_bound_selection, SkolemRegistry())
+    assert calls == {("rectify", "construct"): 1, ("deltapp_skolemize", "construct"): 1,
+                     ("deltapp_scope", "skolem"): 4, ("bind", "skolem"): 4,
+                     ("deltapp_scope", "kernel"): 5}
+
+
+def test_each_deltapp_premise_uses_the_symbol_its_scope_is_filed_under(
+        upper_bound, upper_bound_selection):
+    """In the constructed free-variable derivations of the showcase and of
+    seeded random formulas at orders 1-3, each deltapp step's premise puts
+    for its variable the symbol under which a delta++ Skolemization of the
+    formula files the step's wrapped scope, applied to the scope's listed
+    variables; the construction adds no registry entry of its own."""
+    rng = random.Random(23)
+    formulas = [random_candidate(rng) for _ in range(1200)]
+    cases = [(upper_bound, 4, upper_bound_selection)]
+    cases += [(f, n, None) for f in formulas for n in (1, 2, 3)]
+    seen = 0
+    for a, n, sel in cases:
+        registry = SkolemRegistry()
+        try:
+            d, _, _ = construct_fv_derivation(a, n, sel, registry)
+        except ConstructError:
+            continue
+        filed = SkolemRegistry()
+        deltapp_skolemize(rectify(a), filed)
+        assert registry.entries == filed.entries
+        for step, line in zip(d.steps, check_derivation(d, registry).lines):
+            if step.tag == "deltapp":
+                wrapped = (Forall if step.quant == "forall" else Exists)(
+                    step.var, step.scope)
+                listed, key = deltapp_scope(wrapped)
+                sym, _ = filed.lookup(key)
+                assert locate(line, step.path).node == substitute(
+                    step.scope, {step.var: App(sym, True, listed)})
+                seen += 1
+    assert seen >= 800
 
 
 # ---------------------------------------------------------------------------

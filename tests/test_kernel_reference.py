@@ -1,7 +1,8 @@
 """The kernel's rule table against references: the passage rewrite against
-the twelve-arm version it replaced, the gamma premise and delta context
-checks against the ones they replaced, and the report conditions of proof
-scripts under one-line deletions and single-field mutations, pinned."""
+the twelve-arm version it replaced, the gamma and delta++ premise checks
+and the delta context check against the ones they replaced, and the report
+conditions of proof scripts under one-line deletions and single-field
+mutations, pinned."""
 
 import dataclasses
 import random
@@ -20,6 +21,7 @@ from herbrandkit.kernel import (
     ScriptError,
     StepError,
     _delta_minus,
+    _deltapp,
     _gamma_quant,
     _passage_rewrite,
     check_derivation,
@@ -27,7 +29,7 @@ from herbrandkit.kernel import (
     parse_script,
     print_script,
 )
-from herbrandkit.skolem import SkolemRegistry
+from herbrandkit.skolem import SkolemRegistry, deltapp_scope, key_hash
 from herbrandkit.syntax import (
     And,
     App,
@@ -51,7 +53,9 @@ from herbrandkit.syntax import (
 )
 
 from conftest import random_qf
-from references import reference_delta_minus, reference_gamma_quant, sites
+from references import (
+    reference_delta_minus, reference_deltapp, reference_gamma_quant, sites,
+)
 from test_fold import BINDERS, TERMS, X, Y, random_formula
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -160,7 +164,8 @@ def test_passage_rewrite_agrees_with_the_reference():
 
 
 # ---------------------------------------------------------------------------
-# the gamma premise and delta context checks against the ones they replaced
+# the gamma and delta++ premise checks and the delta context check against
+# the ones they replaced
 
 # rule tag -> (the kernel's check, the reference check)
 _CHECKS = {
@@ -170,14 +175,16 @@ _CHECKS = {
                          partial(reference_gamma_quant, restricted=True)),
     "delta-minus": (_delta_minus, reference_delta_minus),
     "nongen-delta": (_delta_minus, reference_delta_minus),
+    "deltapp": (_deltapp, reference_deltapp),
 }
 
 
-def _check_outcome(check, line, step):
-    """The next line, or the condition and message of the StepError; a path
-    that leaves the line is the kernel's bad-path."""
+def _check_outcome(check, line, step, entries):
+    """The next line, or the condition and message of the StepError, from a
+    registry holding entries; a path that leaves the line is the kernel's
+    bad-path."""
     try:
-        return check(line, step, SkolemRegistry())[0]
+        return check(line, step, SkolemRegistry(dict(entries)))[0]
     except StepError as e:
         return e.condition, str(e)
     except PathError as e:
@@ -188,12 +195,12 @@ def _outcome_name(outcome):
     return outcome[0] if isinstance(outcome, tuple) else "accepted"
 
 
-def _agree(line, step):
+def _agree(line, step, entries=()):
     """The outcome of step on line under the kernel's check, after asserting
     that the reference gives the same next line or the same error."""
     check, reference = _CHECKS[step.tag]
-    got = _check_outcome(check, line, step)
-    want = _check_outcome(reference, line, step)
+    got = _check_outcome(check, line, step, entries)
+    want = _check_outcome(reference, line, step, entries)
     assert type(got) is type(want) and got == want, (print_formula(line), step)
     if not isinstance(got, tuple):
         assert print_formula(got) == print_formula(want)
@@ -240,7 +247,8 @@ _REACHED = {
                      "bad-path", "not-a-gamma", "not-a-delta"},
     "derive_upper_fv": {"accepted", "premise-mismatch", "witness-not-gamma-var",
                         "binder-collision", "bad-binder-name", "bad-path",
-                        "not-a-gamma"},
+                        "not-a-gamma", "not-a-delta", "delta-term-mismatch",
+                        "registry-mismatch"},
     "herbrand-original": {"accepted", "premise-mismatch", "witness-capture",
                           "binder-collision", "bad-binder-name", "bad-path",
                           "not-a-gamma", "not-a-delta"},
@@ -249,26 +257,33 @@ _REACHED = {
 
 @pytest.mark.parametrize("family", sorted(_REACHED))
 def test_premise_and_context_checks_agree_with_the_reference(family):
-    """Every gamma and delta step of the scripts, and each with one field
-    changed, on the line it was made for."""
+    """Every gamma, delta and delta++ step of the scripts, and each with one
+    field changed, on the line it was made for, from a fresh registry and
+    from the one the whole replay leaves, which knows every delta++ scope
+    of the script."""
     seen = Counter()
     for text in _script_family(family):
         d = parse_script(text)
+        filled = SkolemRegistry()
+        assert check_derivation(d, filled).ok
         line, registry = d.axiom, SkolemRegistry()
         for step in d.steps:
             if step.tag in _CHECKS:
                 for mutated in _step_mutations(step, line, d):
-                    seen[_outcome_name(_agree(line, mutated))] += 1
+                    for entries in ({}, filled.entries):
+                        seen[_outcome_name(_agree(line, mutated, entries))] += 1
             line = check_step(line, step, registry)
-    assert _REACHED[family] <= set(seen)
+    assert _REACHED[family] <= set(seen), seen
 
 
 def test_premise_and_context_checks_agree_on_shadowing_binders():
     """Random scopes and lines whose binders shadow one another and include
     a Skolem-named one, with witnesses that are plain, instantiation and
     Skolem-named variables: a gamma premise is the scope's instance, or now
-    and then another formula; a delta sits at a random position."""
-    rng = random.Random(22)
+    and then another formula; a delta sits at a random position; a delta++
+    premise is the instance with the registry term of a registry that knows
+    the scope, now and then at another arity, or another formula."""
+    rng, drng = random.Random(22), random.Random(23)
     seen = Counter()
     for _ in range(1500):
         h = random_formula(rng, 4, [])
@@ -289,10 +304,20 @@ def test_premise_and_context_checks_agree_on_shadowing_binders():
         seen[_outcome_name(_agree(line, RuleStep(
             "delta-minus", path, quant=quant,
             var=rng.choice(BINDERS + ["w", "?g"]))))] += 1
+        h = random_formula(drng, 4, [])
+        var = drng.choice(BINDERS + ["w", "?g"])
+        quant = drng.choice(["forall", "exists"])
+        listed, key = deltapp_scope((Forall if quant == "forall" else Exists)(var, h))
+        known = {key_hash(key): ("sk_d", len(listed) + (drng.random() < 0.1))}
+        premise = (substitute(h, {var: App("sk_d", True, listed)})
+                   if drng.random() < 0.8 else random_formula(drng, 3, []))
+        seen[_outcome_name(_agree(Or(Atom("r"), premise), RuleStep(
+            "deltapp", (1,), quant=quant, var=var, scope=h), known))] += 1
     assert {"accepted", "premise-mismatch", "witness-capture",
             "binder-collision", "bad-binder-name", "witness-not-gamma-var",
             "context-capture", "not-a-gamma", "not-a-delta",
-            "gamma-not-accessible"} <= set(seen)
+            "gamma-not-accessible", "delta-term-mismatch",
+            "registry-mismatch"} <= set(seen), seen
 
 
 @pytest.mark.parametrize("family", sorted(_REACHED))

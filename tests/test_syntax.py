@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herbrandkit.expansion import parse_selection
 from herbrandkit.kernel import StepError, apply_passage
 from herbrandkit.oracle import valid_up_to
 from herbrandkit.syntax import (
@@ -491,3 +492,91 @@ def test_promote_skolem_apps_names_heights():
 
 def test_formula_size():
     assert formula_size(parse_formula("p & ~q")) == 4
+
+
+# (reader, multi-line bad input, the error's class and text), taken from
+# the tokenizer that counted lines and columns token by token: the position
+# of an error is computed from its offset only when it is raised, and every
+# text stays as it was
+PARSE_ERRORS = [
+    ('formula', 'p(x) &\n  q(y) $ r',
+     ('ParseError', "unexpected character '$' (line 2, column 8)")),
+    ('formula', 'p(x,\n )',
+     ('ParseError', "expected a term, found ')' (line 2, column 2)")),
+    ('formula', 'p(x\n\n   y)',
+     ('ParseError', "expected ')', found 'y' (line 3, column 4)")),
+    ('formula', 'forall\n (x). p(x)',
+     ('ParseError', "expected a binder name, found '(' (line 2, column 2)")),
+    ('formula', 'exists\n  ?x. p(?x)',
+     ('ParseError', 'instantiation variables cannot be bound (line 2, column 3)')),
+    ('formula', '(p &\n forall f(x). p(x))',
+     ('ParseError', "bad binder 'f(x)' (line 2, column 9)")),
+    ('formula', 'p(x) &\n   sk_a',
+     ('ParseError', "'sk_a' is not a formula (line 2, column 4)")),
+    ('formula', 'p &\n\t)',
+     ('ParseError', "expected a formula, found ')' (line 2, column 2)")),
+    ('formula', 'p(x)\n q(x)',
+     ('ParseError', "trailing input, found 'q' (line 2, column 2)")),
+    ('formula', 'p(x) &\n',
+     ('ParseError', "expected a formula, found 'end of input' (line 2, column 1)")),
+    ('formula', 'forall x\n p(x)',
+     ('ParseError', "expected '.', found 'p' (line 2, column 2)")),
+    ('formula', 'p(x) &\r\n q(x) |\r\n #',
+     ('ParseError', "unexpected character '#' (line 3, column 2)")),
+    ('formula', '~(p(x) |\n\n    (q &\n  r)',
+     ('ParseError', "expected ')', found 'end of input' (line 4, column 5)")),
+    ('formula', 'p(c)\n & p(c,\n  d)',
+     ('ParseError', "predicate 'p' used with arities 1 and 2")),
+    ('formula', 'p(x) \u2028 & \n  q(',
+     ('ParseError', "expected a term, found 'end of input' (line 2, column 5)")),
+    ('term', 'f(x,\n\n  @dot, ?y) z',
+     ('ParseError', "trailing input, found 'z' (line 3, column 13)")),
+    ('term', 'f(\n',
+     ('ParseError', "expected a term, found 'end of input' (line 2, column 1)")),
+    ('term', '\n\n  )',
+     ('ParseError', "expected a term, found ')' (line 3, column 3)")),
+    ('term', 'f(x)\n\ng(y)',
+     ('ParseError', "trailing input, found 'g' (line 3, column 1)")),
+    ('term', 'f(x\n y)',
+     ('ParseError', "expected ')', found 'y' (line 2, column 2)")),
+    ('term', 'sk_a(\n  x ,\n %)',
+     ('ParseError', "unexpected character '%' (line 3, column 2)")),
+    ('selection', '(forall x (f(\n ; a comment (\n ,)) _)',
+     ('ParseError', "expected a term, found ',' (line 3, column 2)")),
+    ('selection', '(or\n  (forall x (f\n(c)) _)\n  _)',
+     ('ParseError', "expected a term, found '(' (line 3, column 1)")),
+    ('selection', '(forall x (f (c)) _)',
+     ('ParseError', "expected a term, found '(' (line 1, column 14)")),
+    ('selection', '(or _\n  _\n  _)',
+     ('SelectionError', 'expected ) in selection')),
+    ('selection', '(forall x\n  (c d)\n  _ _ _)',
+     ('SelectionError', 'quantifier x lists 2 terms but 3 sub-selections')),
+    ('selection', '(forall x ()\n _)',
+     ('SelectionError', 'empty term list at quantifier x')),
+    ('selection', '(forall x (c\n  ; unclosed',
+     ('SelectionError', 'unclosed term list')),
+    ('selection', '(xor _ _)',
+     ('SelectionError', "unknown selection node 'xor'")),
+    ('selection', '(not _)\n  _',
+     ('SelectionError', 'trailing input in selection')),
+    ('selection', '(not\n  x)',
+     ('SelectionError', "expected ( or _, found 'x'")),
+    ('selection', '(forall x c _)',
+     ('SelectionError', 'expected a term list after forall x')),
+    ('selection', '(and _\n',
+     ('SelectionError', 'unexpected end of selection')),
+    ('selection', '(forall x (c $) _)',
+     ('ParseError', "unexpected character '$' (line 1, column 14)")),
+    ('selection', '(forall x (c)\n  (forall y (f(c,\n   d e)) _))',
+     ('ParseError', "expected ')', found 'e' (line 3, column 6)")),
+]
+
+_READERS = {"formula": parse_formula, "term": parse_term,
+            "selection": parse_selection}
+
+
+@pytest.mark.parametrize("reader, text, want", PARSE_ERRORS)
+def test_parse_error_texts_are_pinned(reader, text, want):
+    with pytest.raises(FormulaError) as e:
+        _READERS[reader](text)
+    assert (type(e.value).__name__, str(e.value)) == want
