@@ -2,11 +2,13 @@
 
 The pipeline from a first-order formula to a checkable derivation:
 
-  * ``property_c`` Skolemizes a formula (outer or delta-plus-plus), grounds
-    its expansion over the height-bounded term domain of a given order into
-    the propositional abstraction, and refutes its clausal form; a
-    selection tree restricts the expansion to chosen witnesses, which can
-    only confirm, never refute.
+  * ``property_c`` Skolemizes a formula (outer or delta-plus-plus) and
+    decides its expansion over the height-bounded term domain of a given
+    order: a Horn refutation form by forward chaining over the domain, any
+    other by grounding it into the propositional abstraction and refuting
+    its clausal form, which stays the definition; a selection tree
+    restricts the expansion to chosen witnesses, which can only confirm,
+    never refute.
   * ``min_order`` Skolemizes once and scans orders upward for the least
     one that works.
   * ``construct_derivation`` turns a confirmed order plus a selection into
@@ -40,6 +42,7 @@ from .expansion import (
     champ,
     expansion_counts,
     full_selection,
+    horn_tautology,
     match_selection,
     parse_selection,
     selection_within,
@@ -154,9 +157,11 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
     tautological?  With a selection, only the chosen sub-expansion is
     built; a positive answer is then still conclusive, a negative one is
     not.  sk, when given, is skolemized(a, star, registry), made once by a
-    caller that asks at several orders or reads its symbols.  The expansion
-    is grounded straight into the propositional abstraction, which the CDCL
-    solver refutes."""
+    caller that asks at several orders or reads its symbols.  A Horn
+    refutation form is decided by forward chaining (horn_tautology) unless
+    the chaining outgrows the expansion; any other expansion, and a
+    selection's, is grounded straight into the propositional abstraction,
+    which the CDCL solver refutes."""
     if n < 1:
         raise ConstructError(f"the order must be at least 1, got {n}")
     if sk is None:
@@ -191,8 +196,10 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
         raise BudgetError(
             f"the order-{n} expansion has {count} formula nodes, "
             f"over the size guard of {budget}")
-    nodes, root = abstraction(sk, full_selection(sk, ch.terms), budget)
-    taut = decide_form(*refutation_clauses(nodes, root))[0]
+    taut = horn_tautology(sk, ch.terms, count)
+    if taut is None:
+        nodes, root = abstraction(sk, full_selection(sk, ch.terms), budget)
+        taut = decide_form(*refutation_clauses(nodes, root))[0]
     # over no terms the expansion is the quantifier-free sk itself
     extra = (dict(node_count=count) if ch.terms else dict(
         detail="empty term domain; the quantifier-free form itself decides"))

@@ -18,6 +18,9 @@ builder (abstraction, which property_c reads) grounds straight into taut's
 propositional abstraction (taut.ground), filling the leaf's atom templates
 from the term prints of the environment, so no Atom, Term or substitute is
 made per instance.  The node and leaf counts are one fold (expansion_counts).
+A full expansion whose negation has a Horn clausal form is not built at all:
+horn_tautology decides it by forward chaining over the term list, unless its
+ground clause instances or join tries outnumber the expansion's nodes.
 
 Selections compare, hash and print from explicit stacks.
 """
@@ -31,9 +34,10 @@ from operator import neg
 
 from .syntax import (
     And, App, Atom, DOT, Forall, Formula, FormulaError, GammaVar, Not, Or,
-    Quant, Term, Var, _parse_term, _Tokens, bound_names, children,
-    collect_signature, fold, parse_term, print_term, quant_kind, substitute,
-    term_free_names, term_height, var_for_name,
+    Quant, SkolemNamedVar, Term, Var, _parse_term, _Tokens, bound_names,
+    children, collect_signature, fold, is_gamma, parse_term, print_term,
+    quant_kind, substitute, substitute_term, term_free_names, term_height,
+    var_for_name,
 )
 from .taut import compile_leaf, ground, numbering
 
@@ -467,6 +471,164 @@ def abstraction(f: Formula, sel: Selection,
     return nodes, _walk(f, sel, budget, (
         lambda g, ops, env: ground(ops, env, number), neg,
         lambda cls, a, b: number((cls, a, b)), print_term))
+
+
+def horn_tautology(f: Formula, terms, limit: int) -> bool | None:
+    """Whether the expansion of f over terms is a tautology, decided without
+    building it when the clausal form of f's negation is Horn; None, for
+    the CDCL route, when a quantifier is not gamma, a clause has two
+    positive literals, or the form has more than limit clauses, ground
+    clause instances or join tries.
+
+    In the negation normal form of ~f every gamma quantifier is universal,
+    and f is rectified, so each binder is a clause variable that ranges over
+    terms; every other name is a constant.  The expansion is a tautology
+    exactly when the ground instances of the clauses are unsatisfiable,
+    which on Horn clauses is semi-naive forward chaining (Dowling & Gallier
+    1984): each new fact is matched against every body atom and joined with
+    the facts matched there before, a clause whose body holds adds its head,
+    a clause with no head (a goal) that fires refutes, and a fixpoint does
+    not.  A variable binds only a term of terms, so a fact that no body atom
+    matches, such as x < sk_m(x,y) with sk_m(x,y) beyond the champ, is
+    dropped.  limit is the expansion's node count, and the form goes back
+    to CDCL when its ground clause instances, which bound the head
+    instances made, or the filed facts tried in joins outnumber it: so the
+    chaining does no more work than grounding would.  A ground atom is told
+    apart by its predicate and argument prints, as taut tells atoms
+    apart."""
+    def sign(g, s):  # g's polarity in f, from its parent's
+        return -s if type(g) is Not else s
+
+    # the shape of ~f's clausal form below each node: (the most positive
+    # literals in one clause, the number of clauses), so that no clause is
+    # built for a form that is not Horn or too large
+    def shape(g, kids, s):
+        t = type(g)
+        if t is Atom:
+            return (int(s < 0), 1)
+        if t is not And and t is not Or:  # Not, or a quantifier
+            return kids[0] if t is Not or is_gamma(quant_kind(g), s) else None
+        if None in kids:
+            return None
+        (pa, na), (pb, nb) = kids
+        return ((max(pa, pb), na + nb) if (t is Or) == (s > 0)  # a conjunction
+                else (pa + pb, na * nb))
+
+    # a clause of ~f: (its positive atom or None, its negated atoms)
+    def clausal(g, kids, s):
+        t = type(g)
+        if t is Atom:
+            return [(g, ()) if s < 0 else (None, (g,))]
+        if t is not And and t is not Or:
+            return kids[0]
+        a, b = kids
+        if (t is Or) == (s > 0):
+            return a + b
+        return [(ha or hb, ba + bb) for ha, ba in a for hb, bb in b]
+
+    form = fold(f, shape, sign, 1)
+    if form is None or form[0] > 1 or form[1] > limit:
+        return None
+    clauses = fold(f, clausal, sign, 1)
+    names = bound_names(f)
+    pool = {t.text: t for t in terms}  # a term of each distinct print
+
+    def variables(*atoms):
+        return [n for n in dict.fromkeys(n for a in atoms for t in a.args
+                                         for n in t.names) if n in names]
+
+    heads, bodies = [], []  # per clause: (predicate, args, head-only vars)
+    sites: dict = {}        # (predicate, arity) -> [(clause, index, args)]
+    matched: dict = {}      # (clause, index) -> {(var, print) or None: envs}
+    instances = 0           # ground clause instances, which bound the heads made
+    for c, (head, body) in enumerate(clauses):
+        bodies.append([variables(a) for a in body])
+        bound_by_body = variables(*body)
+        free = [v for v in variables(head) if v not in bound_by_body] if head else []
+        heads.append(head and (head.pred, head.args, free))
+        instances += len(pool) ** (len(bound_by_body) + len(free))
+        for j, a in enumerate(body):
+            sites.setdefault((a.pred, len(a.args)), []).append((c, j, a.args))
+    if instances > limit:
+        return None
+    # per (predicate, arity): the argument places where every body atom has
+    # a clause variable, so that a fact with no term of terms there matches
+    # no body atom and is not queued
+    tight = {key: [i for i in range(key[1]) if all(
+        type(args[i]) is not App and not names.isdisjoint(args[i].names)
+        for _, _, args in at)] for key, at in sites.items()}
+
+    def match(args, got, env) -> bool:
+        stack = list(zip(args, got))
+        while stack:
+            p, s = stack.pop()
+            if names.isdisjoint(p.names):
+                if p.text != s.text:
+                    return False
+            elif type(p) is not App:  # a clause variable
+                if env.setdefault(p.text, s).text != s.text or s.text not in pool:
+                    return False
+            else:
+                while type(s) is SkolemNamedVar:  # which prints as its encoding
+                    s = s.encoded
+                if type(s) is not App or s.sym != p.sym or len(s.args) != len(p.args):
+                    return False
+                stack += zip(p.args, s.args)
+        return True
+
+    seen, queue, tries = set(), [], 0
+
+    def fire(c, env) -> bool:  # whether c is a goal; else its heads are queued
+        if heads[c] is None:
+            return True
+        pred, args, free = heads[c]
+        for combo in itertools.product(pool.values(), repeat=len(free)):
+            e = env | dict(zip(free, combo)) if free else env
+            got = tuple(substitute_term(t, e) for t in args)
+            if any(got[i].text not in pool for i in tight.get((pred, len(got)), ())):
+                continue
+            if (key := (pred, tuple(t.text for t in got))) not in seen:
+                seen.add(key)
+                queue.append((pred, got))
+        return False
+
+    # whether a goal fires from env at body atom i of c, None past limit tries
+    def join(c, i, env) -> bool | None:
+        nonlocal tries
+        rest = [j for j in range(len(bodies[c])) if j != i]
+        stack = [(0, env)]
+        while stack:
+            k, env = stack.pop()
+            if k == len(rest):
+                if fire(c, env):
+                    return True
+                continue
+            j = rest[k]
+            key = next(((v, env[v].text) for v in bodies[c][j] if v in env), None)
+            tried = matched.get((c, j), {}).get(key, ())
+            tries += len(tried)
+            if tries > limit:
+                return None
+            stack += [(k + 1, env | e) for e in tried
+                      if all(env.get(v, x).text == x.text for v, x in e.items())]
+        return False
+
+    if any(not bodies[c] and fire(c, {}) for c in range(len(clauses))):
+        return True
+    # a fact is filed at each body atom it matches before it joins from
+    # there, so an instance that holds it at several atoms is found once
+    # it is filed at the last of them
+    while queue:
+        pred, got = queue.pop()
+        for c, j, args in sites.get((pred, len(got)), ()):
+            env: dict = {}
+            if match(args, got, env):
+                index = matched.setdefault((c, j), {})
+                for key in (None, *((v, t.text) for v, t in env.items())):
+                    index.setdefault(key, []).append(env)
+                if (r := join(c, j, env)) is not False:
+                    return r
+    return False
 
 
 # the walk's formula builder: a leaf is instantiated by substitute, and

@@ -184,6 +184,13 @@ def _wrap(step: RuleStep, scope: Formula, bound: set[str]) -> Formula:
         var_for_name(step.var)
     except FormulaError as e:
         raise StepError("bad-binder-name", str(e))
+    # a bound ? name would capture the instantiation variables a witness or
+    # a registry term lists; neither the parser nor a construction binds one
+    for name in sorted(bound):
+        if name.startswith("?"):
+            raise StepError("bad-binder-name",
+                            f"the scope binds the instantiation variable {name}, "
+                            f"which cannot be bound")
     if step.var in bound:
         raise StepError("binder-collision",
                         f"{step.var} is already bound inside the scope")
@@ -229,10 +236,9 @@ def _gamma_quant(f, step, registry, restricted=False):
 def _is_instance(h: Formula, var: str, t: Term, got: Formula) -> bool:
     """Whether got is h with t for var.  No binder of h is var (_wrap) or
     a name of t: a gamma witness passed witness-capture, and a delta++ term
-    lists instantiation variables, which neither the parser nor a
-    construction lets a binder take.  So the instance
-    substitutes every atom of h and renames no binder, and got is the
-    instance when it pairs with h atom by atom."""
+    lists instantiation variables, which _wrap refuses as binders.  So the
+    instance substitutes every atom of h and renames no binder, and got is
+    the instance when it pairs with h atom by atom."""
     m = {var: t}
     return paired(h, got, lambda a, b, env: substitute_term(a, m) is b)
 

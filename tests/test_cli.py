@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import herbrandkit
+from herbrandkit import construct
 from herbrandkit.cli import main
 from herbrandkit.construct import UPPER_BOUND_TEXT
 from herbrandkit.skolem import outer_skolemize
@@ -420,6 +421,42 @@ def test_check_c_holds_a_selection_to_the_size_guard(capsys):
     assert code == 2 and "sub-expansion exceeds the size guard of 20" in err
     code, out, _ = run(capsys, "check-c", "--order", "2", "--selection", sel, text)
     assert code == 0 and "status: holds" in out
+
+
+SHOWCASE_GUARD_ERROR = ("error: the order-4 expansion has 22322979 formula nodes, "
+                        "over the size guard of 10000000\n")
+
+
+@pytest.fixture
+def no_grounding(monkeypatch):
+    """Fails a check whose full route grounds the expansion, so a test bounds
+    its work by the route it takes rather than by a clock."""
+    def grounded(*_):
+        raise AssertionError("the full route grounded the expansion")
+    for name in ("abstraction", "decide_form"):
+        monkeypatch.setattr(construct, name, grounded)
+
+
+@pytest.mark.parametrize("star", [[], ["--star"]], ids=["outer", "deltapp"])
+def test_check_c_decides_the_upper_bound_at_its_own_order(capsys, no_grounding, star):
+    """Under a guard that admits its 22,322,979-node expansion, the order-4
+    check of the upper-bound example holds, decided by forward chaining
+    without grounding it; the default guard still refuses it with the same
+    message."""
+    code, doc, _ = run_json(capsys, "check-c", "--order", "4", *star,
+                            "--budget", "30000000", UPPER_BOUND_TEXT)
+    assert code == 0 and doc["status"] == "holds" and doc["tautology"]
+    assert (doc["term_count"], doc["node_count"]) == (147, 22322979)
+    assert run(capsys, "check-c", "--order", "4", *star, UPPER_BOUND_TEXT) == (
+        2, "", SHOWCASE_GUARD_ERROR)
+
+
+def test_min_order_reaches_the_upper_bound_at_its_own_order(capsys, no_grounding):
+    code, out, _ = run(capsys, "min-order", "--max", "4", "--budget", "30000000",
+                       UPPER_BOUND_TEXT)
+    assert (code, out) == (0, "4\n")
+    assert run(capsys, "min-order", "--max", "4", UPPER_BOUND_TEXT) == (
+        2, "", SHOWCASE_GUARD_ERROR)
 
 
 def test_check_c_star(capsys):

@@ -1,5 +1,6 @@
 """Derivation checking: rules, side conditions, scripts, passage."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -41,10 +42,14 @@ from herbrandkit.kernel import (
     parse_script,
     print_script,
 )
-from herbrandkit.skolem import SkolemRegistry, canonical_key
+from herbrandkit.skolem import SkolemRegistry, canonical_key, deltapp_scope
 from herbrandkit.syntax import (
+    App,
+    Atom,
+    Forall,
     FormulaError,
     GammaVar,
+    Or,
     Var,
     alpha_equal,
     parse_formula,
@@ -212,6 +217,46 @@ def test_deltapp_rejects_symbol_reuse_for_a_different_scope():
     s2 = RuleStep(DELTAPP, (), quant="forall", var="b",
                   scope=parse_formula("q(b, ?x)"))
     assert err(f2, s2, reg) == "registry-mismatch"
+
+
+# A scope built in code that binds an instantiation variable's name, which
+# the parser refuses: (forall ?a. q(x)) | r(?a), with the step variable x.
+CAPTURING_SCOPE = Or(Forall("?a", Atom("q", (Var("x"),))), Atom("r", (GammaVar("a"),)))
+
+
+def capturing_premise(t):
+    return Or(Forall("?a", Atom("q", (t,))), Atom("r", (GammaVar("a"),)))
+
+
+@pytest.mark.parametrize("known", [False, True], ids=["fresh-registry", "known-scope"])
+@pytest.mark.parametrize("tag, premise, quant, term", [
+    (DELTAPP, capturing_premise(App("sk_d", True, (GammaVar("a"),))), "forall", None),
+    (GAMMA_QUANT, capturing_premise(Var("c")), "exists", Var("c")),
+    (NONGEN_GAMMA, capturing_premise(Var("c")), "exists", Var("c")),
+    (RESTRICTED_GAMMA, capturing_premise(GammaVar("b")), "exists", GammaVar("b")),
+    (DELTA_MINUS, CAPTURING_SCOPE, "forall", None),
+    (NONGEN_DELTA, CAPTURING_SCOPE, "forall", None),
+], ids=[DELTAPP, GAMMA_QUANT, NONGEN_GAMMA, RESTRICTED_GAMMA, DELTA_MINUS, NONGEN_DELTA])
+def test_a_scope_that_binds_an_instantiation_variable_is_refused(
+        known, tag, premise, quant, term):
+    """Every rule that wraps a scope refuses one that binds ?a, and says so.
+    deltapp used to accept sk_d(?a) here, its ?a captured by the binder,
+    under a fresh registry and under one that knows the scope."""
+    reg = SkolemRegistry()
+    if known:
+        listed, key = deltapp_scope(Forall("x", CAPTURING_SCOPE))
+        reg.record(key, "sk_d", len(listed))
+    scope = None if tag in (DELTA_MINUS, NONGEN_DELTA) else CAPTURING_SCOPE
+    step = RuleStep(tag, (), quant=quant, var="x", scope=scope, term=term)
+    with pytest.raises(StepError, match=re.escape(
+            "the scope binds the instantiation variable ?a")) as e:
+        check_step(premise, step, reg)
+    assert e.value.condition == "bad-binder-name"
+
+
+@pytest.mark.parametrize("name", ["derive_drinker", "derive_upper", "derive_upper_fv"])
+def test_the_showcase_scripts_are_still_accepted(name):
+    assert check_derivation(parse_script((GOLDEN / f"{name}.txt").read_text())).ok
 
 
 # ---------------------------------------------------------------------------
