@@ -10,7 +10,10 @@ The pipeline from a first-order formula to a checkable derivation:
     restricts the expansion to chosen witnesses, which can only confirm,
     never refute.
   * ``min_order`` Skolemizes once and scans orders upward for the least
-    one that works.
+    one that works, extending one Horn chain from order to order: champs
+    nest, and pool membership is the only test of the chaining that
+    depends on the order, so the facts derived at one order hold at the
+    next.
   * ``construct_derivation`` turns a confirmed order plus a selection into
     a derivation in the single-premise calculus: name the removed-quantifier
     variables by their Skolem terms, duplicate quantifiers once per chosen
@@ -43,6 +46,7 @@ from .expansion import (
     expansion_counts,
     full_selection,
     horn_tautology,
+    HornChain,
     match_selection,
     parse_selection,
     selection_within,
@@ -152,21 +156,27 @@ def skolemized(a: Formula, star: bool = False,
 def property_c(a: Formula, n: int, star: bool = False, sel=None,
                herbrand_heights: bool = False, budget: int = DEFAULT_BUDGET,
                registry: SkolemRegistry | None = None,
-               sk: Formula | None = None) -> PropertyCResult:
+               sk: Formula | None = None,
+               chain: HornChain | None = None) -> PropertyCResult:
     """Does the order-n expansion of a's Skolemized form come out
     tautological?  With a selection, only the chosen sub-expansion is
     built; a positive answer is then still conclusive, a negative one is
     not.  sk, when given, is skolemized(a, star, registry), made once by a
-    caller that asks at several orders or reads its symbols.  A Horn
-    refutation form is decided by forward chaining (horn_tautology) unless
-    the chaining outgrows the expansion; any other expansion, and a
+    caller that asks at several orders or reads its symbols; chain, when
+    given, is a HornChain of it that min_order extends from order to order,
+    and stands for sk.  A Horn refutation form is decided by forward
+    chaining (horn_tautology at one order, chain.extend across orders)
+    unless the chaining outgrows the expansion; any other expansion, and a
     selection's, is grounded straight into the propositional abstraction,
     which the CDCL solver refutes."""
     if n < 1:
         raise ConstructError(f"the order must be at least 1, got {n}")
-    if sk is None:
+    if chain is not None:
+        sk = chain.form
+    elif sk is None:
         sk = skolemized(a, star, registry)
-    ch = champ(sk, n, herbrand=herbrand_heights, budget=budget)
+    ch = champ(sk, n, herbrand=herbrand_heights, budget=budget,
+               signature=chain and chain.signature)
     base = dict(order=n, star=star, herbrand_heights=herbrand_heights,
                 skolemized=sk, term_count=len(ch.terms))
     if sel is not None:
@@ -196,7 +206,8 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
         raise BudgetError(
             f"the order-{n} expansion has {count} formula nodes, "
             f"over the size guard of {budget}")
-    taut = horn_tautology(sk, ch.terms, count)
+    taut = (chain.extend(ch.terms, count) if chain
+            else horn_tautology(sk, ch.terms, count))
     if taut is None:
         nodes, root = abstraction(sk, full_selection(sk, ch.terms), budget)
         taut = decide_form(*refutation_clauses(nodes, root))[0]
@@ -213,14 +224,18 @@ def min_order(a: Formula, star: bool = False, n_max: int = 8,
               budget: int = DEFAULT_BUDGET) -> int | None:
     """Least order up to n_max at which the full expansion is tautological,
     or None.  Selections play no part here; this is the search the
-    round-trip theorems quantify over.  a is Skolemized once for every
+    round-trip theorems quantify over.  a is Skolemized once, and one
+    HornChain of the Skolemized form serves every order, so its signature
+    and clause form are made once and the facts derived at one order are
+    kept for the next.  That is sound because champs nest and pool
+    membership is the only test of the chaining that depends on the
     order."""
     if n_max < 1:
         raise ConstructError(f"the largest order must be at least 1, got {n_max}")
-    sk = skolemized(a, star)
+    chain = HornChain(skolemized(a, star))
     for n in range(1, n_max + 1):
         r = property_c(a, n, star=star, herbrand_heights=herbrand_heights,
-                       budget=budget, sk=sk)
+                       budget=budget, chain=chain)
         if r.holds:
             return n
     return None

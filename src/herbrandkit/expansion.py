@@ -19,8 +19,10 @@ propositional abstraction (taut.ground), filling the leaf's atom templates
 from the term prints of the environment, so no Atom, Term or substitute is
 made per instance.  The node and leaf counts are one fold (expansion_counts).
 A full expansion whose negation has a Horn clausal form is not built at all:
-horn_tautology decides it by forward chaining over the term list, unless its
-ground clause instances or join tries outnumber the expansion's nodes.
+a HornChain decides it by forward chaining over the term list, unless its
+ground clause instances or join tries outnumber the expansion's nodes; it
+keeps its clause form and facts as the term list grows from one order to
+the next.
 
 Selections compare, hash and print from explicit stacks.
 """
@@ -36,7 +38,7 @@ from .syntax import (
     And, App, Atom, DOT, Forall, Formula, FormulaError, GammaVar, Not, Or,
     Quant, SkolemNamedVar, Term, Var, _parse_term, _Tokens, bound_names,
     children, collect_signature, fold, is_gamma, parse_term, print_term,
-    quant_kind, substitute, substitute_term, term_free_names, term_height,
+    quant_kind, substitute, substitute_term, subterms, term_free_names, term_height,
     var_for_name,
 )
 from .taut import compile_leaf, ground, numbering
@@ -76,15 +78,11 @@ class ChampFini:
         return frozenset(self.terms)
 
 
-def champ(f: Formula, order: int, herbrand: bool = False,
-          budget: int = DEFAULT_BUDGET) -> ChampFini:
-    """All terms of height < order over the formula's free symbols: its
-    function symbols, its constants and free variables, with the fresh
-    constant @dot thrown in exactly when there is no constant or free
-    variable to start from.  Only the signature is read, and each distinct
-    champ is built once per process and shared by every caller."""
-    if order < 1:
-        raise ExpansionError(f"champ order must be at least 1, got {order}")
+def champ_signature(f: Formula) -> tuple:
+    """What champ reads of f: its function symbols of arity at least 1, as
+    (name, arity, skolem), and the terms of height 1 to start from, its
+    constants and free variables, with the fresh constant @dot thrown in
+    exactly when there is no constant or free variable to start from."""
     sig = collect_signature(f)
     base: list[Term] = []
     for name, (arity, sk) in sorted(sig.functions.items()):
@@ -98,7 +96,18 @@ def champ(f: Formula, order: int, herbrand: bool = False,
         base.append(DOT)
     funcs = tuple((name, arity, sk) for name, (arity, sk)
                   in sorted(sig.functions.items()) if arity >= 1)
-    return _build_champ(funcs, tuple(base), order, herbrand, budget)
+    return funcs, tuple(base)
+
+
+def champ(f: Formula, order: int, herbrand: bool = False,
+          budget: int = DEFAULT_BUDGET, signature: tuple | None = None) -> ChampFini:
+    """All terms of height < order over the formula's free symbols,
+    champ_signature(f), which a caller that asks at several orders passes
+    as signature.  Only the signature is read, and each distinct champ is
+    built once per process and shared by every caller."""
+    if order < 1:
+        raise ExpansionError(f"champ order must be at least 1, got {order}")
+    return _build_champ(*(signature or champ_signature(f)), order, herbrand, budget)
 
 
 # distinct champs kept per process; a champ is immutable, so callers share it
@@ -473,162 +482,246 @@ def abstraction(f: Formula, sel: Selection,
         lambda cls, a, b: number((cls, a, b)), print_term))
 
 
-def horn_tautology(f: Formula, terms, limit: int) -> bool | None:
-    """Whether the expansion of f over terms is a tautology, decided without
-    building it when the clausal form of f's negation is Horn; None, for
-    the CDCL route, when a quantifier is not gamma, a clause has two
-    positive literals, or the form has more than limit clauses, ground
-    clause instances or join tries.
+def _sign(g, s):  # g's polarity in f, from its parent's
+    return -s if type(g) is Not else s
+
+
+# fold's up over f: for the clausal form of ~f below g, the most positive
+# literals in one clause and the number of clauses, so that no clause is
+# built for a form that is not Horn or too large; None under a quantifier
+# that is not gamma
+def _shape(g, kids, s):
+    t = type(g)
+    if t is Atom:
+        return (int(s < 0), 1)
+    if t is not And and t is not Or:  # Not, or a quantifier
+        return kids[0] if t is Not or is_gamma(quant_kind(g), s) else None
+    if None in kids:
+        return None
+    (pa, na), (pb, nb) = kids
+    return ((max(pa, pb), na + nb) if (t is Or) == (s > 0)  # a conjunction
+            else (pa + pb, na * nb))
+
+
+# fold's up over f: the clauses of ~f below g, as (the positive atom or
+# None, the negated atoms)
+def _clausal(g, kids, s):
+    t = type(g)
+    if t is Atom:
+        return [(g, ()) if s < 0 else (None, (g,))]
+    if t is not And and t is not Or:
+        return kids[0]
+    a, b = kids
+    if (t is Or) == (s > 0):
+        return a + b
+    return [(ha or hb, ba + bb) for ha, ba in a for hb, bb in b]
+
+
+def _pool_key(t: Term):  # (symbol, argument prints), or the print if none
+    while type(t) is SkolemNamedVar:  # which prints as its encoding
+        t = t.encoded
+    return (t.sym, *[a.text for a in t.args]) if type(t) is App and t.args else t.text
+
+
+class HornChain:
+    """Semi-naive forward chaining (Dowling & Gallier 1984) on the clausal
+    form of ~f, over a pool of terms that grows from one order to the next.
 
     In the negation normal form of ~f every gamma quantifier is universal,
     and f is rectified, so each binder is a clause variable that ranges over
-    terms; every other name is a constant.  The expansion is a tautology
-    exactly when the ground instances of the clauses are unsatisfiable,
-    which on Horn clauses is semi-naive forward chaining (Dowling & Gallier
-    1984): each new fact is matched against every body atom and joined with
-    the facts matched there before, a clause whose body holds adds its head,
-    a clause with no head (a goal) that fires refutes, and a fixpoint does
-    not.  A variable binds only a term of terms, so a fact that no body atom
-    matches, such as x < sk_m(x,y) with sk_m(x,y) beyond the champ, is
-    dropped.  limit is the expansion's node count, and the form goes back
-    to CDCL when its ground clause instances, which bound the head
-    instances made, or the filed facts tried in joins outnumber it: so the
-    chaining does no more work than grounding would.  A ground atom is told
-    apart by its predicate and argument prints, as taut tells atoms
-    apart."""
-    def sign(g, s):  # g's polarity in f, from its parent's
-        return -s if type(g) is Not else s
+    the pool; every other name is a constant.  The expansion over the pool
+    is a tautology exactly when the ground clause instances are
+    unsatisfiable: each new fact is matched against every body atom and
+    joined with the facts matched there before, a clause whose body holds
+    adds its head, a goal (a clause with no head) that fires refutes, and a
+    fixpoint does not.  A variable that only the head has gets a body atom
+    @pool(v), and each pool term is a fact @pool(t).  A ground atom is told
+    apart by its predicate and argument prints, as taut tells atoms apart.
 
-    # the shape of ~f's clausal form below each node: (the most positive
-    # literals in one clause, the number of clauses), so that no clause is
-    # built for a form that is not Horn or too large
-    def shape(g, kids, s):
-        t = type(g)
-        if t is Atom:
-            return (int(s < 0), 1)
-        if t is not And and t is not Or:  # Not, or a quantifier
-            return kids[0] if t is Not or is_gamma(quant_kind(g), s) else None
-        if None in kids:
+    The champ signature, the shape walk and the clause form depend on f
+    alone and are made once.  Champs nest, and pool membership is the only
+    test of the chaining that depends on the order: a variable binds only a
+    pool term, and a head is not queued while a term outside the pool sits
+    at a tight place, one where every body atom of its predicate has a
+    variable.  So the facts of one order hold at the next: an extension
+    adds @pool(t) for each new term, re-tries what a new term alone
+    refused, and chains on.  A chaining cut short, by a goal or past limit
+    join tries, is dropped, and the next extension starts afresh."""
+
+    def __init__(self, f: Formula):
+        self.form, self.state = f, None
+
+    @cached_property
+    def signature(self):
+        return champ_signature(self.form)
+
+    @cached_property
+    def shape(self):
+        return fold(self.form, _shape, _sign, 1)
+
+    @cached_property
+    def clause_form(self):
+        """The clause variables; per clause its head, None for a goal, else
+        (predicate, per argument (whether its place is tight, its subterms
+        in reverse preorder, itself)), its body atoms' variables and its
+        variable count; the body atoms by (predicate, arity)."""
+        names = bound_names(self.form)
+
+        def variables(*atoms):
+            return [n for n in dict.fromkeys(n for a in atoms for t in a.args
+                                             for n in t.names) if n in names]
+
+        clauses, sites = [], {}
+        for c, (head, body) in enumerate(fold(self.form, _clausal, _sign, 1)):
+            bound = variables(*body)  # no parsed formula has the predicate @pool
+            body += tuple(Atom("@pool", (var_for_name(v),)) for v in variables(head)
+                          if v not in bound) if head else ()
+            clauses.append((head, body))
+            for j, a in enumerate(body):
+                sites.setdefault((a.pred, len(a.args)), []).append((c, j, a.args))
+        heads = [head and (head.pred, [(all(
+            type(args[i]) is not App and not names.isdisjoint(args[i].names)
+            for _, _, args in sites.get((head.pred, len(head.args)), ())),
+            list(subterms(p))[::-1], p) for i, p in enumerate(head.args)])
+            for head, _ in clauses]
+        return (names, heads, [[variables(a) for a in body] for _, body in clauses],
+                [len(variables(*body)) for _, body in clauses], sites)
+
+    def extend(self, terms, limit: int) -> bool | None:
+        """Whether the expansion of the form over terms is a tautology, where
+        terms are closed under subterms, as a champ is, and hold the terms of
+        the extensions before; None, for the CDCL route, when a quantifier is
+        not gamma, a clause has two positive literals, or the form has more
+        than limit clauses, ground clause instances or join tries.  limit is
+        the expansion's node count, and the ground clause instances bound
+        the heads made: so the chaining does no more work than grounding
+        would."""
+        if self.shape is None or self.shape[0] > 1 or self.shape[1] > limit:
             return None
-        (pa, na), (pb, nb) = kids
-        return ((max(pa, pb), na + nb) if (t is Or) == (s > 0)  # a conjunction
-                else (pa + pb, na * nb))
+        names, heads, bodies, counts, sites = self.clause_form
+        texts = {t.text: t for t in terms}  # a term of each distinct print
+        if sum(len(texts) ** k for k in counts) > limit:
+            return None
+        # the pool by print and by _pool_key; the facts queued, by predicate
+        # and argument prints; (clause, index) -> {(var, print) or None:
+        # envs filed}; the _pool_key of a term outside the pool -> what it
+        # alone refused.  Kept only if the chaining ends.
+        state, self.state = self.state, None
+        if state is None or not state[0].keys() <= texts.keys():
+            state = {}, {}, set(), [], {}, {}
+        pool, index, seen, queue, matched, waiting = state
+        new = [t for text, t in texts.items() if text not in pool]
+        for t in new:
+            pool[t.text] = index[_pool_key(t)] = t
+            queue.append(("@pool", [t]))
+        tries = 0
 
-    # a clause of ~f: (its positive atom or None, its negated atoms)
-    def clausal(g, kids, s):
-        t = type(g)
-        if t is Atom:
-            return [(g, ()) if s < 0 else (None, (g,))]
-        if t is not And and t is not Or:
-            return kids[0]
-        a, b = kids
-        if (t is Or) == (s > 0):
-            return a + b
-        return [(ha or hb, ba + bb) for ha, ba in a for hb, bb in b]
-
-    form = fold(f, shape, sign, 1)
-    if form is None or form[0] > 1 or form[1] > limit:
-        return None
-    clauses = fold(f, clausal, sign, 1)
-    names = bound_names(f)
-    pool = {t.text: t for t in terms}  # a term of each distinct print
-
-    def variables(*atoms):
-        return [n for n in dict.fromkeys(n for a in atoms for t in a.args
-                                         for n in t.names) if n in names]
-
-    heads, bodies = [], []  # per clause: (predicate, args, head-only vars)
-    sites: dict = {}        # (predicate, arity) -> [(clause, index, args)]
-    matched: dict = {}      # (clause, index) -> {(var, print) or None: envs}
-    instances = 0           # ground clause instances, which bound the heads made
-    for c, (head, body) in enumerate(clauses):
-        bodies.append([variables(a) for a in body])
-        bound_by_body = variables(*body)
-        free = [v for v in variables(head) if v not in bound_by_body] if head else []
-        heads.append(head and (head.pred, head.args, free))
-        instances += len(pool) ** (len(bound_by_body) + len(free))
-        for j, a in enumerate(body):
-            sites.setdefault((a.pred, len(a.args)), []).append((c, j, a.args))
-    if instances > limit:
-        return None
-    # per (predicate, arity): the argument places where every body atom has
-    # a clause variable, so that a fact with no term of terms there matches
-    # no body atom and is not queued
-    tight = {key: [i for i in range(key[1]) if all(
-        type(args[i]) is not App and not names.isdisjoint(args[i].names)
-        for _, _, args in at)] for key, at in sites.items()}
-
-    def match(args, got, env) -> bool:
-        stack = list(zip(args, got))
-        while stack:
-            p, s = stack.pop()
-            if names.isdisjoint(p.names):
-                if p.text != s.text:
+        # whether c is a goal; else its head under env is queued, each
+        # argument looked up in the pool and built only where it lies
+        # outside; at a tight place it waits on its first subterm outside
+        # the pool instead
+        def fire(c, env) -> bool:
+            if heads[c] is None:
+                return True
+            pred, places = heads[c]
+            got = []
+            for tight, subs, arg in places:
+                stack = []  # the terms below, the first argument on top
+                for q in subs:
+                    if type(q) is App and q.args:
+                        key = (q.sym, *[v.text for v in stack[:-len(q.args) - 1:-1]])
+                        del stack[-len(q.args):]
+                    elif names.isdisjoint(q.names):
+                        key = _pool_key(q)
+                    else:  # a clause variable
+                        stack.append(env[q.text])
+                        continue
+                    if (t := index.get(key)) is None:
+                        break
+                    stack.append(t)
+                else:
+                    got.append(stack[0])
+                    continue
+                if tight:
+                    waiting.setdefault(key, []).append((c, env))
                     return False
-            elif type(p) is not App:  # a clause variable
-                if env.setdefault(p.text, s).text != s.text or s.text not in pool:
-                    return False
-            else:
-                while type(s) is SkolemNamedVar:  # which prints as its encoding
-                    s = s.encoded
-                if type(s) is not App or s.sym != p.sym or len(s.args) != len(p.args):
-                    return False
-                stack += zip(p.args, s.args)
-        return True
-
-    seen, queue, tries = set(), [], 0
-
-    def fire(c, env) -> bool:  # whether c is a goal; else its heads are queued
-        if heads[c] is None:
-            return True
-        pred, args, free = heads[c]
-        for combo in itertools.product(pool.values(), repeat=len(free)):
-            e = env | dict(zip(free, combo)) if free else env
-            got = tuple(substitute_term(t, e) for t in args)
-            if any(got[i].text not in pool for i in tight.get((pred, len(got)), ())):
-                continue
+                got.append(substitute_term(arg, env))
             if (key := (pred, tuple(t.text for t in got))) not in seen:
                 seen.add(key)
                 queue.append((pred, got))
-        return False
+            return False
 
-    # whether a goal fires from env at body atom i of c, None past limit tries
-    def join(c, i, env) -> bool | None:
-        nonlocal tries
-        rest = [j for j in range(len(bodies[c])) if j != i]
-        stack = [(0, env)]
-        while stack:
-            k, env = stack.pop()
-            if k == len(rest):
-                if fire(c, env):
-                    return True
-                continue
-            j = rest[k]
-            key = next(((v, env[v].text) for v in bodies[c][j] if v in env), None)
-            tried = matched.get((c, j), {}).get(key, ())
-            tries += len(tried)
-            if tries > limit:
-                return None
-            stack += [(k + 1, env | e) for e in tried
-                      if all(env.get(v, x).text == x.text for v, x in e.items())]
-        return False
+        # whether a goal fires from env at body atom i of c, None past limit tries
+        def join(c, i, env) -> bool | None:
+            nonlocal tries
+            rest = [j for j in range(len(bodies[c])) if j != i]
+            stack = [(0, env)]
+            while stack:
+                k, env = stack.pop()
+                if k == len(rest):
+                    if fire(c, env):
+                        return True
+                    continue
+                j = rest[k]
+                key = next(((v, env[v].text) for v in bodies[c][j] if v in env), None)
+                tried = matched.get((c, j), {}).get(key, ())
+                tries += len(tried)
+                if tries > limit:
+                    return None
+                stack += [(k + 1, env | e) for e in tried
+                          if all(env.get(v, x).text == x.text for v, x in e.items())]
+            return False
 
-    if any(not bodies[c] and fire(c, {}) for c in range(len(clauses))):
-        return True
-    # a fact is filed at each body atom it matches before it joins from
-    # there, so an instance that holds it at several atoms is found once
-    # it is filed at the last of them
-    while queue:
-        pred, got = queue.pop()
-        for c, j, args in sites.get((pred, len(got)), ()):
-            env: dict = {}
-            if match(args, got, env):
-                index = matched.setdefault((c, j), {})
-                for key in (None, *((v, t.text) for v, t in env.items())):
-                    index.setdefault(key, []).append(env)
-                if (r := join(c, j, env)) is not False:
+        # a fact is filed at each body atom it matches before it joins from
+        # there, so an instance that holds it at several atoms is found once
+        # it is filed at the last of them; one refused only for a term
+        # outside the pool, bound to a variable, waits on that term
+        def file(c, j, args, got) -> bool | None:
+            env, outside, stack = {}, None, list(zip(args, got))
+            while stack:
+                p, s = stack.pop()
+                if names.isdisjoint(p.names):
+                    if p.text != s.text:
+                        return False
+                elif type(p) is not App:  # a clause variable
+                    if env.setdefault(p.text, s).text != s.text:
+                        return False
+                    if s.text not in pool:
+                        outside = s
+                else:
+                    while type(s) is SkolemNamedVar:  # which prints as its encoding
+                        s = s.encoded
+                    if type(s) is not App or s.sym != p.sym or len(s.args) != len(p.args):
+                        return False
+                    stack += zip(p.args, s.args)
+            if outside is not None:
+                waiting.setdefault(_pool_key(outside), []).append((c, j, args, got))
+                return False
+            filed = matched.setdefault((c, j), {})
+            for key in (None, *((v, t.text) for v, t in env.items())):
+                filed.setdefault(key, []).append(env)
+            return join(c, j, env)
+
+        for t in new:
+            for item in waiting.pop(_pool_key(t), ()):
+                if (r := (fire if len(item) == 2 else file)(*item)) is not False:
                     return r
-    return False
+        if len(new) == len(pool) and any(
+                not bodies[c] and fire(c, {}) for c in range(len(heads))):
+            return True
+        while queue:
+            pred, got = queue.pop()
+            for c, j, args in sites.get((pred, len(got)), ()):
+                if (r := file(c, j, args, got)) is not False:
+                    return r
+        self.state = state
+        return False
+
+
+def horn_tautology(f: Formula, terms, limit: int) -> bool | None:
+    """HornChain(f).extend(terms, limit): the one-order use of the chain
+    that min_order extends from order to order."""
+    return HornChain(f).extend(terms, limit)
 
 
 # the walk's formula builder: a leaf is instantiated by substitute, and

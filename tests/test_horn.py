@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from herbrandkit import construct
+from herbrandkit import construct, expansion
 from herbrandkit.construct import UPPER_BOUND_TEXT, property_c, skolemized
 from herbrandkit.expansion import (
     BudgetError,
@@ -18,16 +18,17 @@ from herbrandkit.expansion import (
     expansion_counts,
     full_selection,
     horn_tautology,
+    HornChain,
 )
 from herbrandkit.syntax import (
-    App, And, Atom, Exists, Forall, Not, Or, SkolemNamedVar, Var, free_names,
-    parse_formula,
+    App, And, Atom, Exists, Forall, Not, Or, SkolemNamedVar, Var, collect_signature,
+    fold, free_names, parse_formula, substitute_term,
 )
 from herbrandkit.taut import decide_form, refutation_clauses
 
 from conftest import DRINKER_TEXT, random_candidate
 from test_champ import random_signature_formula
-from test_expansion import UPPER2_TEXT, orders_family_texts
+from test_expansion import UPPER2_TEXT, orders_family_texts, succ_text
 
 
 @pytest.fixture
@@ -35,21 +36,23 @@ def horn_answers(monkeypatch):
     """The answers property_c's full route gets from the Horn decider, in
     call order: None for a form it leaves to the CDCL route."""
     out = []
+    extend = HornChain.extend
 
-    def recorded(*args):
-        out.append(horn_tautology(*args))
+    def recorded(self, *args):
+        out.append(extend(self, *args))
         return out[-1]
 
-    monkeypatch.setattr(construct, "horn_tautology", recorded)
+    monkeypatch.setattr(HornChain, "extend", recorded)
     return out
 
 
-def check_both_routes(a, sk, n, star, herbrand, answers, budget=10_000_000):
+def check_both_routes(a, sk, n, star, herbrand, answers, budget=10_000_000, chain=None):
     """property_c's full route on a, Skolemized as sk, against the CDCL
     route called directly: the same status, witness, node count and
     tautology flag, and the Horn decider, when it answers, agrees.  Orders
-    whose champ or expansion outgrows the size guard budget are skipped."""
-    check = dict(star=star, herbrand_heights=herbrand, budget=budget, sk=sk)
+    whose champ or expansion outgrows the size guard budget are skipped.
+    chain, when given, is a HornChain of sk that the call extends."""
+    check = dict(star=star, herbrand_heights=herbrand, budget=budget, sk=sk, chain=chain)
     try:
         ch = champ(sk, n, herbrand=herbrand, budget=budget)
         count = expansion_counts(sk, len(ch))[0]
@@ -214,3 +217,144 @@ def test_the_full_route_grounds_only_a_form_that_is_not_horn(monkeypatch, text, 
     calls = count_routes(monkeypatch)
     r = property_c(parse_formula(text), 3)
     assert r.holds and calls == Counter(routes)
+
+
+# ---------------------------------------------------------------------------
+# one chain per min_order call
+
+def test_a_chain_extended_order_by_order_agrees_with_cdcl(horn_answers):
+    """One HornChain per form, Skolemization and height convention, extended
+    through orders 1-5, past answers True and None: on the orders families,
+    the forms whose chaining outgrows the expansion, and 200 seeded
+    random_candidate formulas, each order answers as the CDCL route does
+    from scratch."""
+    rng = random.Random(2027)
+    texts = orders_family_texts() + [UPPER2_TEXT, MERGED_BLOCKS_TEXT, WIDE_JOIN_TEXT]
+    for a in [parse_formula(t) for t in texts] + [random_candidate(rng) for _ in range(200)]:
+        for star in (False, True):
+            sk = skolemized(a, star)
+            for herbrand in (False, True):
+                chain = HornChain(sk)
+                for n in range(1, 6):
+                    check_both_routes(a, sk, n, star, herbrand, horn_answers, 20_000, chain)
+    assert True in horn_answers and None in horn_answers
+    assert 0.6 <= horn_share(horn_answers) < 1
+
+
+def scan_from_scratch(monkeypatch, a, star, herbrand, n_max, budget):
+    """The definition min_order answers to: the least order up to n_max at
+    which property_c, on the CDCL route at every order, holds; or the size
+    guard message that stops the scan."""
+    with monkeypatch.context() as m:
+        m.setattr(HornChain, "extend", lambda self, terms, limit: None)
+        sk = skolemized(a, star)
+        try:
+            return next((n for n in range(1, n_max + 1) if property_c(
+                a, n, star=star, herbrand_heights=herbrand, budget=budget, sk=sk).holds), None)
+        except BudgetError as e:
+            return str(e)
+
+
+def carried_scan(a, star, herbrand, n_max, budget):
+    try:
+        return construct.min_order(a, star, n_max, herbrand, budget)
+    except BudgetError as e:
+        return str(e)
+
+
+def check_scans(monkeypatch, texts_or_formulas, n_max, budget=10_000_000,
+                heights=(False, True)):
+    for a in texts_or_formulas:
+        a = parse_formula(a) if isinstance(a, str) else a
+        for star in (False, True):
+            for herbrand in heights:
+                assert carried_scan(a, star, herbrand, n_max, budget) == scan_from_scratch(
+                    monkeypatch, a, star, herbrand, n_max, budget), (str(a), star, herbrand)
+
+
+def test_min_order_carries_facts_as_a_scan_from_scratch_decides(monkeypatch, horn_answers):
+    """min_order extends one chain from order to order, and finds the order
+    that property_c on the CDCL route finds, order by order from scratch:
+    on the orders families, the two-element upper bound and the drinker
+    formula, under both Skolemizations and height conventions, up to order
+    4."""
+    check_scans(monkeypatch, orders_family_texts() + [UPPER2_TEXT, DRINKER_TEXT], 4,
+                budget=200_000)
+    assert len(horn_answers) >= 150 and horn_share(horn_answers) == 1
+
+
+def test_min_order_carries_facts_on_random_candidates(monkeypatch, horn_answers):
+    """The same on 300 seeded random_candidate formulas: most forms are
+    Horn, and a form that is not goes to CDCL at every order."""
+    rng = random.Random(2026)
+    check_scans(monkeypatch, [random_candidate(rng) for _ in range(300)], 4)
+    assert 0.6 <= horn_share(horn_answers) <= 0.95
+
+
+def test_min_order_rescans_after_a_chain_that_gave_up(monkeypatch, horn_answers):
+    """On forms whose chaining outgrows the expansion at some order, the
+    scan still answers as from scratch, up to order 5 under standard
+    heights; and a chain cut short in the middle of a join is dropped:
+    extended again, it answers as a fresh one."""
+    check_scans(monkeypatch, [MERGED_BLOCKS_TEXT, WIDE_JOIN_TEXT], 5, heights=(False,))
+    assert None in horn_answers and False in horn_answers
+    sk = skolemized(parse_formula(WIDE_JOIN_TEXT))
+    chain = HornChain(sk)
+    assert [chain.extend(champ(sk, n).terms, 10**6) for n in (2, 3, 4)] == [False] * 3
+    terms = champ(sk, 5).terms  # 26 terms, 2,028 ground instances, 17,576 join tries
+    assert chain.extend(terms, 5_000) is None and chain.state is None
+    assert chain.extend(terms, 10**6) is False
+    assert horn_tautology(sk, terms, 5_000) is None
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
+def test_the_order_4_upper_bound_check_looks_heads_up_in_the_champ(monkeypatch, star):
+    """The order-4 upper-bound check holds under a guard of 30,000,000,
+    alone and as the last order of min_order, and builds at most as many
+    head instances as the 428 facts it queues (none at present): the
+    sk_m(x,y) of each head x < sk_m(x,y) is looked up in the champ, where
+    it lies outside for all but few of the 2 x 147^2 axiom instances."""
+    built = []
+
+    def counted(t, env):
+        built.append(t)
+        return substitute_term(t, env)
+
+    monkeypatch.setattr(expansion, "substitute_term", counted)
+    a = parse_formula(UPPER_BOUND_TEXT)
+    assert property_c(a, 4, star=star, budget=30_000_000).holds
+    assert construct.min_order(a, star, 4, budget=30_000_000) == 4
+    assert len(built) <= 428
+
+
+@pytest.mark.parametrize("text, n_max, least", [
+    (UPPER2_TEXT, 2, None), (UPPER2_TEXT, 3, 3), (UPPER2_TEXT, 6, 3),
+    (succ_text(2, True), 5, None)])
+def test_min_order_reads_the_form_once(monkeypatch, text, n_max, least):
+    """In one min_order call the champ signature of the Skolemized form and
+    its clause form are each made once, whatever n_max is."""
+    calls = Counter()
+
+    def signature(f):
+        calls["collect_signature"] += 1
+        return collect_signature(f)
+
+    def folded(f, up, *args):
+        calls[up.__name__] += 1
+        return fold(f, up, *args)
+
+    monkeypatch.setattr(expansion, "collect_signature", signature)
+    monkeypatch.setattr(expansion, "fold", folded)
+    assert construct.min_order(parse_formula(text), n_max=n_max) == least
+    assert (calls["collect_signature"], calls["_shape"], calls["_clausal"]) == (1, 1, 1)
+
+
+def test_a_chain_given_terms_that_do_not_hold_its_pool_starts_afresh():
+    """Extended to terms that leave out some of its pool, a chain answers
+    over those terms alone: the goal ~q(e) | ~r(g) fires over {e, g}, but
+    over {e} and then over {g} it does not."""
+    sk = skolemized(parse_formula("(forall x. q(x)) & (forall y. r(y)) -> q(e) & r(g)"))
+    e, g = App("e", False, ()), App("g", False, ())
+    chain = HornChain(sk)
+    assert [chain.extend(terms, 100) for terms in ([e], [g])] == [False, False]
+    assert chain.extend([e, g], 100) is True
