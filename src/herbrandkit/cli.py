@@ -471,10 +471,11 @@ def main(argv=None) -> int:
         if not isinstance(e, (FormulaError, OSError)):
             import traceback  # here, so that no start-up pays for it
             traceback.print_exc()
+        message = str(e) or type(e).__name__  # MemoryError() has no message
         if args.format == "json":
-            print(json.dumps({"error": type(e).__name__, "message": str(e)},
+            print(json.dumps({"error": type(e).__name__, "message": message},
                              indent=2, sort_keys=True))
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         return 2
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -2,11 +2,12 @@
 
 The pipeline from a first-order formula to a checkable derivation:
 
-  * ``property_c`` Skolemizes a formula (outer or delta-plus-plus) and
+  * ``property_c`` Skolemizes a formula (outer or delta-plus-plus), or
+    takes the Horn chain of a form Skolemized once by its caller, and
     decides its expansion over the height-bounded term domain of a given
-    order: a Horn refutation form by forward chaining over the domain, any
-    other by grounding it into the propositional abstraction and refuting
-    its clausal form, which stays the definition; a selection tree
+    order: a Horn refutation form by extending that chain over the domain,
+    any other by grounding it into the propositional abstraction and
+    refuting its clausal form, which stays the definition; a selection tree
     restricts the expansion to chosen witnesses, which can only confirm,
     never refute.
   * ``min_order`` Skolemizes once and scans orders upward for the least
@@ -45,7 +46,6 @@ from .expansion import (
     champ,
     expansion_counts,
     full_selection,
-    horn_tautology,
     HornChain,
     match_selection,
     parse_selection,
@@ -156,27 +156,23 @@ def skolemized(a: Formula, star: bool = False,
 def property_c(a: Formula, n: int, star: bool = False, sel=None,
                herbrand_heights: bool = False, budget: int = DEFAULT_BUDGET,
                registry: SkolemRegistry | None = None,
-               sk: Formula | None = None,
                chain: HornChain | None = None) -> PropertyCResult:
     """Does the order-n expansion of a's Skolemized form come out
     tautological?  With a selection, only the chosen sub-expansion is
     built; a positive answer is then still conclusive, a negative one is
-    not.  sk, when given, is skolemized(a, star, registry), made once by a
-    caller that asks at several orders or reads its symbols; chain, when
-    given, is a HornChain of it that min_order extends from order to order,
-    and stands for sk.  A Horn refutation form is decided by forward
-    chaining (horn_tautology at one order, chain.extend across orders)
-    unless the chaining outgrows the expansion; any other expansion, and a
-    selection's, is grounded straight into the propositional abstraction,
-    which the CDCL solver refutes."""
+    not.  chain, when given, is a HornChain of skolemized(a, star,
+    registry), made once by a caller that asks at several orders, as
+    min_order does, or reads its symbols; else one is made here.  A Horn
+    refutation form is decided by extending the chain unless the chaining
+    outgrows the expansion; any other expansion, and a selection's, is
+    grounded straight into the propositional abstraction, which the CDCL
+    solver refutes."""
     if n < 1:
         raise ConstructError(f"the order must be at least 1, got {n}")
-    if chain is not None:
-        sk = chain.form
-    elif sk is None:
-        sk = skolemized(a, star, registry)
+    chain = chain or HornChain(skolemized(a, star, registry))
+    sk = chain.form
     ch = champ(sk, n, herbrand=herbrand_heights, budget=budget,
-               signature=chain and chain.signature)
+               signature=chain.signature)
     base = dict(order=n, star=star, herbrand_heights=herbrand_heights,
                 skolemized=sk, term_count=len(ch.terms))
     if sel is not None:
@@ -206,9 +202,7 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
         raise BudgetError(
             f"the order-{n} expansion has {count} formula nodes, "
             f"over the size guard of {budget}")
-    taut = (chain.extend(ch.terms, count) if chain
-            else horn_tautology(sk, ch.terms, count))
-    if taut is None:
+    if (taut := chain.extend(ch.terms, count)) is None:
         nodes, root = abstraction(sk, full_selection(sk, ch.terms), budget)
         taut = decide_form(*refutation_clauses(nodes, root))[0]
     # over no terms the expansion is the quantifier-free sk itself
@@ -225,11 +219,11 @@ def min_order(a: Formula, star: bool = False, n_max: int = 8,
     """Least order up to n_max at which the full expansion is tautological,
     or None.  Selections play no part here; this is the search the
     round-trip theorems quantify over.  a is Skolemized once, and one
-    HornChain of the Skolemized form serves every order, so its signature
-    and clause form are made once and the facts derived at one order are
-    kept for the next.  That is sound because champs nest and pool
-    membership is the only test of the chaining that depends on the
-    order."""
+    HornChain of the Skolemized form, property_c's chain, serves every
+    order, so its signature and clause form are made once and the facts
+    derived at one order are kept for the next.  That is sound because
+    champs nest and pool membership is the only test of the chaining that
+    depends on the order."""
     if n_max < 1:
         raise ConstructError(f"the largest order must be at least 1, got {n_max}")
     chain = HornChain(skolemized(a, star))
@@ -477,7 +471,7 @@ def _established(a: Formula, n: int, sel, star: bool, budget: int,
     a_r, syms = rectify(a), {}
     sk = deltapp_skolemize(a_r, registry, syms) if star else outer_skolemize(a_r, syms)
     sel = None if sel is None else _as_selection(sel)
-    pre = property_c(a_r, n, star=star, sel=sel, budget=budget, sk=sk)
+    pre = property_c(a_r, n, star=star, sel=sel, budget=budget, chain=HornChain(sk))
     if not pre.holds:
         raise ConstructError(
             f"order {n}{' (starred)' if star else ''} is not established for "

@@ -534,19 +534,22 @@ class HornChain:
     unsatisfiable: each new fact is matched against every body atom and
     joined with the facts matched there before, a clause whose body holds
     adds its head, a goal (a clause with no head) that fires refutes, and a
-    fixpoint does not.  A variable that only the head has gets a body atom
-    @pool(v), and each pool term is a fact @pool(t).  A ground atom is told
+    fixpoint does not.  Each pool term is a fact @pool(t).  A head argument
+    other than a variable, at a tight place (one where every body atom of
+    its predicate has a variable), gets a body atom @pool(t): a fact with a
+    term outside the pool there matches no body atom, since a variable
+    binds only a pool term.  So x < sk_m(x,y) fires once per sk_m term of
+    the pool, not once per pair.  A variable that only the head has, and
+    no such atom binds, gets a body atom @pool(v).  A ground atom is told
     apart by its predicate and argument prints, as taut tells atoms apart.
 
     The champ signature, the shape walk and the clause form depend on f
     alone and are made once.  Champs nest, and pool membership is the only
-    test of the chaining that depends on the order: a variable binds only a
-    pool term, and a head is not queued while a term outside the pool sits
-    at a tight place, one where every body atom of its predicate has a
-    variable.  So the facts of one order hold at the next: an extension
-    adds @pool(t) for each new term, re-tries what a new term alone
-    refused, and chains on.  A chaining cut short, by a goal or past limit
-    join tries, is dropped, and the next extension starts afresh."""
+    test of the chaining that depends on the order.  So the facts of one
+    order hold at the next: an extension adds @pool(t) for each new term,
+    re-tries what a new term alone refused, and chains on.  A chaining cut
+    short, by a goal or past limit join tries, is dropped, and the next
+    extension starts afresh."""
 
     def __init__(self, f: Formula):
         self.form, self.state = f, None
@@ -562,28 +565,33 @@ class HornChain:
     @cached_property
     def clause_form(self):
         """The clause variables; per clause its head, None for a goal, else
-        (predicate, per argument (whether its place is tight, its subterms
-        in reverse preorder, itself)), its body atoms' variables and its
-        variable count; the body atoms by (predicate, arity)."""
+        (predicate, per argument (its subterms in reverse preorder,
+        itself)), its body atoms' variables and its variable count; the body
+        atoms by (predicate, arity)."""
         names = bound_names(self.form)
 
         def variables(*atoms):
             return [n for n in dict.fromkeys(n for a in atoms for t in a.args
                                              for n in t.names) if n in names]
 
-        clauses, sites = [], {}
-        for c, (head, body) in enumerate(fold(self.form, _clausal, _sign, 1)):
-            bound = variables(*body)  # no parsed formula has the predicate @pool
-            body += tuple(Atom("@pool", (var_for_name(v),)) for v in variables(head)
-                          if v not in bound) if head else ()
-            clauses.append((head, body))
+        def var(t):
+            return type(t) is not App and not names.isdisjoint(t.names)
+
+        clauses, sites = fold(self.form, _clausal, _sign, 1), {}
+        loose = {(a.pred, len(a.args), i) for _, body in clauses for a in body
+                 for i, t in enumerate(a.args) if not var(t)}  # the places not tight
+        for c, (head, body) in enumerate(clauses):
+            if head:  # no parsed formula has the predicate @pool
+                body += tuple(Atom("@pool", (p,)) for i, p in enumerate(head.args)
+                              if not var(p) and (head.pred, len(head.args), i) not in loose)
+                bound = variables(*body)
+                body += tuple(Atom("@pool", (var_for_name(v),)) for v in variables(head)
+                              if v not in bound)
+            clauses[c] = head, body
             for j, a in enumerate(body):
                 sites.setdefault((a.pred, len(a.args)), []).append((c, j, a.args))
-        heads = [head and (head.pred, [(all(
-            type(args[i]) is not App and not names.isdisjoint(args[i].names)
-            for _, _, args in sites.get((head.pred, len(head.args)), ())),
-            list(subterms(p))[::-1], p) for i, p in enumerate(head.args)])
-            for head, _ in clauses]
+        heads = [head and (head.pred, [(list(subterms(p))[::-1], p) for p in head.args])
+                 for head, _ in clauses]
         return (names, heads, [[variables(a) for a in body] for _, body in clauses],
                 [len(variables(*body)) for _, body in clauses], sites)
 
@@ -618,14 +626,13 @@ class HornChain:
 
         # whether c is a goal; else its head under env is queued, each
         # argument looked up in the pool and built only where it lies
-        # outside; at a tight place it waits on its first subterm outside
-        # the pool instead
+        # outside, which its @pool atom rules out at a tight place
         def fire(c, env) -> bool:
             if heads[c] is None:
                 return True
             pred, places = heads[c]
             got = []
-            for tight, subs, arg in places:
+            for subs, arg in places:
                 stack = []  # the terms below, the first argument on top
                 for q in subs:
                     if type(q) is App and q.args:
@@ -642,9 +649,6 @@ class HornChain:
                 else:
                     got.append(stack[0])
                     continue
-                if tight:
-                    waiting.setdefault(key, []).append((c, env))
-                    return False
                 got.append(substitute_term(arg, env))
             if (key := (pred, tuple(t.text for t in got))) not in seen:
                 seen.add(key)
@@ -704,7 +708,7 @@ class HornChain:
 
         for t in new:
             for item in waiting.pop(_pool_key(t), ()):
-                if (r := (fire if len(item) == 2 else file)(*item)) is not False:
+                if (r := file(*item)) is not False:
                     return r
         if len(new) == len(pool) and any(
                 not bodies[c] and fire(c, {}) for c in range(len(heads))):
@@ -716,12 +720,6 @@ class HornChain:
                     return r
         self.state = state
         return False
-
-
-def horn_tautology(f: Formula, terms, limit: int) -> bool | None:
-    """HornChain(f).extend(terms, limit): the one-order use of the chain
-    that min_order extends from order to order."""
-    return HornChain(f).extend(terms, limit)
 
 
 # the walk's formula builder: a leaf is instantiated by substitute, and

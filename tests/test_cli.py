@@ -188,6 +188,20 @@ def test_every_failure_to_check_exits_2_with_json_error(capsys, monkeypatch, exc
     assert json.loads(out) == {"error": type(exc).__name__, "message": str(exc)}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_error_without_a_message_prints_its_type(capsys, monkeypatch, fmt):
+    """MemoryError() says nothing of itself; the error line names its type
+    instead of ending at "error: ", and the exit stays 2."""
+    def fail(args):
+        raise MemoryError()
+
+    monkeypatch.setattr("herbrandkit.cli._cmd_parse", fail)
+    code, out, err = run(capsys, "--format", fmt, "parse", "p")
+    assert code == 2 and err.rstrip().endswith("error: MemoryError")
+    if fmt == "json":
+        assert json.loads(out) == {"error": "MemoryError", "message": "MemoryError"}
+
+
 def test_rectify(capsys):
     code, out, _ = run(capsys, "rectify",
                        "(exists x. p(x)) | (exists x. q(x))")

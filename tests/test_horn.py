@@ -1,7 +1,7 @@
 """The two deciders of property C's full route: semi-naive forward chaining
-on a Horn refutation form (expansion.horn_tautology), and the CDCL
-refutation of the grounded expansion, which stays the definition and the
-reference here."""
+on a Horn refutation form (expansion.HornChain, which property_c makes or
+is given), and the CDCL refutation of the grounded expansion, which stays
+the definition and the reference here."""
 
 import random
 from collections import Counter
@@ -17,7 +17,6 @@ from herbrandkit.expansion import (
     champ,
     expansion_counts,
     full_selection,
-    horn_tautology,
     HornChain,
 )
 from herbrandkit.syntax import (
@@ -52,7 +51,8 @@ def check_both_routes(a, sk, n, star, herbrand, answers, budget=10_000_000, chai
     tautology flag, and the Horn decider, when it answers, agrees.  Orders
     whose champ or expansion outgrows the size guard budget are skipped.
     chain, when given, is a HornChain of sk that the call extends."""
-    check = dict(star=star, herbrand_heights=herbrand, budget=budget, sk=sk, chain=chain)
+    check = dict(star=star, herbrand_heights=herbrand, budget=budget,
+                 chain=chain or HornChain(sk))
     try:
         ch = champ(sk, n, herbrand=herbrand, budget=budget)
         count = expansion_counts(sk, len(ch))[0]
@@ -188,7 +188,7 @@ def test_a_chaining_that_outgrows_the_expansion_goes_to_cdcl(horn_answers, text,
         check_both_routes(a, sk, n, False, False, horn_answers)
     assert horn_answers == answers
     n = answers.index(None) + 2
-    assert horn_tautology(sk, champ(sk, n).terms, 10**6) is False
+    assert HornChain(sk).extend(champ(sk, n).terms, 10**6) is False
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,8 @@ def scan_from_scratch(monkeypatch, a, star, herbrand, n_max, budget):
         sk = skolemized(a, star)
         try:
             return next((n for n in range(1, n_max + 1) if property_c(
-                a, n, star=star, herbrand_heights=herbrand, budget=budget, sk=sk).holds), None)
+                a, n, star=star, herbrand_heights=herbrand, budget=budget,
+                chain=HornChain(sk)).holds), None)
         except BudgetError as e:
             return str(e)
 
@@ -304,16 +305,16 @@ def test_min_order_rescans_after_a_chain_that_gave_up(monkeypatch, horn_answers)
     terms = champ(sk, 5).terms  # 26 terms, 2,028 ground instances, 17,576 join tries
     assert chain.extend(terms, 5_000) is None and chain.state is None
     assert chain.extend(terms, 10**6) is False
-    assert horn_tautology(sk, terms, 5_000) is None
+    assert HornChain(sk).extend(terms, 5_000) is None
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
 def test_the_order_4_upper_bound_check_looks_heads_up_in_the_champ(monkeypatch, star):
     """The order-4 upper-bound check holds under a guard of 30,000,000,
     alone and as the last order of min_order, and builds at most as many
-    head instances as the 428 facts it queues (none at present): the
-    sk_m(x,y) of each head x < sk_m(x,y) is looked up in the champ, where
-    it lies outside for all but few of the 2 x 147^2 axiom instances."""
+    head instances as the 428 facts it queues (none at present): each head
+    x < sk_m(x,y) fires from a pool term sk_m(x,y), through its body atom
+    @pool(sk_m(x,y)), and is looked up in the champ."""
     built = []
 
     def counted(t, env):
@@ -325,6 +326,20 @@ def test_the_order_4_upper_bound_check_looks_heads_up_in_the_champ(monkeypatch, 
     assert property_c(a, 4, star=star, budget=30_000_000).holds
     assert construct.min_order(a, star, 4, budget=30_000_000) == 4
     assert len(built) <= 428
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
+def test_no_head_waits_on_a_term_outside_the_pool(star):
+    """The order-3 upper-bound check fails, so its chain keeps its state.
+    Its waiting lists hold no more entries than the facts it queued (none
+    against 15): a head at a tight place fires only from a pool term,
+    through its @pool atom, so it never waits for one."""
+    sk = skolemized(parse_formula(UPPER_BOUND_TEXT), star)
+    terms = champ(sk, 3).terms
+    chain = HornChain(sk)
+    assert chain.extend(terms, expansion_counts(sk, len(terms))[0]) is False
+    _, _, seen, _, _, waiting = chain.state
+    assert sum(map(len, waiting.values())) <= len(seen)
 
 
 @pytest.mark.parametrize("text, n_max, least", [
