@@ -36,10 +36,10 @@ from operator import neg
 
 from .syntax import (
     And, App, Atom, DOT, Forall, Formula, FormulaError, GammaVar, Not, Or,
-    Quant, SkolemNamedVar, Term, Var, _parse_term, _Tokens, bound_names,
-    children, collect_signature, fold, is_gamma, parse_term, print_term,
-    quant_kind, substitute, substitute_term, subterms, term_free_names, term_height,
-    var_for_name,
+    Quant, SkolemNamedVar, Term, Var, _parse_term, _Tokens, all_names,
+    bound_names, children, collect_signature, fold, fresh_name, is_gamma,
+    parse_term, print_term, quant_kind, substitute, substitute_term,
+    term_free_names, term_height, var_for_name,
 )
 from .taut import compile_leaf, ground, numbering
 
@@ -517,12 +517,6 @@ def _clausal(g, kids, s):
     return [(ha or hb, ba + bb) for ha, ba in a for hb, bb in b]
 
 
-def _pool_key(t: Term):  # (symbol, argument prints), or the print if none
-    while type(t) is SkolemNamedVar:  # which prints as its encoding
-        t = t.encoded
-    return (t.sym, *[a.text for a in t.args]) if type(t) is App and t.args else t.text
-
-
 class HornChain:
     """Semi-naive forward chaining (Dowling & Gallier 1984) on the clausal
     form of ~f, over a pool of terms that grows from one order to the next.
@@ -534,22 +528,24 @@ class HornChain:
     unsatisfiable: each new fact is matched against every body atom and
     joined with the facts matched there before, a clause whose body holds
     adds its head, a goal (a clause with no head) that fires refutes, and a
-    fixpoint does not.  Each pool term is a fact @pool(t).  A head argument
-    other than a variable, at a tight place (one where every body atom of
-    its predicate has a variable), gets a body atom @pool(t): a fact with a
+    fixpoint does not.  Each pool term t is a fact @pool(t, t).  A head
+    argument t that holds a variable but is not one, at a tight place (one
+    where every body atom of its predicate has a variable), becomes a fresh
+    variable @ of the head, bound by a body atom @pool(@, t): a fact with a
     term outside the pool there matches no body atom, since a variable
     binds only a pool term.  So x < sk_m(x,y) fires once per sk_m term of
-    the pool, not once per pair.  A variable that only the head has, and
-    no such atom binds, gets a body atom @pool(v).  A ground atom is told
-    apart by its predicate and argument prints, as taut tells atoms apart.
+    the pool, not once per pair, and reads that term off its @pool atom.  A
+    variable that only the head has, and no such atom binds, gets a body
+    atom @pool(v, v).  A ground atom is told apart by its predicate and
+    argument prints, as taut tells atoms apart.
 
     The champ signature, the shape walk and the clause form depend on f
     alone and are made once.  Champs nest, and pool membership is the only
     test of the chaining that depends on the order.  So the facts of one
-    order hold at the next: an extension adds @pool(t) for each new term,
-    re-tries what a new term alone refused, and chains on.  A chaining cut
-    short, by a goal or past limit join tries, is dropped, and the next
-    extension starts afresh."""
+    order hold at the next: an extension adds @pool(t, t) for each new
+    term, re-tries what a new term alone refused, and chains on.  A
+    chaining cut short, by a goal or past limit join tries, is dropped, and
+    the next extension starts afresh."""
 
     def __init__(self, f: Formula):
         self.form, self.state = f, None
@@ -564,36 +560,41 @@ class HornChain:
 
     @cached_property
     def clause_form(self):
-        """The clause variables; per clause its head, None for a goal, else
-        (predicate, per argument (its subterms in reverse preorder,
-        itself)), its body atoms' variables and its variable count; the body
-        atoms by (predicate, arity)."""
-        names = bound_names(self.form)
+        """The clause variables; per clause its head, None for a goal, with a
+        fresh variable @ for each argument at a tight place that holds a
+        variable but is not one, its body atoms' variables and its variable
+        count, taken before any @ is made; the body atoms by (predicate,
+        arity)."""
+        names, used = bound_names(self.form), all_names(self.form)
 
         def variables(*atoms):
-            return [n for n in dict.fromkeys(n for a in atoms for t in a.args
+            return [n for n in dict.fromkeys(n for a in atoms if a for t in a.args
                                              for n in t.names) if n in names]
 
         def var(t):
             return type(t) is not App and not names.isdisjoint(t.names)
 
         clauses, sites = fold(self.form, _clausal, _sign, 1), {}
+        counts = [len(variables(head, *body)) for head, body in clauses]
         loose = {(a.pred, len(a.args), i) for _, body in clauses for a in body
                  for i, t in enumerate(a.args) if not var(t)}  # the places not tight
         for c, (head, body) in enumerate(clauses):
             if head:  # no parsed formula has the predicate @pool
-                body += tuple(Atom("@pool", (p,)) for i, p in enumerate(head.args)
-                              if not var(p) and (head.pred, len(head.args), i) not in loose)
-                bound = variables(*body)
-                body += tuple(Atom("@pool", (var_for_name(v),)) for v in variables(head)
-                              if v not in bound)
+                args = list(head.args)
+                for i, p in enumerate(args):
+                    if not (var(p) or names.isdisjoint(p.names)
+                            or (head.pred, len(args), i) in loose):
+                        names.add(v := fresh_name("@", names | used))
+                        args[i] = Var(v)
+                        body += (Atom("@pool", (args[i], p)),)
+                head, bound = Atom(head.pred, tuple(args)), variables(*body)
+                body += tuple(Atom("@pool", (var_for_name(v),) * 2)
+                              for v in variables(head) if v not in bound)
             clauses[c] = head, body
             for j, a in enumerate(body):
                 sites.setdefault((a.pred, len(a.args)), []).append((c, j, a.args))
-        heads = [head and (head.pred, [(list(subterms(p))[::-1], p) for p in head.args])
-                 for head, _ in clauses]
-        return (names, heads, [[variables(a) for a in body] for _, body in clauses],
-                [len(variables(*body)) for _, body in clauses], sites)
+        return (names, [head for head, _ in clauses],
+                [[variables(a) for a in body] for _, body in clauses], counts, sites)
 
     def extend(self, terms, limit: int) -> bool | None:
         """Whether the expansion of the form over terms is a tautology, where
@@ -610,49 +611,30 @@ class HornChain:
         texts = {t.text: t for t in terms}  # a term of each distinct print
         if sum(len(texts) ** k for k in counts) > limit:
             return None
-        # the pool by print and by _pool_key; the facts queued, by predicate
-        # and argument prints; (clause, index) -> {(var, print) or None:
-        # envs filed}; the _pool_key of a term outside the pool -> what it
-        # alone refused.  Kept only if the chaining ends.
+        # the pool by print; the facts queued, by predicate and argument
+        # prints; (clause, index) -> {(var, print) or None: envs filed}; the
+        # print of a term outside the pool -> what it alone refused.  Kept
+        # only if the chaining ends.
         state, self.state = self.state, None
         if state is None or not state[0].keys() <= texts.keys():
-            state = {}, {}, set(), [], {}, {}
-        pool, index, seen, queue, matched, waiting = state
+            state = {}, set(), [], {}, {}
+        pool, seen, queue, matched, waiting = state
         new = [t for text, t in texts.items() if text not in pool]
         for t in new:
-            pool[t.text] = index[_pool_key(t)] = t
-            queue.append(("@pool", [t]))
+            pool[t.text] = t
+            queue.append(("@pool", [t, t]))
         tries = 0
 
-        # whether c is a goal; else its head under env is queued, each
-        # argument looked up in the pool and built only where it lies
-        # outside, which its @pool atom rules out at a tight place
+        # whether c is a goal; else its head under env is queued, a variable
+        # argument read off env and any other built
         def fire(c, env) -> bool:
-            if heads[c] is None:
+            if (head := heads[c]) is None:
                 return True
-            pred, places = heads[c]
-            got = []
-            for subs, arg in places:
-                stack = []  # the terms below, the first argument on top
-                for q in subs:
-                    if type(q) is App and q.args:
-                        key = (q.sym, *[v.text for v in stack[:-len(q.args) - 1:-1]])
-                        del stack[-len(q.args):]
-                    elif names.isdisjoint(q.names):
-                        key = _pool_key(q)
-                    else:  # a clause variable
-                        stack.append(env[q.text])
-                        continue
-                    if (t := index.get(key)) is None:
-                        break
-                    stack.append(t)
-                else:
-                    got.append(stack[0])
-                    continue
-                got.append(substitute_term(arg, env))
-            if (key := (pred, tuple(t.text for t in got))) not in seen:
+            got = [env[p.text] if type(p) is not App and p.text in names
+                   else substitute_term(p, env) for p in head.args]
+            if (key := (head.pred, tuple(t.text for t in got))) not in seen:
                 seen.add(key)
-                queue.append((pred, got))
+                queue.append((head.pred, got))
             return False
 
         # whether a goal fires from env at body atom i of c, None past limit tries
@@ -699,7 +681,7 @@ class HornChain:
                         return False
                     stack += zip(p.args, s.args)
             if outside is not None:
-                waiting.setdefault(_pool_key(outside), []).append((c, j, args, got))
+                waiting.setdefault(outside.text, []).append((c, j, args, got))
                 return False
             filed = matched.setdefault((c, j), {})
             for key in (None, *((v, t.text) for v, t in env.items())):
@@ -707,7 +689,7 @@ class HornChain:
             return join(c, j, env)
 
         for t in new:
-            for item in waiting.pop(_pool_key(t), ()):
+            for item in waiting.pop(t.text, ()):
                 if (r := file(*item)) is not False:
                     return r
         if len(new) == len(pool) and any(

@@ -25,9 +25,11 @@ from herbrandkit.syntax import (
 )
 from herbrandkit.taut import decide_form, refutation_clauses
 
-from conftest import DRINKER_TEXT, random_candidate
+from conftest import DRINKER_TEXT, TWO_DISJUNCT_TEXT, random_candidate
 from test_champ import random_signature_formula
-from test_expansion import UPPER2_TEXT, orders_family_texts, succ_text
+from test_expansion import (
+    TWO_DISJUNCT_MOVED_TEXT, UPPER2_TEXT, orders_family_texts, succ_text,
+)
 
 
 @pytest.fixture
@@ -314,7 +316,7 @@ def test_the_order_4_upper_bound_check_looks_heads_up_in_the_champ(monkeypatch, 
     alone and as the last order of min_order, and builds at most as many
     head instances as the 428 facts it queues (none at present): each head
     x < sk_m(x,y) fires from a pool term sk_m(x,y), through its body atom
-    @pool(sk_m(x,y)), and is looked up in the champ."""
+    @pool(sk_m(x,y)), and is read off that atom."""
     built = []
 
     def counted(t, env):
@@ -338,8 +340,31 @@ def test_no_head_waits_on_a_term_outside_the_pool(star):
     terms = champ(sk, 3).terms
     chain = HornChain(sk)
     assert chain.extend(terms, expansion_counts(sk, len(terms))[0]) is False
-    _, _, seen, _, _, waiting = chain.state
+    _, seen, _, _, waiting = chain.state
     assert sum(map(len, waiting.values())) <= len(seen)
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
+@pytest.mark.parametrize("text", [UPPER_BOUND_TEXT, UPPER2_TEXT, TWO_DISJUNCT_TEXT,
+                                  TWO_DISJUNCT_MOVED_TEXT],
+                         ids=["upper", "upper2", "two-disjunct", "moved"])
+def test_a_tight_head_argument_is_a_variable_bound_by_its_pool_atom(text, star):
+    """In the clause form every head argument at a tight place, one where
+    every body atom of its predicate has a clause variable, is ground or a
+    clause variable, which a body atom @pool(@, t) binds to the pool term t
+    matched; and no @pool atom is ground: each binds a variable to a term
+    that holds one."""
+    names, heads, _, _, sites = HornChain(skolemized(parse_formula(text), star)).clause_form
+
+    def var(t):
+        return type(t) is not App and t.text in names
+
+    for head in filter(None, heads):
+        for i, p in enumerate(head.args):
+            if all(var(args[i]) for _, _, args in sites.get((head.pred, len(head.args)), ())):
+                assert var(p) or names.isdisjoint(p.names), (text, str(head))
+    for _, _, (v, t) in sites.get(("@pool", 2), ()):
+        assert var(v) and not names.isdisjoint(t.names), (text, str(t))
 
 
 @pytest.mark.parametrize("text, n_max, least", [
