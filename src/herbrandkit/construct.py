@@ -44,6 +44,8 @@ from .expansion import (
     build_sub_expansion,
     ExpansionError,
     champ,
+    champ_signature,
+    champ_size,
     expansion_counts,
     full_selection,
     HornChain,
@@ -166,18 +168,19 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
     refutation form is decided by extending the chain unless the chaining
     outgrows the expansion; any other expansion, and a selection's, is
     grounded straight into the propositional abstraction, which the CDCL
-    solver refutes."""
+    solver refutes.  The term count and the size guard are counted off the
+    signature (champ_size) and a selection's witnesses checked one by one
+    (selection_within), so only the full expansion lists the terms."""
     if n < 1:
         raise ConstructError(f"the order must be at least 1, got {n}")
     chain = chain or HornChain(skolemized(a, star, registry))
-    sk = chain.form
-    ch = champ(sk, n, herbrand=herbrand_heights, budget=budget,
-               signature=chain.signature)
+    sk, sig = chain.form, chain.signature
+    size = champ_size(sk, n, herbrand_heights, budget, sig)
     base = dict(order=n, star=star, herbrand_heights=herbrand_heights,
-                skolemized=sk, term_count=len(ch.terms))
+                skolemized=sk, term_count=size)
     if sel is not None:
         sel_tree = _as_selection(sel)
-        ok, offenders = selection_within(sel_tree, ch)
+        ok, offenders = selection_within(sel_tree, sk, n, herbrand_heights, sig)
         if not ok:
             shown = ", ".join(print_term(t) for t in offenders[:5])
             raise ConstructError(
@@ -193,7 +196,7 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
             detail="the chosen sub-expansion is not a tautology; "
                    "the full expansion may still be", **base)
     try:
-        count = expansion_counts(sk, len(ch.terms))[0]
+        count = expansion_counts(sk, size)[0]
     except ExpansionError:  # no terms, and quantifiers remain
         return PropertyCResult(
             "fails", witness="none",
@@ -202,11 +205,12 @@ def property_c(a: Formula, n: int, star: bool = False, sel=None,
         raise BudgetError(
             f"the order-{n} expansion has {count} formula nodes, "
             f"over the size guard of {budget}")
-    if (taut := chain.extend(ch.terms, count)) is None:
-        nodes, root = abstraction(sk, full_selection(sk, ch.terms), budget)
+    terms = champ(sk, n, herbrand=herbrand_heights, signature=sig, size=size).terms
+    if (taut := chain.extend(terms, count)) is None:
+        nodes, root = abstraction(sk, full_selection(sk, terms), budget)
         taut = decide_form(*refutation_clauses(nodes, root))[0]
     # over no terms the expansion is the quantifier-free sk itself
-    extra = (dict(node_count=count) if ch.terms else dict(
+    extra = (dict(node_count=count) if terms else dict(
         detail="empty term domain; the quantifier-free form itself decides"))
     return PropertyCResult("holds" if taut else "fails",
                            witness="full-expansion" if taut else "none",
@@ -477,7 +481,7 @@ def _established(a: Formula, n: int, sel, star: bool, budget: int,
             f"order {n}{' (starred)' if star else ''} is not established for "
             f"this formula ({pre.status}{': ' + pre.detail if pre.detail else ''})")
     if sel is None:
-        sel = full_selection(sk, champ(sk, n, budget=budget).terms)
+        sel = full_selection(sk, champ(sk, n, size=pre.term_count).terms)
     return a_r, sel, syms
 
 
@@ -677,10 +681,10 @@ def demo_upper_bound() -> dict:
     a = parse_formula(UPPER_BOUND_TEXT)
     a_r = rectify(a)
     f_sk = outer_skolemize(a_r)
-    ch = champ(f_sk, 4)
-    n_terms = len(ch.terms)
+    sig = champ_signature(f_sk)
+    n_terms = champ_size(f_sk, 4, signature=sig)
     sel = parse_selection(UPPER_BOUND_SELECTION)
-    sel_ok, _ = selection_within(sel, ch)
+    sel_ok, _ = selection_within(sel, f_sk, 4, signature=sig)
     j = build_sub_expansion(f_sk, sel)
     res = property_c(a, 4, star=False, sel=sel)
     full_nodes, leaves = expansion_counts(f_sk, n_terms)

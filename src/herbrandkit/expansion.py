@@ -1,7 +1,10 @@
 """Champs finis and expansions.
 
 The champ of order n over a formula's free symbols is the set of terms of
-height strictly below n.  Expanding a formula over a term list replaces an
+height strictly below n.  Its size and size guard are counted off the
+signature (champ_size) and a term's membership is read off the term
+(in_champ), so only the full expansion, which needs every term, lists
+them (champ).  Expanding a formula over a term list replaces an
 existential quantifier by the disjunction of the instances and a universal
 quantifier by the conjunction; a sub-expansion expands every quantifier over
 a chosen nonempty subset of terms, chosen per branch via a selection tree
@@ -67,15 +70,8 @@ class ChampFini:
     herbrand: bool
     terms: tuple[Term, ...]  # sorted by (height, print)
 
-    def __contains__(self, t: Term) -> bool:
-        return t in self._set
-
     def __len__(self) -> int:
         return len(self.terms)
-
-    @cached_property
-    def _set(self) -> frozenset[Term]:
-        return frozenset(self.terms)
 
 
 def champ_signature(f: Formula) -> tuple:
@@ -100,14 +96,99 @@ def champ_signature(f: Formula) -> tuple:
 
 
 def champ(f: Formula, order: int, herbrand: bool = False,
-          budget: int = DEFAULT_BUDGET, signature: tuple | None = None) -> ChampFini:
+          budget: int = DEFAULT_BUDGET, signature: tuple | None = None,
+          size: int | None = None) -> ChampFini:
     """All terms of height < order over the formula's free symbols,
     champ_signature(f), which a caller that asks at several orders passes
     as signature.  Only the signature is read, and each distinct champ is
-    built once per process and shared by every caller."""
+    built once per process and shared by every caller.  The size guard is
+    champ_size's, so a caller that has already asked champ_size passes its
+    answer as size and the champ is not counted again.  A caller that
+    needs only the champ's size or membership asks champ_size or in_champ,
+    which list no term."""
     if order < 1:
         raise ExpansionError(f"champ order must be at least 1, got {order}")
-    return _build_champ(*(signature or champ_signature(f)), order, herbrand, budget)
+    funcs, base = signature or champ_signature(f)
+    if size is None:
+        _count_champ(funcs, base, order, herbrand, budget)
+    return _build_champ(funcs, base, order, herbrand)
+
+
+def champ_size(f: Formula, order: int, herbrand: bool = False,
+               budget: int = DEFAULT_BUDGET, signature: tuple | None = None) -> int:
+    """len(champ(f, order, herbrand, budget, signature)), counted off the
+    signature without listing a term; the size guard refuses it exactly
+    when it refuses the champ, with the same BudgetError."""
+    if order < 1:
+        raise ExpansionError(f"champ order must be at least 1, got {order}")
+    return _count_champ(*(signature or champ_signature(f)), order, herbrand, budget)
+
+
+def in_champ(t: Term, f: Formula, order: int, herbrand: bool = False,
+             signature: tuple | None = None) -> bool:
+    """Whether t is a term of champ(f, order, herbrand), read off t: its
+    height is below order, each application in it is of a function symbol
+    of the signature, with its arity and Skolem flag, and each leaf is one
+    of the signature's base terms."""
+    funcs, base = signature or champ_signature(f)
+    if term_height(t, herbrand) >= order:
+        return False
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if type(s) is App and s.args:
+            if (s.sym, len(s.args), s.skolem) not in funcs:
+                return False
+            stack += s.args
+        elif s not in base:
+            return False
+    return True
+
+
+def _count_champ(funcs, base, order, herbrand, budget) -> int:
+    # _build_champ's passes, counted.  An argument has height order-2 or
+    # less, and pass k applies a symbol of arity a to the tuples of such
+    # terms that hold one the pass before found: with P of them found
+    # before pass k and O before pass k-1, that is P^a - O^a new terms, whose
+    # nodes add up to those tuples plus a * (P^(a-1) Np - O^(a-1) No), where
+    # Np and No sum the nodes of the P and O terms.  A term is one higher
+    # than its highest argument, and a base term need not have height 1, so
+    # the pools are counted per height: the tuples whose arguments all have
+    # height h or less give terms of height h+1 or less.  The guard is
+    # checked as the listing would meet it: per symbol, the terms known
+    # before the pass to the power of its arity, then the node total after.
+    heights = [term_height(t, herbrand) for t in base]
+    found = nodes = last = sum(h < order for h in heights)  # a base term is one node
+    # per height h from the lowest to order-2, the terms of height h or less
+    # in the pools, and their nodes, found so far (now) and before the last
+    # pass (before)
+    hs = range(min(heights), order - 1)
+    now = [sum(x <= h for x in heights) for h in hs]
+    now_nodes, before, before_nodes = now, [0] * len(hs), [0] * len(hs)
+    while last:
+        known, grown, grown_nodes = found, [0] * len(hs), [0] * len(hs)
+        for name, arity, _ in funcs:
+            if known ** arity > budget:
+                raise BudgetError(
+                    f"champ enumeration over {known} terms with {name}/{arity} "
+                    f"exceeds the size guard of {budget}")
+            terms = total = 0  # made of the arguments lower than hs[i]
+            for i, (p, pn, o, on) in enumerate(zip(now, now_nodes, before, before_nodes)):
+                grown[i] += terms
+                grown_nodes[i] += total
+                terms = p ** arity - o ** arity
+                total = terms + arity * (p ** (arity - 1) * pn - o ** (arity - 1) * on)
+            if terms:
+                nodes += total
+                if nodes > budget:
+                    raise BudgetError(
+                        f"champ enumeration exceeds the size guard of {budget} nodes")
+            found += terms
+        last = found - known
+        before, before_nodes = now, now_nodes
+        now = [x + y for x, y in zip(now, grown)]
+        now_nodes = [x + y for x, y in zip(now_nodes, grown_nodes)]
+    return found
 
 
 # distinct champs kept per process; a champ is immutable, so callers share it
@@ -115,43 +196,29 @@ _CHAMP_MEMO_SIZE = 32
 
 
 @lru_cache(maxsize=_CHAMP_MEMO_SIZE)
-def _build_champ(funcs, base, order, herbrand, budget) -> ChampFini:
-    # Semi-naive passes: each applies every function symbol to the terms
-    # found so far, but builds only the tuples that hold a term the last
-    # pass found (fresh), taking the first one at position p and older
-    # terms before it.  Each such tuple gives a new, distinct term; tuples
-    # of older terms alone were built in an earlier pass.  An argument of
-    # height order-1 would give a term of height order, so the argument
-    # pools hold only terms of height order-2 or less.  Terms are kept as
-    # (term, nodes).
-    found = [(t, 1) for t in base if term_height(t, herbrand) < order]  # one node each
-    nodes = len(found)
-    old: list[tuple[Term, int]] = []
-    fresh = [x for x in found if term_height(x[0], herbrand) <= order - 2]
-    last = len(found)  # terms found by the last pass
-    while last:
+def _build_champ(funcs, base, order, herbrand) -> ChampFini:
+    # Called once the size guard has passed.  Semi-naive passes: each
+    # applies every function symbol to the terms found so far, but builds
+    # only the tuples that hold a term the last pass found (fresh), taking
+    # the first one at position p and older terms before it.  Each such
+    # tuple gives a new, distinct term; tuples of older terms alone were
+    # built in an earlier pass.  An argument of height order-1 would give a
+    # term of height order, so the argument pools hold only terms of height
+    # order-2 or less.
+    found = [t for t in base if term_height(t, herbrand) < order]
+    old: list[Term] = []
+    fresh = [t for t in found if term_height(t, herbrand) <= order - 2]
+    while fresh:
         known = len(found)
         pool = old + fresh
         for name, arity, sk in funcs:
-            if known ** arity > budget:
-                raise BudgetError(
-                    f"champ enumeration over {known} terms with {name}/{arity} "
-                    f"exceeds the size guard of {budget}")
             for p in range(arity):
-                for args in itertools.product(
-                        *[old] * p, fresh, *[pool] * (arity - p - 1)):
-                    ts, ns = zip(*args)
-                    n = 1 + sum(ns)
-                    found.append((App(name, sk, ts), n))
-                    nodes += n
-                    if nodes > budget:
-                        raise BudgetError(
-                            f"champ enumeration exceeds the size guard of {budget} nodes")
-        last = len(found) - known
+                found += (App(name, sk, args) for args in itertools.product(
+                    *[old] * p, fresh, *[pool] * (arity - p - 1)))
         old = pool
-        fresh = [x for x in found[known:] if term_height(x[0], herbrand) <= order - 2]
+        fresh = [t for t in found[known:] if term_height(t, herbrand) <= order - 2]
     return ChampFini(order, herbrand, tuple(sorted(
-        (t for t, _ in found), key=lambda t: term_order_key(t, herbrand))))
+        found, key=lambda t: term_order_key(t, herbrand))))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +457,13 @@ def selection_terms(s: Selection) -> list[Term]:
     return out
 
 
-def selection_within(s: Selection, ch: ChampFini) -> tuple[bool, list[Term]]:
-    """Whether every chosen term lies in the champ; also the offenders."""
-    offenders = [t for t in selection_terms(s) if t not in ch]
+def selection_within(s: Selection, f: Formula, order: int, herbrand: bool = False,
+                     signature: tuple | None = None) -> tuple[bool, list[Term]]:
+    """Whether every chosen term lies in champ(f, order, herbrand), each
+    read off the term by in_champ; also the offenders."""
+    sig = signature or champ_signature(f)
+    offenders = [t for t in selection_terms(s)
+                 if not in_champ(t, f, order, herbrand, sig)]
     return not offenders, offenders
 
 
@@ -660,8 +731,9 @@ class HornChain:
 
         # a fact is filed at each body atom it matches before it joins from
         # there, so an instance that holds it at several atoms is found once
-        # it is filed at the last of them; one refused only for a term
-        # outside the pool, bound to a variable, waits on that term
+        # it is filed at the last of them; at the only atom of a body it is
+        # joined and not filed; one refused only for a term outside the
+        # pool, bound to a variable, waits on that term
         def file(c, j, args, got) -> bool | None:
             env, outside, stack = {}, None, list(zip(args, got))
             while stack:
@@ -683,9 +755,10 @@ class HornChain:
             if outside is not None:
                 waiting.setdefault(outside.text, []).append((c, j, args, got))
                 return False
-            filed = matched.setdefault((c, j), {})
-            for key in (None, *((v, t.text) for v, t in env.items())):
-                filed.setdefault(key, []).append(env)
+            if len(bodies[c]) > 1:
+                filed = matched.setdefault((c, j), {})
+                for key in (None, *((v, t.text) for v, t in env.items())):
+                    filed.setdefault(key, []).append(env)
             return join(c, j, env)
 
         for t in new:

@@ -146,7 +146,7 @@ def test_criterion_05_selected_sub_expansion_is_the_axiom():
     sub = build_sub_expansion(f_sk, sel)
     assert is_tautology(sub)
     assert ac_flatten_equal(sub, parse_formula(WALKTHROUGH_AXIOM_TEXT))
-    ok, offenders = selection_within(sel, champ(f_sk, 4))
+    ok, offenders = selection_within(sel, f_sk, 4)
     assert ok and offenders == []
     res = property_c(a, 4, sel=sel)
     assert res.holds and res.status == "holds"

@@ -1,7 +1,9 @@
-"""The champ fini against a reference enumerator, and one build per champ."""
+"""The champ fini, its count and its membership test against a reference
+enumerator; one build per champ, and none along a selection."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +21,9 @@ from herbrandkit.expansion import (
     ChampFini,
     ExpansionError,
     champ,
+    champ_signature,
+    champ_size,
+    in_champ,
     term_order_key,
 )
 from herbrandkit.skolem import SkolemRegistry, outer_skolemize
@@ -176,8 +181,66 @@ def test_champ_agrees_with_the_reference_enumerator(upper_bound):
     assert 0 < errors < cases
 
 
+# the count and the membership test, on the same cases
+
+def reference_cases(upper_bound):
+    """The differential test's 1,160 cases: (formula, order, herbrand, budget)."""
+    rng = random.Random(6061)
+    formulas = [random_signature_formula(rng) for _ in range(20)]
+    formulas += [parse_formula(text) for text in MIXED_SIGNATURES]
+    formulas.append(outer_skolemize(rectify(upper_bound)))
+    crng = random.Random(77)
+    formulas += [outer_skolemize(random_candidate(crng)) for _ in range(6)]
+    return [(f, *case) for f in formulas for case in itertools.product(
+        range(1, 6), (False, True), (10_000_000, 500, 50, 5))]
+
+
+def outsiders(f, order, herbrand, terms):
+    """Terms that are in the champ but for one thing, each (what, term):
+    height order, an application's arity, Skolem flag or symbol, or a leaf
+    that is a variable not free in f."""
+    funcs, base = champ_signature(f)
+    out = [("unbound variable", Var("zz_unbound")),
+           ("outside constant", App("zz_c", False, ()))]
+    top = [t for t in terms if term_height(t, herbrand) == order - 1]
+    if funcs and top:
+        name, arity, sk = funcs[0]
+        out.append(("height", App(name, sk, (top[-1],) * arity)))
+    out += [("height", t) for t in base if term_height(t, herbrand) == order][:1]
+    for t in [t for t in terms if isinstance(t, App) and t.args][:1]:
+        out += [("arity", App(t.sym, t.skolem, t.args + t.args[:1])),
+                ("skolem flag", App(t.sym, not t.skolem, t.args)),
+                ("symbol", App("zz_f", False, t.args))]
+    return out
+
+
+def test_count_and_membership_agree_with_the_reference_enumerator(upper_bound):
+    cases = Counter()
+    for f, order, herbrand, budget in reference_cases(upper_bound):
+        try:
+            terms = reference_champ(f, order, herbrand, budget).terms
+            want = len(terms)
+        except BudgetError as e:
+            want = str(e)
+        try:
+            got = champ_size(f, order, herbrand, budget)
+        except BudgetError as e:
+            got = str(e)
+        assert got == want, (f, order, herbrand, budget)
+        cases["size" if isinstance(want, int) else "guard"] += 1
+        if budget != 10_000_000 or isinstance(want, str):
+            continue
+        sig = champ_signature(f)
+        assert all(in_champ(t, f, order, herbrand, sig) for t in terms)
+        for what, t in outsiders(f, order, herbrand, terms):
+            assert not in_champ(t, f, order, herbrand, sig), (f, order, what, t)
+            cases[what] += 1
+    assert cases["size"] + cases["guard"] == 1160 and cases["guard"] > 100
+    assert min(cases.values()) >= 50, cases
+
+
 # ---------------------------------------------------------------------------
-# one build per distinct champ
+# one build per distinct champ, and none along a selection
 
 def builds(call):
     expansion._build_champ.cache_clear()
@@ -185,18 +248,40 @@ def builds(call):
     return expansion._build_champ.cache_info().misses
 
 
-def test_demo_upper_bound_builds_its_champ_once():
-    assert builds(demo_upper_bound) == 1
+def test_demo_upper_bound_enumerates_no_champ():
+    assert builds(demo_upper_bound) == 0
 
 
-def test_the_constructions_share_one_champ(upper_bound):
+def test_the_constructions_enumerate_no_champ(upper_bound):
+    """Along a selection, property C and both constructions read the
+    champ's size and membership off the signature."""
     def run():
         sel = UPPER_BOUND_SELECTION
         assert property_c(upper_bound, 4, sel=sel).holds
         construct_derivation(upper_bound, 4, sel)
         construct_fv_derivation(upper_bound, 4, sel, SkolemRegistry())
 
-    assert builds(run) == 1
+    assert builds(run) == 0
+
+
+def test_the_order_5_selection_check_enumerates_no_champ(upper_bound):
+    """The order-5 champ has 21,612 terms, none of them listed."""
+    def run():
+        r = property_c(upper_bound, 5, sel=UPPER_BOUND_SELECTION, budget=10**9)
+        assert (r.status, r.term_count) == ("holds", 21612)
+
+    assert builds(run) == 0
+
+
+def test_the_full_route_counts_its_champ_once(monkeypatch, upper_bound):
+    """property_c counts the champ for its guard and hands the count to the
+    listing, which does not count it again."""
+    counts = []
+    count = expansion._count_champ
+    monkeypatch.setattr(expansion, "_count_champ",
+                        lambda *args: counts.append(args) or count(*args))
+    assert builds(lambda: property_c(upper_bound, 3)) == 1
+    assert len(counts) == 1
 
 
 def test_a_cached_champ_does_not_lift_a_smaller_budget():

@@ -128,8 +128,7 @@ def test_sub_expansion_witness_lies_inside_the_domain(upper_bound,
                                                       upper_bound_selection):
     r = property_c(upper_bound, 4, sel=upper_bound_selection)
     assert r.holds and r.witness == "sub-expansion selection"
-    ch = champ(r.skolemized, 4)
-    ok, missing = selection_within(upper_bound_selection, ch)
+    ok, missing = selection_within(upper_bound_selection, r.skolemized, 4)
     assert ok and not missing
 
 

@@ -417,9 +417,9 @@ def test_built_selection_with_empty_term_list_is_refused(drinker):
 
 def test_selection_within_champ(upper_bound_selection, upper_bound):
     sk = outer_skolemize(rectify(upper_bound))
-    ok, missing = selection_within(upper_bound_selection, champ(sk, 4))
+    ok, missing = selection_within(upper_bound_selection, sk, 4)
     assert ok and missing == []
-    ok, missing = selection_within(upper_bound_selection, champ(sk, 3))
+    ok, missing = selection_within(upper_bound_selection, sk, 3)
     assert not ok
     assert {print_term(t) for t in missing} == {"sk_m(sk_u,sk_m(sk_v,sk_w))"}
 

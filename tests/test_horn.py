@@ -345,6 +345,23 @@ def test_no_head_waits_on_a_term_outside_the_pool(star):
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
+def test_a_one_atom_clause_files_nothing(star):
+    """join reads the facts filed at a clause's other body atoms, and a
+    one-atom clause has none, so extend files no fact at its only atom.
+    The order-3 upper-bound check fails and keeps its state: its facts are
+    filed at the transitivity clause and the goal, and none at the one-atom
+    clauses x < @ <- @pool(@, sk_m(x,y)) and y < @_1 <- @pool(@_1, sk_m(x,y))."""
+    sk = skolemized(parse_formula(UPPER_BOUND_TEXT), star)
+    terms = champ(sk, 3).terms
+    chain = HornChain(sk)
+    _, _, bodies, _, _ = chain.clause_form
+    assert sorted(map(len, bodies)) == [1, 1, 2, 3]
+    assert chain.extend(terms, expansion_counts(sk, len(terms))[0]) is False
+    _, _, _, matched, _ = chain.state
+    assert {len(bodies[c]) for c, _ in matched} == {2, 3}
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["outer", "deltapp"])
 @pytest.mark.parametrize("text", [UPPER_BOUND_TEXT, UPPER2_TEXT, TWO_DISJUNCT_TEXT,
                                   TWO_DISJUNCT_MOVED_TEXT],
                          ids=["upper", "upper2", "two-disjunct", "moved"])
